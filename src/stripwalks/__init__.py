@@ -16,10 +16,8 @@ from .lattice import (
     Point,
     StripGeometry,
     Walk,
-    WalkClass,
     is_bridge,
     is_half_space,
-    span,
 )
 from .enumeration import (
     BridgeDecomposition,
@@ -80,7 +78,6 @@ __all__ = [
     "RootResult",
     "StripGeometry",
     "Walk",
-    "WalkClass",
     "atoms_width3",
     "atoms_width4_lower",
     "atoms_width4_upper",
@@ -106,7 +103,6 @@ __all__ = [
     "pf_bound",
     "pf_exact",
     "smallest_positive_root",
-    "span",
     "transform_irreducible_w4",
     "upper_atom_from_pipeline",
     "verify_bridge_corollary",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -70,7 +71,7 @@ def _emit(command: str, parameters: dict, results: Any, passed: bool, t0: float)
         "parameters": _jsonable(parameters),
         "results": _jsonable(results),
         "pass": passed,
-        "runtime_ms": int((time.time() - t0) * 1000),
+        "runtime_ms": int((time.perf_counter() - t0) * 1000),
     }
     print(json.dumps(envelope, indent=2))
     return 0 if passed else 1
@@ -103,7 +104,10 @@ def _cmd_count(args: argparse.Namespace, t0: float) -> int:
         start = args.start_line
         if start is None:
             start = strip.y_max if args.type.startswith("O") else strip.y_max - 1
-        table = enumeration.count_irreducible(strip, args.type, args.n, start)
+        try:
+            table = enumeration.count_irreducible(strip, args.type, args.n, start)
+        except ValueError as exc:
+            build_parser().error(str(exc))
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
         return 0
@@ -246,6 +250,14 @@ def _verify_tables(n_max: int) -> tuple[dict, bool]:
     return {"n": n, "failures": failures}, not failures
 
 
+# Suites that run once per strip: suite -> (strip, args) -> (payload, passed).
+_STRIP_SUITES = {
+    "sandwich": lambda strip, args: _verify_sandwich(strip, args.n, args.mu),
+    "halfspace": lambda strip, args: _verify_halfspace(strip, args.n),
+    "multiplicativity": lambda strip, args: _verify_multiplicativity(strip, args.n),
+}
+
+
 def _cmd_verify(args: argparse.Namespace, t0: float) -> int:
     n_max = args.n
     results: dict[str, Any] = {}
@@ -257,39 +269,23 @@ def _cmd_verify(args: argparse.Namespace, t0: float) -> int:
         else [args.suite]
     )
     strips = [args.strip] if args.strip else [StripGeometry(-1, 1), StripGeometry(-1, 2)]
+    width = strips[0].width
+    if width not in (3, 4) and {"sandwich", "halfspace"} & set(suites):
+        build_parser().error(f"verify {args.suite} needs a strip of width 3 or 4, got {width}")
     for suite in suites:
         if suite == "zeilberger":
             rows, ok = _verify_zeilberger(max(n_max, 2))
             results["zeilberger"] = {"rows": rows}
-        elif suite == "sandwich":
-            ok = True
-            payload = {}
-            for strip in strips:
-                sub, sub_ok = _verify_sandwich(strip, n_max, args.mu)
-                payload[f"{strip.y_min},{strip.y_max}"] = sub
-                ok &= sub_ok
-            results["sandwich"] = payload
-        elif suite == "halfspace":
-            ok = True
-            payload = {}
-            for strip in strips:
-                sub, sub_ok = _verify_halfspace(strip, n_max)
-                payload[f"{strip.y_min},{strip.y_max}"] = sub
-                ok &= sub_ok
-            results["halfspace"] = payload
-        elif suite == "multiplicativity":
-            ok = True
-            payload = {}
-            for strip in strips:
-                sub, sub_ok = _verify_multiplicativity(strip, n_max)
-                payload[f"{strip.y_min},{strip.y_max}"] = sub
-                ok &= sub_ok
-            results["multiplicativity"] = payload
         elif suite == "tables":
-            sub, ok = _verify_tables(n_max)
-            results["tables"] = sub
-        else:  # pragma: no cover
-            raise SystemExit(f"unknown suite {suite}")
+            results["tables"], ok = _verify_tables(n_max)
+        else:
+            ok = True
+            payload = {}
+            for strip in strips:
+                sub, sub_ok = _STRIP_SUITES[suite](strip, args)
+                payload[f"{strip.y_min},{strip.y_max}"] = sub
+                ok &= sub_ok
+            results[suite] = payload
         passed &= ok
 
     params = {"suite": args.suite, "n": n_max}
@@ -364,7 +360,7 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
@@ -381,6 +377,9 @@ def main(argv: list[str] | None = None) -> int:
     series = getattr(args, "series", None)
     if series is not None and series < 0:
         parser.error(f"--series must be non-negative, got {series}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not 0 < tol < math.inf:
+        parser.error(f"--tol must be positive and finite, got {tol}")
     return args.func(args, t0)
 
 

@@ -1,8 +1,13 @@
 """Exhaustive enumeration of strip walks: the package's ground-truth oracle.
 
-A deterministic depth-first search (step order R, U, D, L) visits every
-self-avoiding walk on a strip up to a length ceiling.  On top of the raw
-counts this module implements the structural operations on bridges:
+One cached depth-first search (step order R, U, D, L) visits every
+self-avoiding walk, or every half-space walk, on a strip up to a length
+ceiling.  In the same pass it tallies walks per length, bridges per span,
+and merged irreducible factors per end row and tail: cut candidates are
+tracked online as a chain ordered by x, so no walk is built or scanned
+twice.  The counting functions are views of that search; ``iter_walks``
+yields the walks themselves in the same order.  On top of the counts this
+module implements the structural operations on bridges:
 
 * decomposition of a bridge into irreducible factors (with the convention
   that a run of leading unit right-steps is absorbed into the following
@@ -39,56 +44,83 @@ def _check_n_max(n_max: int) -> None:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
 
 
-def _count_walks(
-    strip: StripGeometry, n_max: int, half_space: bool, bridges_only: bool
-) -> list[int]:
-    counts = [0] * (n_max + 1)
-    counts[0] = 1  # the single-point walk
+@lru_cache(maxsize=None)
+def _search(strip: StripGeometry, n_max: int, half_space: bool) -> tuple:
+    """One DFS over the walks of length <= n_max; returns three tables.
+
+    * walks per length;
+    * for half-space searches, bridges per (length, span): a walk is a
+      bridge iff its endpoint is a rightmost point, whose column is the span;
+    * for half-space searches, merged irreducible factors as
+      ((length, end row, tail), count) pairs.
+
+    Cut candidates, the indices j with x_j a running maximum, form a
+    persistent chain of (x_j, j, rest) ordered by x, rooted at the origin
+    (0, 0).  A visit to column c drops every candidate at x >= c, so at a
+    bridge endpoint the survivors besides the root are the bridge's cut
+    points.  They are exactly {1..k} iff the top candidate has x_j = j = k,
+    and the bridge is then one merged irreducible factor with tail k when
+    its length exceeds k by at least 2.
+    """
+    walks = [0] * (n_max + 1)
+    walks[0] = 1
+    spans = [[0] * (n_max + 1) for _ in range(n_max + 1)]
+    spans[0][0] = 1
+    irreducible: dict[tuple[int, int, int], int] = {}
     y_lo, y_hi = strip.y_min, strip.y_max
+    x_lo = 1 if half_space else -n_max
     visited = {(0, 0)}
 
-    def rec(x: int, y: int, depth: int, max_x: int) -> None:
-        if depth == n_max:
-            return
-        d = depth + 1
+    def rec(x: int, y: int, d: int, max_x: int, chain: tuple) -> None:
+        d += 1
+        deeper = d < n_max
         for dx, dy in _DELTAS:
             nx = x + dx
             ny = y + dy
-            if ny < y_lo or ny > y_hi:
-                continue
-            if half_space and nx <= 0:
+            if ny < y_lo or ny > y_hi or nx < x_lo:
                 continue
             p = (nx, ny)
             if p in visited:
                 continue
-            m = nx if nx > max_x else max_x
-            # A walk is a bridge iff its endpoint is a rightmost point.
-            if not bridges_only or nx == m:
-                counts[d] += 1
-            visited.add(p)
-            rec(nx, ny, d, m)
-            visited.remove(p)
+            walks[d] += 1
+            m, c = max_x, chain
+            if half_space:
+                while c[0] >= nx:
+                    c = c[2]
+                if nx >= max_x:
+                    m = nx
+                    spans[d][nx] += 1
+                    k = c[1]
+                    if c[0] == k and d - k >= 2:
+                        key = (d, ny, k)
+                        irreducible[key] = irreducible.get(key, 0) + 1
+                    c = (nx, d, c)
+            if deeper:
+                visited.add(p)
+                rec(nx, ny, d, m, c)
+                visited.remove(p)
 
-    rec(0, 0, 0, 0)
-    return counts
+    if n_max:
+        rec(0, 0, 0, 0, (0, 0, None))
+    return tuple(walks), tuple(map(tuple, spans)), tuple(irreducible.items())
 
 
 def count_saws(strip: StripGeometry, n_max: int) -> CountTable:
     """Exact number of n-step self-avoiding walks on the strip, n = 0..n_max."""
     _check_n_max(n_max)
-    return CountTable(tuple(_count_walks(strip, n_max, False, False)))
+    return CountTable(_search(strip, n_max, False)[0])
 
 
 def count_half_space(strip: StripGeometry, n_max: int) -> CountTable:
     """Exact number of n-step half-space walks on the strip, n = 0..n_max."""
     _check_n_max(n_max)
-    return CountTable(tuple(_count_walks(strip, n_max, True, False)))
+    return CountTable(_search(strip, n_max, True)[0])
 
 
 def count_bridges(strip: StripGeometry, n_max: int) -> CountTable:
     """Exact number of n-step bridges on the strip, n = 0..n_max."""
     _check_n_max(n_max)
-    return CountTable(tuple(_count_walks(strip, n_max, True, True)))
+    return CountTable(tuple(map(sum, _search(strip, n_max, True)[1])))
 
 
 def bridge_span_table(strip: StripGeometry, n: int) -> dict[int, int]:
@@ -98,33 +130,8 @@ def bridge_span_table(strip: StripGeometry, n: int) -> dict[int, int]:
     bridge is simply its maximal x-coordinate.
     """
     _check_n_max(n)
-    table: dict[int, int] = {}
-    if n == 0:
-        return {0: 1}
-    y_lo, y_hi = strip.y_min, strip.y_max
-    visited = {(0, 0)}
-
-    def rec(x: int, y: int, depth: int, max_x: int) -> None:
-        d = depth + 1
-        for dx, dy in _DELTAS:
-            nx = x + dx
-            ny = y + dy
-            if ny < y_lo or ny > y_hi or nx <= 0:
-                continue
-            p = (nx, ny)
-            if p in visited:
-                continue
-            m = nx if nx > max_x else max_x
-            if d == n:
-                if nx == m:
-                    table[m] = table.get(m, 0) + 1
-            else:
-                visited.add(p)
-                rec(nx, ny, d, m)
-                visited.remove(p)
-
-    rec(0, 0, 0, 0)
-    return table
+    row = _search(strip, n, True)[1][n]
+    return {span: c for span, c in enumerate(row) if c}
 
 
 def count_bridges_by_span(strip: StripGeometry, n: int, span: int) -> int:
@@ -245,6 +252,12 @@ def _translate_to_origin(points: tuple[tuple[int, int], ...]) -> Walk:
     return Walk(tuple((x - x0, y - y0) for x, y in points))
 
 
+def _bridge_type(strip: StripGeometry, start_line: int, end_line: int) -> str:
+    """OO/OI/IO/II: O for an outer row of the strip, I for an inner one."""
+    outer = strip.outer_lines
+    return ("O" if start_line in outer else "I") + ("O" if end_line in outer else "I")
+
+
 def decompose_bridge(walk: Walk, strip: StripGeometry | None = None) -> BridgeDecomposition:
     """Split a bridge into irreducible factors and a trailing right-step run.
 
@@ -273,11 +286,7 @@ def decompose_bridge(walk: Walk, strip: StripGeometry | None = None) -> BridgeDe
         start_line = walk.points[seg_start][1]
         bridge_type = None
         if strip is not None and strip.width in (3, 4):
-            end_line = start_line + sub.end[1]
-            outer = set(strip.outer_lines)
-            bridge_type = ("O" if start_line in outer else "I") + (
-                "O" if end_line in outer else "I"
-            )
+            bridge_type = _bridge_type(strip, start_line, start_line + sub.end[1])
         factors.append(IrreducibleFactor(sub, start_line, pending_tail, bridge_type))
         pending_tail = 0
     return BridgeDecomposition(tuple(factors), pending_tail)
@@ -287,47 +296,11 @@ def classify_irreducible(factor: IrreducibleFactor, strip: StripGeometry) -> str
     """Label an irreducible factor OO/OI/IO/II by its start and end lines."""
     if strip.width not in (3, 4):
         raise ValueError(f"classification requires width 3 or 4, got {strip.width}")
-    outer = set(strip.outer_lines)
     start, end = factor.start_line, factor.end_line
     for line in (start, end):
         if not (strip.y_min <= line <= strip.y_max):
             raise ValueError(f"line {line} is not a row of the strip")
-    return ("O" if start in outer else "I") + ("O" if end in outer else "I")
-
-
-def _is_irreducible_bridge(walk: Walk) -> int | None:
-    """Tail length if the walk is a single merged irreducible factor, else None.
-
-    A bridge is a merged irreducible factor iff its cut set is exactly
-    {1..k} for some k >= 0 (the leading right-step tail) and the part after
-    the tail has length at least 2.
-    """
-    n = walk.length
-    cuts = cut_points(walk)
-    k = len(cuts)
-    if cuts != tuple(range(1, k + 1)):
-        return None
-    if n - k < 2:
-        return None
-    return k
-
-
-@lru_cache(maxsize=None)
-def _irreducible_tables(
-    strip: StripGeometry, start_line: int, n_max: int, tailless: bool
-) -> dict[str, tuple[int, ...]]:
-    shifted = strip.shift_origin(start_line)
-    outer = set(shifted.outer_lines)
-    tables = {t: [0] * (n_max + 1) for t in BRIDGE_TYPES}
-    for walk in iter_walks(shifted, n_max, kind="bridge"):
-        if walk.length == 0:
-            continue
-        tail = _is_irreducible_bridge(walk)
-        if tail is None or (tailless and tail != 0):
-            continue
-        label = ("O" if 0 in outer else "I") + ("O" if walk.end[1] in outer else "I")
-        tables[label][walk.length] += 1
-    return {t: tuple(v) for t, v in tables.items()}
+    return _bridge_type(strip, start, end)
 
 
 def count_irreducible(
@@ -347,13 +320,18 @@ def count_irreducible(
         raise ValueError(f"unknown bridge type {bridge_type!r}")
     if strip.width not in (3, 4):
         raise ValueError(f"irreducible counting requires width 3 or 4, got {strip.width}")
+    shifted = strip.shift_origin(start_line)  # rejects an off-strip line first
     starts_outer = start_line in strip.outer_lines
     if bridge_type.startswith("O") != starts_outer:
         raise ValueError(
             f"start line {start_line} is {'outer' if starts_outer else 'inner'}, "
             f"inconsistent with type {bridge_type}"
         )
-    return CountTable(_irreducible_tables(strip, start_line, n_max, tailless)[bridge_type])
+    counts = [0] * (n_max + 1)
+    for (n, end, tail), c in _search(shifted, n_max, True)[2]:
+        if not (tailless and tail) and _bridge_type(shifted, 0, end) == bridge_type:
+            counts[n] += c
+    return CountTable(tuple(counts))
 
 
 # ---------------------------------------------------------------------------

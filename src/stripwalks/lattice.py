@@ -35,8 +35,6 @@ _DELTA_STEPS = {v: k for k, v in STEP_DELTAS.items()}
 # line, with O for an outer line of the strip and I for an inner one.
 BRIDGE_TYPES = ("OO", "OI", "IO", "II")
 
-WALK_KINDS = ("SAW", "HalfSpace", "Bridge", "IrreducibleBridge")
-
 
 @dataclass(frozen=True)
 class StripGeometry:
@@ -162,28 +160,6 @@ def is_half_space(walk: Walk) -> bool:
     The length-0 walk is a half-space walk by convention.
     """
     return all(p[0] > 0 for p in walk.points[1:])
-
-
-def span(walk: Walk) -> int:
-    """Difference between the largest and smallest x-coordinate of the walk."""
-    return walk.span()
-
-
-@dataclass(frozen=True)
-class WalkClass:
-    """Classification of a walk; bridge_type only applies to irreducible bridges."""
-
-    kind: str
-    bridge_type: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in WALK_KINDS:
-            raise ValueError(f"unknown walk kind {self.kind!r}")
-        if self.bridge_type is not None:
-            if self.kind != "IrreducibleBridge":
-                raise ValueError("bridge_type only applies to irreducible bridges")
-            if self.bridge_type not in BRIDGE_TYPES:
-                raise ValueError(f"unknown bridge type {self.bridge_type!r}")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from stripwalks import StripGeometry, count_bridges, count_half_space, count_saw
 W2 = StripGeometry(0, 1)
 W3 = StripGeometry(-1, 1)
 W4 = StripGeometry(-1, 2)
+W5 = StripGeometry(-2, 2)
 
 
 @pytest.fixture(scope="session")

@@ -154,3 +154,27 @@ class TestVerify:
             l for l in s.splitlines() if "runtime_ms" not in l
         )
         assert scrub(first) == scrub(second)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--strip", "0,1", "--class", "irreducible", "--n", "5"],
+        ["count", "--class", "irreducible", "--type", "OO", "--start-line", "0"],
+        ["count", "--class", "irreducible", "--type", "IO", "--start-line", "5"],
+        ["mu", "width3", "--tol", "0"],
+        ["mu", "width3", "--tol", "-1"],
+        ["mu", "width3", "--tol", "nan"],
+        ["mu", "width4", "--tol", "inf"],
+        ["verify", "sandwich", "--strip", "0,1", "--n", "6"],
+        ["verify", "halfspace", "--strip", "-2,2", "--n", "6"],
+    ],
+)
+def test_input_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith("stripwalks: error: ")
+    assert "Traceback" not in err

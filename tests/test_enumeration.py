@@ -2,8 +2,9 @@ import collections
 
 import pytest
 
-from conftest import W3, W4, seq_add, seq_geometric, seq_mul, seq_one, seq_star
+from conftest import W2, W3, W4, W5, seq_add, seq_geometric, seq_mul, seq_one, seq_star
 from stripwalks import (
+    BRIDGE_TYPES,
     IrreducibleFactor,
     StripGeometry,
     Walk,
@@ -75,6 +76,21 @@ class TestSpans:
         for n in range(11):
             assert sum(bridge_span_table(W3, n).values()) == bridges_w3_18[n]
 
+    @pytest.mark.parametrize("strip", [W2, W3, W4, W5])
+    def test_span_tables_match_iter_walks(self, strip):
+        n_max = 10
+        spans = collections.defaultdict(collections.Counter)
+        for w in iter_walks(strip, n_max, kind="bridge"):
+            spans[w.length][w.span()] += 1
+        for n in range(n_max + 1):
+            assert bridge_span_table(strip, n) == dict(spans[n])
+
+    def test_span_table_is_a_fresh_copy(self):
+        table = bridge_span_table(W4, 8)
+        expected = dict(table)
+        table.clear()
+        assert bridge_span_table(W4, 8) == expected
+
     def test_half_space_span_zero_note(self):
         # Only the single-point walk has span 0.
         for w in iter_walks(W3, 6, kind="half_space"):
@@ -83,14 +99,15 @@ class TestSpans:
 
 class TestIterWalks:
     def test_kinds_are_consistent(self):
-        saws = list(iter_walks(W3, 5, kind="saw"))
-        halves = list(iter_walks(W3, 5, kind="half_space"))
-        bridges = list(iter_walks(W3, 5, kind="bridge"))
-        assert len(saws) == sum(count_saws(W3, 5).counts)
-        assert len(halves) == sum(count_half_space(W3, 5).counts)
-        assert len(bridges) == sum(count_bridges(W3, 5).counts)
-        assert all(is_half_space(w) for w in halves)
-        assert all(is_bridge(w) for w in bridges)
+        for strip in (W3, W5):
+            saws = list(iter_walks(strip, 5, kind="saw"))
+            halves = list(iter_walks(strip, 5, kind="half_space"))
+            bridges = list(iter_walks(strip, 5, kind="bridge"))
+            assert len(saws) == sum(count_saws(strip, 5).counts)
+            assert len(halves) == sum(count_half_space(strip, 5).counts)
+            assert len(bridges) == sum(count_bridges(strip, 5).counts)
+            assert all(is_half_space(w) for w in halves)
+            assert all(is_bridge(w) for w in bridges)
 
     def test_deterministic_visit_order(self):
         # Fixed step order R, U, D, L; prefixes come before extensions.
@@ -201,6 +218,41 @@ class TestIrreducibleCounts:
             count_irreducible(W3, "OO", 6, 0)
         with pytest.raises(ValueError):
             count_irreducible(W3, "IO", 6, 1)
+
+    def test_rejects_off_strip_start_line(self):
+        with pytest.raises(ValueError, match="not a row of the strip"):
+            count_irreducible(W3, "OO", 6, 5)
+
+    @pytest.mark.parametrize(
+        "strip",
+        [W3, StripGeometry(0, 2), StripGeometry(-2, 0), W4, StripGeometry(-2, 1)],
+    )
+    def test_search_matches_dfs_oracle(self, strip):
+        # Reference: every bridge from iter_walks, its cut points and the
+        # classifier; a merged irreducible factor has cuts exactly {1..k}
+        # (its tail) and at least two steps after them.
+        n_max = 12
+        for start in range(strip.y_min, strip.y_max + 1):
+            expected = {
+                (t, tailless): [0] * (n_max + 1)
+                for t in BRIDGE_TYPES
+                for tailless in (False, True)
+            }
+            for walk in iter_walks(strip.shift_origin(start), n_max, kind="bridge"):
+                cuts = cut_points(walk)
+                k = len(cuts)
+                if cuts != tuple(range(1, k + 1)) or walk.length - k < 2:
+                    continue
+                t = classify_irreducible(IrreducibleFactor(walk, start, k), strip)
+                expected[t, False][walk.length] += 1
+                if k == 0:
+                    expected[t, True][walk.length] += 1
+            starts_outer = start in strip.outer_lines
+            for (t, tailless), counts in expected.items():
+                if t.startswith("O") != starts_outer:
+                    continue
+                got = count_irreducible(strip, t, n_max, start, tailless=tailless)
+                assert got.counts == tuple(counts), (start, t, tailless)
 
     def test_type_swap_counts_equal_width4(self):
         for tailless in (False, True):

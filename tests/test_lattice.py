@@ -5,10 +5,8 @@ from stripwalks import (
     CountTable,
     StripGeometry,
     Walk,
-    WalkClass,
     is_bridge,
     is_half_space,
-    span,
 )
 
 
@@ -99,10 +97,10 @@ class TestPredicates:
             assert is_bridge(w) and is_half_space(w)
 
     def test_span(self):
-        assert span(Walk.from_steps("")) == 0
-        assert span(Walk.from_steps("RR")) == 2
-        assert span(Walk.from_steps("RUL")) == 1
-        assert span(Walk.from_steps("LL")) == 2
+        assert Walk.from_steps("").span() == 0
+        assert Walk.from_steps("RR").span() == 2
+        assert Walk.from_steps("RUL").span() == 1
+        assert Walk.from_steps("LL").span() == 2
 
     @given(st.text(alphabet="RLUD", max_size=8))
     def test_span_bounded_by_length(self, steps):
@@ -111,17 +109,6 @@ class TestPredicates:
         except ValueError:
             return
         assert 0 <= w.span() <= w.length
-
-
-class TestWalkClass:
-    def test_bridge_type_only_for_irreducible(self):
-        WalkClass("IrreducibleBridge", "OO")
-        with pytest.raises(ValueError):
-            WalkClass("Bridge", "OO")
-        with pytest.raises(ValueError):
-            WalkClass("IrreducibleBridge", "XX")
-        with pytest.raises(ValueError):
-            WalkClass("Nonsense")
 
 
 class TestCountTable:
