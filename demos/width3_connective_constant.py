@@ -3,7 +3,7 @@
 Bridges on Z x {-1,0,1} decompose into an alphabet of irreducible pieces
 (inner->outer, outer->outer, outer->inner).  Concatenating the alphabet
 with Kleene stars gives a rational generating function whose series must
-reproduce the brute-force bridge counts exactly; the reciprocal of the
+reproduce the enumerated bridge counts exactly; the reciprocal of the
 smallest positive root of its denominator is the growth constant.
 """
 
@@ -26,7 +26,7 @@ atoms = atoms_width3()
 for label, gf in atoms.items():
     print(f"  {label}: {gf.pretty():45s} {gf.series(8)}")
 
-print("\n-- exhaustive cross-check of each atom --")
+print("\n-- enumerated cross-check of each atom --")
 for label, line in (("OO", 1), ("OI", 1), ("IO", 0)):
     counted = count_irreducible(strip, label, 8, line)
     match = tuple(counted.counts) == atoms[label].series(8)

@@ -1,7 +1,7 @@
 """Exact combinatorics of self-avoiding walks on square-lattice strips.
 
-The package enumerates self-avoiding walks, half-space walks, bridges and
-irreducible bridges on strips Z x {y_min..y_max} by exhaustive search, rebuilds
+The package counts self-avoiding walks, half-space walks, bridges and
+irreducible bridges on strips Z x {y_min..y_max} with a transfer matrix, rebuilds
 the rational generating functions of bridges on the width-3 and width-4 strips
 from an irreducible-bridge alphabet, extracts connective constants from
 denominator roots, and verifies the classical sandwich bounds relating walk

@@ -26,16 +26,19 @@ ENV_CEILING = "SAW_STRIPS_NMAX_CEILING"
 DEFAULT_CEILING = 24
 DEFAULT_COUNT_N = 18
 DEFAULT_VERIFY_N = 14
+# Longest `gf --series`: its largest coefficients (lower4) have about 3,100
+# digits, below Python's 4,300-digit limit on int-to-str conversion.
+MAX_SERIES = 10000
 
 
-def _ceiling() -> int:
+def _ceiling(parser: argparse.ArgumentParser) -> int:
     raw = os.environ.get(ENV_CEILING)
     if raw is None:
         return DEFAULT_CEILING
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"invalid {ENV_CEILING}={raw!r}")
+        parser.error(f"invalid {ENV_CEILING}={raw!r}: not an integer")
 
 
 def _parse_strip(text: str) -> StripGeometry:
@@ -369,14 +372,17 @@ def main(argv: list[str] | None = None) -> int:
     if n is not None:
         if n < 0:
             parser.error(f"--n must be non-negative, got {n}")
-        if n > _ceiling():
+        ceiling = _ceiling(parser)
+        if n > ceiling:
             parser.error(
-                f"--n {n} exceeds the enumeration ceiling {_ceiling()} "
+                f"--n {n} exceeds the enumeration ceiling {ceiling} "
                 f"(override with {ENV_CEILING})"
             )
     series = getattr(args, "series", None)
     if series is not None and series < 0:
         parser.error(f"--series must be non-negative, got {series}")
+    if series is not None and series > MAX_SERIES:
+        parser.error(f"--series {series} exceeds the ceiling {MAX_SERIES}")
     tol = getattr(args, "tol", None)
     if tol is not None and not 0 < tol < math.inf:
         parser.error(f"--tol must be positive and finite, got {tol}")

@@ -1,13 +1,14 @@
-"""Exhaustive enumeration of strip walks: the package's ground-truth oracle.
+"""Exact counts of strip walks, and the structural operations on bridges.
 
-One cached depth-first search (step order R, U, D, L) visits every
-self-avoiding walk, or every half-space walk, on a strip up to a length
-ceiling.  In the same pass it tallies walks per length, bridges per span,
-and merged irreducible factors per end row and tail: cut candidates are
-tracked online as a chain ordered by x, so no walk is built or scanned
-twice.  The counting functions are views of that search; ``iter_walks``
-yields the walks themselves in the same order.  On top of the counts this
-module implements the structural operations on bridges:
+Every count table comes from one cached frontier transfer matrix: the strip
+is swept column by column and cell by cell, and each state of the frontier
+carries a polynomial in the walk length.  For a fixed width the cost grows
+polynomially in the length instead of like mu^n.  One half-space run gives
+the half-space walks and the bridges by span; a second run that forbids
+cut points gives the irreducible factors.  ``iter_walks`` is the package's
+only depth-first search: it yields the walks themselves and is the oracle the
+tests compare the transfer matrix against.  On top of the counts this module
+implements the structural operations on bridges:
 
 * decomposition of a bridge into irreducible factors (with the convention
   that a run of leading unit right-steps is absorbed into the following
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Iterator
 
 from .lattice import (
@@ -35,8 +37,20 @@ from .lattice import (
     is_half_space,
 )
 
-# DFS step order; fixed so that golden tests are stable.
+# DFS step order of ``iter_walks``; fixed so that golden tests are stable.
 _DELTAS = ((1, 0), (0, 1), (0, -1), (-1, 0))
+
+# Labels of the frontier edges of the transfer matrix: empty; the lower and
+# the upper end of a piece whose two ends both cross the frontier; a piece
+# whose other end is an endpoint of the walk.
+_EMPTY, _OPEN, _CLOSE, _SINGLE = 0, 1, 2, 3
+
+# Endpoint codes of a state: nothing placed; one endpoint that is not the
+# walk's start; the start alone; both placed, the second in an earlier
+# column; both placed, the second in the current column.  Half-space runs add
+# the second endpoint's row index to _BOTH_HERE, so a bridge's end row is
+# known when it completes.
+_NO_END, _OTHER_END, _START, _BOTH_EARLIER, _BOTH_HERE = range(5)
 
 
 def _check_n_max(n_max: int) -> None:
@@ -44,83 +58,210 @@ def _check_n_max(n_max: int) -> None:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
 
 
+def _partner(labels: tuple, i: int) -> int:
+    """Index of the other frontier end of the piece with an end at ``i``."""
+    mine = labels[i]
+    other = _OPEN + _CLOSE - mine
+    step = 1 if mine == _OPEN else -1
+    depth = 1
+    while True:
+        i += step
+        if labels[i] == mine:
+            depth += 1
+        elif labels[i] == other:
+            depth -= 1
+            if depth == 0:
+                return i
+
+
+def _merge(labels: tuple, r: int, i: int, label: int) -> tuple:
+    """Empty the slots r and r + 1 and relabel the piece end at ``i``."""
+    out = list(labels)
+    out[r] = out[r + 1] = _EMPTY
+    out[i] = label
+    return tuple(out)
+
+
+def _alone(labels: tuple, r: int) -> bool:
+    """True iff no frontier edge but those in slots r and r + 1 is occupied."""
+    return not any(labels[:r]) and not any(labels[r + 2 :])
+
+
 @lru_cache(maxsize=None)
-def _search(strip: StripGeometry, n_max: int, half_space: bool) -> tuple:
-    """One DFS over the walks of length <= n_max; returns three tables.
+def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
+    """Count walks of length <= n_max with a frontier transfer matrix.
 
-    * walks per length;
-    * for half-space searches, bridges per (length, span): a walk is a
-      bridge iff its endpoint is a rightmost point, whose column is the span;
-    * for half-space searches, merged irreducible factors as
-      ((length, end row, tail), count) pairs.
+    ``mode`` is ``"saw"``, ``"half_space"`` or ``"cut_free"``.  Returns
+    ((span, end row), counts per length) pairs, where the end row is that of
+    a bridge's endpoint and None for the other walks (and for every walk of
+    a ``"saw"`` run).
 
-    Cut candidates, the indices j with x_j a running maximum, form a
-    persistent chain of (x_j, j, rest) ordered by x, rooted at the origin
-    (0, 0).  A visit to column c drops every candidate at x >= c, so at a
-    bridge endpoint the survivors besides the root are the bridge's cut
-    points.  They are exactly {1..k} iff the top candidate has x_j = j = k,
-    and the bridge is then one merged irreducible factor with tail k when
-    its length exceeds k by at least 2.
+    A walk of length n >= 1 is a path of n edges plus a choice of one of its
+    endpoints as the start.  The sweep runs column by column and, inside a
+    column, cell by cell from the lowest row up.  A state is the label of each
+    of the w + 1 frontier edges (the horizontal edges leaving the cells done
+    in this column, the vertical edge entering the current cell, the
+    horizontal edges entering the cells still to do) and an endpoint code.
+    Pieces whose two ends both cross the frontier never cross each other, so
+    _OPEN/_CLOSE pair up like parentheses.  Each state carries its length
+    polynomial, packed into one integer with ``bits`` bits per coefficient
+    and truncated at n_max.
+
+    * ``"saw"``: a walk is translated so that its leftmost column is 0; the
+      start must lie on row 0.  Columns run from 0 to n_max.
+    * ``"half_space"``: column 0 holds only the origin, the start, and its
+      right edge.  A walk is a bridge iff its second endpoint lies in its
+      last column, whose index is its span.
+    * ``"cut_free"``: the half-space run, minus every state with exactly one
+      edge crossing the line after a column >= 1: that edge is a cut of the
+      bridge.  Only bridges with no cut point complete.
     """
-    walks = [0] * (n_max + 1)
-    walks[0] = 1
-    spans = [[0] * (n_max + 1) for _ in range(n_max + 1)]
-    spans[0][0] = 1
-    irreducible: dict[tuple[int, int, int], int] = {}
-    y_lo, y_hi = strip.y_min, strip.y_max
-    x_lo = 1 if half_space else -n_max
-    visited = {(0, 0)}
+    half = mode != "saw"
+    cut_free = mode == "cut_free"
+    lo, hi = max(strip.y_min, -n_max), min(strip.y_max, n_max)
+    w = hi - lo + 1
+    origin = -lo
+    # A coefficient counts distinct sets of at most n_max edges of the swept
+    # region, each at most twice (a path may start at either end).
+    edges = n_max * w + (n_max + 1) * (w - 1)
+    bits = (2 * sum(comb(edges, k) for k in range(n_max + 1))).bit_length()
+    mask = (1 << bits * (n_max + 1)) - 1
 
-    def rec(x: int, y: int, d: int, max_x: int, chain: tuple) -> None:
-        d += 1
-        deeper = d < n_max
-        for dx, dy in _DELTAS:
-            nx = x + dx
-            ny = y + dy
-            if ny < y_lo or ny > y_hi or nx < x_lo:
-                continue
-            p = (nx, ny)
-            if p in visited:
-                continue
-            walks[d] += 1
-            m, c = max_x, chain
-            if half_space:
-                while c[0] >= nx:
-                    c = c[2]
-                if nx >= max_x:
-                    m = nx
-                    spans[d][nx] += 1
-                    k = c[1]
-                    if c[0] == k and d - k >= 2:
-                        key = (d, ny, k)
-                        irreducible[key] = irreducible.get(key, 0) + 1
-                    c = (nx, d, c)
-            if deeper:
-                visited.add(p)
-                rec(nx, ny, d, m, c)
-                visited.remove(p)
+    # placements[r][code]: the codes after one more endpoint on row index r.
+    placements = []
+    for r in range(w):
+        if half:
+            placements.append({_START: (_BOTH_HERE + r,)})
+        elif r == origin:
+            placements.append(
+                {_NO_END: (_OTHER_END, _START), _OTHER_END: (_BOTH_HERE,), _START: (_BOTH_HERE,)}
+            )
+        else:
+            placements.append({_NO_END: (_OTHER_END,), _START: (_BOTH_HERE,)})
 
-    if n_max:
-        rec(0, 0, 0, 0, (0, 0, None))
-    return tuple(walks), tuple(map(tuple, spans)), tuple(irreducible.items())
+    # The single-point walk: length 0, span 0, ending on the origin row.
+    done = {(0, _BOTH_HERE + origin if half else _BOTH_HERE): 1}
+    if half:
+        first = [_EMPTY] * (w + 1)
+        first[origin + 1] = _SINGLE
+        states = {(tuple(first), _START): 1 << bits}
+    else:
+        states = {((_EMPTY,) * (w + 1), _NO_END): 1}
+
+    for x in range(1 if half else 0, n_max + 1):
+        right = x < n_max
+        for r in range(w):
+            up = r < w - 1
+            place = placements[r]
+            new: dict = {}
+            get = new.get
+            for (labels, code), poly in states.items():
+                below, left = labels[r], labels[r + 1]
+                if not below and not left:
+                    # An empty cell, a new piece through it, or a new endpoint.
+                    key = (labels, code)
+                    new[key] = get(key, 0) + poly
+                    if right and up:
+                        p2 = (poly << 2 * bits) & mask
+                        if p2:
+                            key = (labels[:r] + (_OPEN, _CLOSE) + labels[r + 2 :], code)
+                            new[key] = get(key, 0) + p2
+                    codes = place.get(code)
+                    p1 = (poly << bits) & mask if codes else 0
+                    if p1:
+                        for c in codes:
+                            if right:
+                                key = (labels[:r] + (_SINGLE, _EMPTY) + labels[r + 2 :], c)
+                                new[key] = get(key, 0) + p1
+                            if up:
+                                key = (labels[:r] + (_EMPTY, _SINGLE) + labels[r + 2 :], c)
+                                new[key] = get(key, 0) + p1
+                elif not below or not left:
+                    # One edge enters: go on right or up, or end the walk here.
+                    label = below or left
+                    p1 = (poly << bits) & mask
+                    if p1:
+                        if right:
+                            key = (labels[:r] + (label, _EMPTY) + labels[r + 2 :], code)
+                            new[key] = get(key, 0) + p1
+                        if up:
+                            key = (labels[:r] + (_EMPTY, label) + labels[r + 2 :], code)
+                            new[key] = get(key, 0) + p1
+                    for c in place.get(code, ()):
+                        if label != _SINGLE:
+                            i = _partner(labels, r if below else r + 1)
+                            key = (_merge(labels, r, i, _SINGLE), c)
+                            new[key] = get(key, 0) + poly
+                        elif _alone(labels, r):
+                            done[x, c] = done.get((x, c), 0) + poly
+                elif below == _SINGLE and left == _SINGLE:
+                    if _alone(labels, r):
+                        done[x, code] = done.get((x, code), 0) + poly
+                elif below != _OPEN or left != _CLOSE:  # else a closed loop
+                    # Two edges enter: join their pieces.
+                    if below == _SINGLE:
+                        merged = _merge(labels, r, _partner(labels, r + 1), _SINGLE)
+                    elif left == _SINGLE:
+                        merged = _merge(labels, r, _partner(labels, r), _SINGLE)
+                    elif below == left == _OPEN:
+                        merged = _merge(labels, r, _partner(labels, r + 1), _OPEN)
+                    elif below == left == _CLOSE:
+                        merged = _merge(labels, r, _partner(labels, r), _CLOSE)
+                    else:
+                        merged = labels[:r] + (_EMPTY, _EMPTY) + labels[r + 2 :]
+                    key = (merged, code)
+                    new[key] = get(key, 0) + poly
+            states = new
+
+        # Move the frontier to the next column.  With no crossing edge the
+        # walk has either completed or not started, and walks start in
+        # column 0.
+        states_next: dict = {}
+        for (labels, code), poly in states.items():
+            crossing = labels[:w]
+            if not any(crossing):
+                continue
+            if half and code >= _BOTH_HERE:
+                if cut_free:
+                    continue
+                code = _BOTH_EARLIER
+            if cut_free and w - crossing.count(_EMPTY) == 1:
+                continue
+            key = ((_EMPTY,) + crossing, code)
+            states_next[key] = states_next.get(key, 0) + poly
+        states = states_next
+
+    coefficient = (1 << bits) - 1
+    entries = []
+    for (span, code), poly in done.items():
+        end = lo + code - _BOTH_HERE if half and code >= _BOTH_HERE else None
+        counts = tuple((poly >> bits * k) & coefficient for k in range(n_max + 1))
+        entries.append(((span, end), counts))
+    return tuple(entries)
+
+
+def _summed(tables) -> tuple[int, ...]:
+    """Sum count tuples of equal length entry by entry."""
+    return tuple(map(sum, zip(*tables)))
 
 
 def count_saws(strip: StripGeometry, n_max: int) -> CountTable:
     """Exact number of n-step self-avoiding walks on the strip, n = 0..n_max."""
     _check_n_max(n_max)
-    return CountTable(_search(strip, n_max, False)[0])
+    return CountTable(_summed(c for _, c in _transfer(strip, n_max, "saw")))
 
 
 def count_half_space(strip: StripGeometry, n_max: int) -> CountTable:
     """Exact number of n-step half-space walks on the strip, n = 0..n_max."""
     _check_n_max(n_max)
-    return CountTable(_search(strip, n_max, True)[0])
+    return CountTable(_summed(c for _, c in _transfer(strip, n_max, "half_space")))
 
 
 def count_bridges(strip: StripGeometry, n_max: int) -> CountTable:
     """Exact number of n-step bridges on the strip, n = 0..n_max."""
     _check_n_max(n_max)
-    return CountTable(tuple(map(sum, _search(strip, n_max, True)[1])))
+    entries = _transfer(strip, n_max, "half_space")
+    return CountTable(_summed(c for (_, end), c in entries if end is not None))
 
 
 def bridge_span_table(strip: StripGeometry, n: int) -> dict[int, int]:
@@ -130,8 +271,11 @@ def bridge_span_table(strip: StripGeometry, n: int) -> dict[int, int]:
     bridge is simply its maximal x-coordinate.
     """
     _check_n_max(n)
-    row = _search(strip, n, True)[1][n]
-    return {span: c for span, c in enumerate(row) if c}
+    table: dict[int, int] = {}
+    for (span, end), counts in _transfer(strip, n, "half_space"):
+        if end is not None and counts[n]:
+            table[span] = table.get(span, 0) + counts[n]
+    return table
 
 
 def count_bridges_by_span(strip: StripGeometry, n: int, span: int) -> int:
@@ -327,10 +471,15 @@ def count_irreducible(
             f"start line {start_line} is {'outer' if starts_outer else 'inner'}, "
             f"inconsistent with type {bridge_type}"
         )
+    # A merged factor of length n with tail k is R^k followed by a bridge of
+    # length n - k >= 2 with no cut point.
     counts = [0] * (n_max + 1)
-    for (n, end, tail), c in _search(shifted, n_max, True)[2]:
-        if not (tailless and tail) and _bridge_type(shifted, 0, end) == bridge_type:
-            counts[n] += c
+    for (_, end), cut_free in _transfer(shifted, n_max, "cut_free"):
+        if _bridge_type(shifted, 0, end) != bridge_type:
+            continue
+        for m in range(2, n_max + 1):
+            for n in range(m, m + 1 if tailless else n_max + 1):
+                counts[n] += cut_free[m]
     return CountTable(tuple(counts))
 
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import W3, W4
+from conftest import W2, W3, W4
 from stripwalks import (
     CountTable,
     connective_constant_width3,
@@ -120,9 +120,10 @@ class TestZeilberger:
         with pytest.raises(ValueError):
             zeilberger_count(1)
 
-    def test_matches_enumeration(self, saws_w2_22):
-        for n in range(2, 23):
-            assert zeilberger_count(n) == saws_w2_22[n]
+    def test_matches_enumeration(self):
+        saws = count_saws(W2, 60)
+        for n in range(2, 61):
+            assert zeilberger_count(n) == saws[n]
 
 
 class TestSandwich:

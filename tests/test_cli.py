@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from stripwalks.cli import ENV_CEILING, main
+from stripwalks.cli import ENV_CEILING, MAX_SERIES, main
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +60,15 @@ class TestCount:
         assert exc.value.code == 2
         assert main(["count", "--n", "5", "--format", "csv"]) == 0
         capsys.readouterr()
+
+    def test_invalid_ceiling_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv(ENV_CEILING, "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--n", "6"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert errors == [f"stripwalks: error: invalid {ENV_CEILING}='abc': not an integer"]
 
 
 class TestGF:
@@ -168,6 +177,7 @@ class TestVerify:
         ["mu", "width4", "--tol", "inf"],
         ["verify", "sandwich", "--strip", "0,1", "--n", "6"],
         ["verify", "halfspace", "--strip", "-2,2", "--n", "6"],
+        ["gf", "bridge3", "--series", str(MAX_SERIES + 1)],
     ],
 )
 def test_input_errors_exit_2(capsys, argv):

@@ -1,6 +1,7 @@
 import collections
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import W2, W3, W4, W5, seq_add, seq_geometric, seq_mul, seq_one, seq_star
 from stripwalks import (
@@ -24,6 +25,20 @@ from stripwalks import (
     transform_irreducible_w4,
 )
 from stripwalks.enumeration import bridge_span_table, is_simple_factor
+
+COUNTS_BY_KIND = {
+    "saw": count_saws,
+    "half_space": count_half_space,
+    "bridge": count_bridges,
+}
+
+
+def _lengths_from_iter_walks(strip, n_max, kind):
+    """Per-length counts of one walk kind, grouped from the DFS oracle."""
+    counts = [0] * (n_max + 1)
+    for w in iter_walks(strip, n_max, kind=kind):
+        counts[w.length] += 1
+    return tuple(counts)
 
 
 class TestCounts:
@@ -76,7 +91,9 @@ class TestSpans:
         for n in range(11):
             assert sum(bridge_span_table(W3, n).values()) == bridges_w3_18[n]
 
-    @pytest.mark.parametrize("strip", [W2, W3, W4, W5])
+    @pytest.mark.parametrize(
+        "strip", [W2, W3, W4, W5, StripGeometry(0, 0), StripGeometry(-3, 2)]
+    )
     def test_span_tables_match_iter_walks(self, strip):
         n_max = 10
         spans = collections.defaultdict(collections.Counter)
@@ -99,15 +116,29 @@ class TestSpans:
 
 class TestIterWalks:
     def test_kinds_are_consistent(self):
-        for strip in (W3, W5):
-            saws = list(iter_walks(strip, 5, kind="saw"))
-            halves = list(iter_walks(strip, 5, kind="half_space"))
-            bridges = list(iter_walks(strip, 5, kind="bridge"))
-            assert len(saws) == sum(count_saws(strip, 5).counts)
-            assert len(halves) == sum(count_half_space(strip, 5).counts)
-            assert len(bridges) == sum(count_bridges(strip, 5).counts)
-            assert all(is_half_space(w) for w in halves)
-            assert all(is_bridge(w) for w in bridges)
+        # Widths 1-6, both orientations of widths 2 and 4; on four rows two
+        # nested frontier pieces first join at length 11.
+        strips = (
+            StripGeometry(0, 0), W2, StripGeometry(-1, 0), W3, W4,
+            StripGeometry(-2, 1), W5, StripGeometry(-3, 2),
+        )
+        for strip, n_max in [(strip, 8) for strip in strips] + [(W4, 12)]:
+            for kind, count in COUNTS_BY_KIND.items():
+                expected = _lengths_from_iter_walks(strip, n_max, kind)
+                assert count(strip, n_max).counts == expected, (strip, kind)
+            assert all(is_half_space(w) for w in iter_walks(strip, n_max, kind="half_space"))
+            assert all(is_bridge(w) for w in iter_walks(strip, n_max, kind="bridge"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-3, 0), st.integers(0, 3), st.integers(0, 7))
+    def test_counts_match_iter_walks_on_any_strip(self, y_min, y_max, n_max):
+        strip = StripGeometry(y_min, y_max)
+        for kind, count in COUNTS_BY_KIND.items():
+            assert count(strip, n_max).counts == _lengths_from_iter_walks(strip, n_max, kind)
+        spans = collections.Counter(
+            w.span() for w in iter_walks(strip, n_max, kind="bridge") if w.length == n_max
+        )
+        assert bridge_span_table(strip, n_max) == dict(spans)
 
     def test_deterministic_visit_order(self):
         # Fixed step order R, U, D, L; prefixes come before extensions.
