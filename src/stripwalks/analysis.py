@@ -1,9 +1,10 @@
 """Numerical layer: real-root isolation of denominator polynomials, and
 conversion of radii of convergence into connective constants.
 
-Root finding is bisection on (0, 1] with exact rational sign evaluation at
-dyadic points, so brackets are rigorous.  Since every counting series here
-has non-negative coefficients, the smallest positive real root of the
+Root finding is bisection on (0, 1] with exact signs at the dyadic points
+a/2^k, each from the integer homogeneous evaluation sum c_i a^i 2^(k(d-i)),
+so brackets are rigorous.  Since every counting series here has
+non-negative coefficients, the smallest positive real root of the
 denominator is the smallest-modulus singularity (Pringsheim); a winding-number
 check over a circle just inside that radius guards against an unexpected
 smaller complex root and fails loudly if one exists.
@@ -48,16 +49,19 @@ def _winding_number(p: IntPolynomial, radius: float) -> int:
     """Number of roots of p strictly inside |t| = radius, by argument principle.
 
     The sample count is far above the polynomial degree, so the argument
-    cannot jump by more than pi between consecutive samples.
+    cannot jump by more than pi between consecutive samples.  The
+    coefficients are real, so p(conj z) = conj p(z) and the lower half circle
+    turns the argument by as much as the upper one: only the upper half is
+    sampled and its phase sum doubled.
     """
     total = 0.0
     prev = p.evaluate_complex(complex(radius, 0.0))
-    for k in range(1, _WINDING_SAMPLES + 1):
+    for k in range(1, _WINDING_SAMPLES // 2 + 1):
         z = radius * cmath.exp(2j * cmath.pi * k / _WINDING_SAMPLES)
         cur = p.evaluate_complex(z)
         total += cmath.phase(cur / prev)
         prev = cur
-    return round(total / (2 * cmath.pi))
+    return round(total / cmath.pi)
 
 
 def smallest_positive_root(
@@ -108,7 +112,9 @@ def smallest_positive_root(
 
     root = float((lo + hi) / 2)
     if check_smallest_modulus and root > 0:
-        inside = _winding_number(p, root * (1 - 1e-6))
+        # The circle goes just inside lo, which lies below the root; the
+        # midpoint can lie above it by tol/2, more than the 1e-6 margin.
+        inside = _winding_number(p, float(lo) * (1 - 1e-6))
         if inside != 0:
             raise ArithmeticError(
                 f"{inside} root(s) of smaller modulus inside |t| = {root:.6f}"

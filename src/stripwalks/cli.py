@@ -29,6 +29,10 @@ DEFAULT_VERIFY_N = 14
 # Longest `gf --series`: its largest coefficients (lower4) have about 3,100
 # digits, below Python's 4,300-digit limit on int-to-str conversion.
 MAX_SERIES = 10000
+# Widest `--strip` for `count` and `verify`.  The transfer matrix's state
+# count and memory grow with the number of rows: `count_saws` at n=24 takes
+# 9-12 s and 91 MB on 10 rows, about 30 s and 200 MB on 11 (2-core Xeon).
+MAX_STRIP_WIDTH = 10
 
 
 def _ceiling(parser: argparse.ArgumentParser) -> int:
@@ -378,6 +382,12 @@ def main(argv: list[str] | None = None) -> int:
                 f"--n {n} exceeds the enumeration ceiling {ceiling} "
                 f"(override with {ENV_CEILING})"
             )
+    strip = getattr(args, "strip", None)
+    if strip is not None and strip.width > MAX_STRIP_WIDTH:
+        parser.error(
+            f"--strip {strip.y_min},{strip.y_max} has {strip.width} rows, "
+            f"more than the ceiling {MAX_STRIP_WIDTH}"
+        )
     series = getattr(args, "series", None)
     if series is not None and series < 0:
         parser.error(f"--series must be non-negative, got {series}")

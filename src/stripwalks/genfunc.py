@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping
 
 from .lattice import BRIDGE_TYPES
@@ -117,6 +117,16 @@ class IntPolynomial:
         return IntPolynomial(self.coefficients[k:])
 
     def __call__(self, t: Fraction | int) -> Fraction | int:
+        if isinstance(t, Fraction) and self.coefficients:
+            # p(a/b) = sum c_i a^i b^(d-i) / b^d: integer Horner on the
+            # homogeneous form, then a single normalisation.
+            a, b = t.numerator, t.denominator
+            acc = self.coefficients[-1]
+            b_power = 1
+            for c in reversed(self.coefficients[:-1]):
+                b_power *= b
+                acc = acc * a + c * b_power
+            return Fraction(acc, b_power)
         acc: Fraction | int = 0
         for c in reversed(self.coefficients):
             acc = acc * t + c
@@ -153,62 +163,61 @@ def _poly(*coeffs: int) -> IntPolynomial:
     return IntPolynomial.from_coefficients(coeffs)
 
 
-# --- rational-coefficient helpers used only for gcd reduction -------------
+# --- gcd reduction by integer primitive PRS --------------------------------
 
 
-def _frac_divmod(
-    a: list[Fraction], b: list[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+def _primitive(cs: list[int]) -> list[int]:
+    """Divide out the content (gcd of the coefficients) of a non-zero list."""
+    content = gcd(*cs)
+    return [c // content for c in cs]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A remainder of lc(b)^k * a by b over the integers, trailing zeros cut."""
     r = a[:]
-    while len(r) >= len(b) and any(r):
+    lead = b[-1]
+    while len(r) >= len(b):
+        top = r[-1]
+        shift = len(r) - len(b)
+        r = [lead * c for c in r]
+        for i, cb in enumerate(b):
+            r[shift + i] -= top * cb
         while r and r[-1] == 0:
             r.pop()
-        if len(r) < len(b):
-            break
-        coef = r[-1] / b[-1]
-        deg = len(r) - len(b)
-        q[deg] = coef
-        for i, cb in enumerate(b):
-            r[deg + i] -= coef * cb
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
+    return r
 
 
 def _poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Greatest common divisor, returned as a primitive integer polynomial."""
-    fa = [Fraction(c) for c in a.coefficients]
-    fb = [Fraction(c) for c in b.coefficients]
+    """Greatest common divisor, returned as a primitive integer polynomial
+    with a positive leading coefficient (primitive PRS: each pseudo-remainder
+    has its content divided out, so coefficients stay integer and small)."""
+    fa, fb = list(a.coefficients), list(b.coefficients)
     while fb:
-        _, r = _frac_divmod(fa, fb)
-        fa, fb = fb, r
+        fa, fb = fb, _pseudo_remainder(fa, fb)
+        if fb:
+            fb = _primitive(fb)
     if not fa:
         return IntPolynomial.zero()
-    denom = lcm(*(f.denominator for f in fa))
-    ints = [int(f * denom) for f in fa]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
-    ints = [c // content for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return IntPolynomial.from_coefficients(ints)
+    fa = _primitive(fa)
+    if fa[-1] < 0:
+        fa = [-c for c in fa]
+    return IntPolynomial(tuple(fa))
 
 
 def _poly_exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    fa = [Fraction(c) for c in a.coefficients]
-    fb = [Fraction(c) for c in b.coefficients]
-    q, r = _frac_divmod(fa, fb)
-    if r:
+    """a / b for an integer quotient; raises ValueError if it is not exact."""
+    r, bs = list(a.coefficients), b.coefficients
+    q = [0] * max(len(r) - len(bs) + 1, 0)
+    for deg in reversed(range(len(q))):
+        coef, rem = divmod(r[deg + len(bs) - 1], bs[-1])
+        if rem:
+            raise ValueError("polynomial division is not exact")
+        q[deg] = coef
+        for i, cb in enumerate(bs):
+            r[deg + i] -= coef * cb
+    if any(r):
         raise ValueError("polynomial division is not exact")
-    out = []
-    for f in q:
-        if f.denominator != 1:
-            raise ValueError("quotient is not an integer polynomial")
-        out.append(int(f))
-    return IntPolynomial.from_coefficients(out)
+    return IntPolynomial.from_coefficients(q)
 
 
 @dataclass(frozen=True)

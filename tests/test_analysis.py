@@ -7,9 +7,11 @@ from stripwalks import (
     mu_bounds_width4,
     smallest_positive_root,
 )
+from stripwalks.analysis import _winding_number
 from stripwalks.genfunc import (
     W3_BRIDGE_DENOMINATOR,
     W3_LOOP_POLYNOMIAL,
+    W4_LOOP_DENOMINATOR,
     W4_LOWER_DENOMINATOR,
     _poly,
 )
@@ -51,6 +53,14 @@ class TestSmallestPositiveRoot:
         assert coarse.bracket[0] <= fine.bracket[0]
         assert fine.bracket[1] <= coarse.bracket[1]
 
+    @pytest.mark.parametrize("tol", [1e-2, 1e-4, 2e-5, 1e-6])
+    def test_coarse_tolerance_passes_the_guard(self, tol):
+        # A coarse bracket's midpoint can lie above the root by more than the
+        # guard's 1e-6 margin; the guard's circle must still stay inside it.
+        for p in (W3_LOOP_POLYNOMIAL, W4_LOWER_DENOMINATOR, W4_LOOP_DENOMINATOR):
+            lo, hi = smallest_positive_root(p, tol).bracket
+            assert 0 < hi - lo <= tol
+
     def test_rejects_no_sign_change(self):
         with pytest.raises(ValueError):
             smallest_positive_root(_poly(1, 1))
@@ -66,6 +76,29 @@ class TestSmallestPositiveRoot:
         with pytest.raises(ArithmeticError):
             smallest_positive_root(p)
         smallest_positive_root(p, check_smallest_modulus=False)
+
+
+# Root moduli (from sympy's nroots): W3 loop 0.5223, 0.9024 (x2), ...;
+# W3 bridge denominator 0.5223, 0.6415, 0.8580 (x2), ...; degree-44 loop
+# denominator 0.4617, 0.5467 (x2), 0.5645, ...; (1-2t+2t^2)(1-t) 0.7071 (x2), 1.
+@pytest.mark.parametrize(
+    "poly, scale, radius, inside",
+    [
+        (W3_LOOP_POLYNOMIAL, 1 - 1e-6, None, 0),
+        (W3_LOOP_POLYNOMIAL, 1 + 1e-6, None, 1),
+        (W3_LOOP_POLYNOMIAL, 1.5, None, 1),
+        (W3_BRIDGE_DENOMINATOR, 1.5, None, 2),
+        (W4_LOOP_DENOMINATOR, 1 - 1e-6, None, 0),
+        (W4_LOOP_DENOMINATOR, None, 0.55, 3),
+        (_poly(1, -2, 2) * _poly(1, -1), None, 0.9, 2),
+        (_poly(1, -2, 2) * _poly(1, -1), None, 1.1, 3),
+    ],
+)
+def test_winding_number_counts_roots_inside(poly, scale, radius, inside):
+    # The guard samples only the upper half circle and doubles its phase sum.
+    if radius is None:
+        radius = smallest_positive_root(poly, check_smallest_modulus=False).root * scale
+    assert _winding_number(poly, radius) == inside
 
 
 class TestConnectiveConstants:

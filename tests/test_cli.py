@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from stripwalks.cli import ENV_CEILING, MAX_SERIES, main
+from stripwalks.cli import ENV_CEILING, MAX_SERIES, MAX_STRIP_WIDTH, main
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +61,12 @@ class TestCount:
         assert main(["count", "--n", "5", "--format", "csv"]) == 0
         capsys.readouterr()
 
+    def test_widest_strip_is_served(self, capsys):
+        top = MAX_STRIP_WIDTH - 1
+        code, env = run_json(capsys, "count", "--strip", f"0,{top}", "--n", "3")
+        assert code == 0
+        assert env["parameters"]["strip"] == ["0", str(top)]
+
     def test_invalid_ceiling_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv(ENV_CEILING, "abc")
         with pytest.raises(SystemExit) as exc:
@@ -115,6 +121,11 @@ class TestMu:
         res = env["results"]["width3"]
         assert res["tol"] == 1e-14
         assert res["bracket"] == [0.522295, 0.522295]
+
+    @pytest.mark.parametrize("target, tol", [("width3", "1e-5"), ("width4", "1e-6")])
+    def test_coarse_tolerance(self, capsys, target, tol):
+        code, env = run_json(capsys, "mu", target, "--tol", tol)
+        assert code == 0
 
 
 class TestVerify:
@@ -178,6 +189,8 @@ class TestVerify:
         ["verify", "sandwich", "--strip", "0,1", "--n", "6"],
         ["verify", "halfspace", "--strip", "-2,2", "--n", "6"],
         ["gf", "bridge3", "--series", str(MAX_SERIES + 1)],
+        ["count", "--strip", f"0,{MAX_STRIP_WIDTH}", "--n", "4"],
+        ["verify", "multiplicativity", "--strip", f"-5,{MAX_STRIP_WIDTH - 5}", "--n", "4"],
     ],
 )
 def test_input_errors_exit_2(capsys, argv):
