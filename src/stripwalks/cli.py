@@ -396,7 +396,16 @@ def main(argv: list[str] | None = None) -> int:
     tol = getattr(args, "tol", None)
     if tol is not None and not 0 < tol < math.inf:
         parser.error(f"--tol must be positive and finite, got {tol}")
-    return args.func(args, t0)
+    try:
+        code = args.func(args, t0)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (e.g. `| head -1`).  Point stdout
+        # at devnull so that the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

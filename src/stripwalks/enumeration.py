@@ -6,9 +6,10 @@ carries a polynomial in the walk length.  For a fixed width the cost grows
 polynomially in the length instead of like mu^n.  One half-space run gives
 the half-space walks and the bridges by span; a second run that forbids
 cut points gives the irreducible factors.  ``iter_walks`` is the package's
-only depth-first search: it yields the walks themselves and is the oracle the
-tests compare the transfer matrix against.  On top of the counts this module
-implements the structural operations on bridges:
+only depth-first search, an explicit-stack loop: it yields the walks
+themselves and is the oracle the tests compare the transfer matrix against.
+On top of the counts this module implements the structural operations on
+bridges, each in one linear pass over the walk's x-coordinates:
 
 * decomposition of a bridge into irreducible factors (with the convention
   that a run of leading unit right-steps is absorbed into the following
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 from typing import Iterator
 
@@ -33,12 +35,13 @@ from .lattice import (
     CountTable,
     StripGeometry,
     Walk,
-    is_bridge,
-    is_half_space,
+    _trusted_walk,
 )
 
-# DFS step order of ``iter_walks``; fixed so that golden tests are stable.
-_DELTAS = ((1, 0), (0, 1), (0, -1), (-1, 0))
+# DFS step order of ``iter_walks`` is R, U, D, L, fixed so that golden tests
+# are stable.  The search pops its moves from the end of a list, so the list
+# is built in the reverse order.
+_DELTAS_LAST_FIRST = ((-1, 0), (0, -1), (0, 1), (1, 0))
 
 # Labels of the frontier edges of the transfer matrix: empty; the lower and
 # the upper end of a piece whose two ends both cross the frontier; a piece
@@ -294,42 +297,66 @@ def iter_walks(strip: StripGeometry, n_max: int, kind: str = "saw") -> Iterator[
     _check_n_max(n_max)
     if kind not in ("saw", "half_space", "bridge"):
         raise ValueError(f"unknown walk kind {kind!r}")
-    half_space = kind in ("half_space", "bridge")
     bridges_only = kind == "bridge"
+    # Every point of a walk of length <= n_max has x >= -n_max.
+    x_floor = 0 if kind != "saw" else -n_max - 1
     y_lo, y_hi = strip.y_min, strip.y_max
-    path = [(0, 0)]
-    visited = {(0, 0)}
-
-    def rec(x: int, y: int, depth: int, max_x: int) -> Iterator[Walk]:
-        if depth == n_max:
-            return
-        d = depth + 1
-        for dx, dy in _DELTAS:
+    path: list[tuple[int, int]] = []
+    visited: set[tuple[int, int]] = set()
+    # pending[d] holds the untried (point, max x) moves from path[d - 1], the
+    # next one last; pending[0] holds the origin.  The points visited do not
+    # change between entering a point and trying its moves, so the moves are
+    # filtered once, on entry.
+    pending = [[((0, 0), 0)]]
+    while pending:
+        moves = pending[-1]
+        if not moves:
+            pending.pop()
+            if path:
+                visited.remove(path.pop())
+            continue
+        p, m = moves.pop()
+        path.append(p)
+        if not bridges_only or p[0] == m:
+            yield _trusted_walk(tuple(path))
+        if len(path) > n_max:
+            path.pop()
+            continue
+        visited.add(p)
+        x, y = p
+        ahead = []
+        for dx, dy in _DELTAS_LAST_FIRST:
             nx = x + dx
             ny = y + dy
-            if ny < y_lo or ny > y_hi:
-                continue
-            if half_space and nx <= 0:
-                continue
-            p = (nx, ny)
-            if p in visited:
-                continue
-            visited.add(p)
-            path.append(p)
-            m = nx if nx > max_x else max_x
-            if not bridges_only or nx == m:
-                yield Walk(tuple(path))
-            yield from rec(nx, ny, d, m)
-            path.pop()
-            visited.remove(p)
-
-    yield Walk(((0, 0),))
-    yield from rec(0, 0, 0, 0)
+            if y_lo <= ny <= y_hi and nx > x_floor and (nx, ny) not in visited:
+                ahead.append(((nx, ny), nx if nx > m else m))
+        pending.append(ahead)
 
 
 # ---------------------------------------------------------------------------
 # Bridge decomposition into irreducible factors
 # ---------------------------------------------------------------------------
+
+
+def _scan_cuts(xs: list[int]) -> tuple[tuple[int, ...], int, int]:
+    """Cut indices of a walk's x-coordinates, min(x_1..x_n) and max(x_0..x_n).
+
+    One right-to-left scan that keeps the suffix minimum and reads the prefix
+    maxima.  For unit steps, j is a cut iff max(x_0..x_j) < min(x_{j+1}..x_n):
+    then x_{j+1} = x_j + 1, so x_j is the prefix maximum.  Needs n >= 1.
+    """
+    n = len(xs) - 1
+    prefix_max = list(accumulate(xs, max))
+    low = xs[n]  # min(x_{j+1}..x_n) while j is scanned
+    cuts = []
+    for j in range(n - 1, 0, -1):
+        if prefix_max[j] < low:
+            cuts.append(j)
+        x = xs[j]
+        if x < low:
+            low = x
+    cuts.reverse()
+    return tuple(cuts), low, prefix_max[n]
 
 
 def cut_points(walk: Walk) -> tuple[int, ...]:
@@ -339,22 +366,9 @@ def cut_points(walk: Walk) -> tuple[int, ...]:
     both bridges after translation, i.e. x_j is a running maximum and the
     suffix never returns to column x_j or further left.
     """
-    xs = [p[0] for p in walk.points]
-    n = len(xs) - 1
-    if n <= 1:
+    if walk.length <= 1:
         return ()
-    suffix_min = [0] * (n + 1)
-    suffix_min[n] = xs[n]
-    for j in range(n - 1, -1, -1):
-        suffix_min[j] = min(xs[j], suffix_min[j + 1])
-    cuts = []
-    running_max = xs[0]
-    for j in range(1, n):
-        if xs[j] > running_max:
-            running_max = xs[j]
-        if xs[j] == running_max and suffix_min[j + 1] > xs[j]:
-            cuts.append(j)
-    return tuple(cuts)
+    return _scan_cuts([p[0] for p in walk.points])[0]
 
 
 @dataclass(frozen=True)
@@ -391,11 +405,6 @@ class BridgeDecomposition:
         return "".join(f.walk.steps() for f in self.factors) + "R" * self.trailing_right_run
 
 
-def _translate_to_origin(points: tuple[tuple[int, int], ...]) -> Walk:
-    x0, y0 = points[0]
-    return Walk(tuple((x - x0, y - y0) for x, y in points))
-
-
 def _bridge_type(strip: StripGeometry, start_line: int, end_line: int) -> str:
     """OO/OI/IO/II: O for an outer row of the strip, I for an inner one."""
     outer = strip.outer_lines
@@ -410,27 +419,28 @@ def decompose_bridge(walk: Walk, strip: StripGeometry | None = None) -> BridgeDe
     separately.  When ``strip`` is given (width 3 or 4), each factor is
     classified by its start and end lines.
     """
-    if not is_bridge(walk):
-        raise ValueError("decompose_bridge requires a bridge")
-    n = walk.length
+    points = walk.points
+    n = len(points) - 1
     if n == 0:
         return BridgeDecomposition((), 0)
-    boundaries = (0,) + cut_points(walk) + (n,)
-    segments = [
-        (boundaries[i], boundaries[i + 1]) for i in range(len(boundaries) - 1)
-    ]
+    xs = [p[0] for p in points]
+    cuts, low, high = _scan_cuts(xs)
+    # A bridge: 0 < x_j <= x_n for every j >= 1.
+    if low <= 0 or high > xs[n]:
+        raise ValueError("decompose_bridge requires a bridge")
+    typed = strip is not None and strip.width in (3, 4)
+    boundaries = (0,) + cuts + (n,)
     factors: list[IrreducibleFactor] = []
     pending_tail = 0
-    for a, b in segments:
+    for a, b in zip(boundaries, boundaries[1:]):
         if b - a == 1:
             pending_tail += 1
             continue
         seg_start = a - pending_tail
-        sub = _translate_to_origin(walk.points[seg_start : b + 1])
-        start_line = walk.points[seg_start][1]
-        bridge_type = None
-        if strip is not None and strip.width in (3, 4):
-            bridge_type = _bridge_type(strip, start_line, start_line + sub.end[1])
+        # A contiguous slice of a valid walk, translated to the origin.
+        x0, start_line = points[seg_start]
+        sub = _trusted_walk(tuple([(x - x0, y - start_line) for x, y in points[seg_start : b + 1]]))
+        bridge_type = _bridge_type(strip, start_line, points[b][1]) if typed else None
         factors.append(IrreducibleFactor(sub, start_line, pending_tail, bridge_type))
         pending_tail = 0
     return BridgeDecomposition(tuple(factors), pending_tail)
@@ -516,35 +526,45 @@ class HWDecomposition:
 def hw_decompose(walk: Walk) -> HWDecomposition:
     """Alternating span decomposition of a half-space walk.
 
-    Starting from n_0 = 0, the i-th pass finds the largest alternating
-    x-excursion A_i = max (-1)^i (x_{n_{i-1}} - x_j) over j in [n_{i-1}, n]
-    and records the largest index attaining it; the recursion stops at the
-    first index equal to the walk length.
+    Starting from n_0 = 0, n_i is the last index of a maximum (i odd) or of a
+    minimum (i even) of x over [n_{i-1}, n], and A_i = |x_{n_i} - x_{n_{i-1}}|;
+    the recursion stops at the first n_i equal to the walk length.  One
+    backward pass records, for every j, the last index of a maximum and of a
+    minimum of x_j..x_n, so each span costs O(1).
     """
-    if walk.length < 1:
+    points = walk.points
+    n = len(points) - 1
+    if n < 1:
         raise ValueError("span decomposition requires length >= 1")
-    if not is_half_space(walk):
+    xs = [p[0] for p in points]
+    # arg_max[j], arg_min[j]: the last index of a maximum, of a minimum, of
+    # x_j..x_n.
+    arg_max = [n] * (n + 1)
+    arg_min = [n] * (n + 1)
+    hi = lo = n
+    top = bottom = xs[n]
+    for j in range(n - 1, -1, -1):
+        x = xs[j]
+        if x > top:
+            hi, top = j, x
+        elif x < bottom:
+            lo, bottom = j, x
+        arg_max[j] = hi
+        arg_min[j] = lo
+    # min(x_1..x_n), the last point included.
+    if xs[arg_min[1]] <= 0:
         raise ValueError("span decomposition requires a half-space walk")
-    xs = [p[0] for p in walk.points]
-    n = len(xs) - 1
-    spans: list[int] = []
-    cuts: list[int] = []
-    prev = 0
-    sign = 1  # +1 looks rightward, -1 leftward
-    while True:
-        best = None
-        best_j = prev
-        for j in range(prev, n + 1):
-            v = sign * (xs[j] - xs[prev])
-            if best is None or v >= best:
-                best = v
-                best_j = j
-        spans.append(best)
-        cuts.append(best_j)
-        if best_j == n:
-            break
-        prev = best_j
-        sign = -sign
+    # The cuts alternate: a maximum, then a minimum, then a maximum, ...
+    cut = arg_max[0]
+    cuts = [cut]
+    spans = [xs[cut]]  # x_0 = 0
+    this, other = arg_min, arg_max
+    while cut != n:
+        nxt = this[cut]
+        spans.append(abs(xs[nxt] - xs[cut]))
+        cuts.append(nxt)
+        cut = nxt
+        this, other = other, this
     return HWDecomposition(tuple(spans), tuple(cuts))
 
 

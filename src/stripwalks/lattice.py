@@ -5,6 +5,17 @@ every classification predicate in the package -- bridge-ness, half-space-ness,
 span, decomposition cuts -- reads coordinates directly.  All types here are
 immutable value types and safe to share between threads.
 
+Which walks are validated: ``Walk(...)`` and ``Walk.from_steps`` check that
+the points start at the origin, move by unit steps and never repeat, so every
+walk built from outside data, and every image of a map the paper defines
+(``hw_reflect``, the width-4 transformation and its mirror step), passes that
+check.  Two kinds of walk are valid by construction and are built by the
+private ``_trusted_walk`` without it: the prefixes of the depth-first search
+in ``iter_walks`` (unit steps from the origin, each point tested against the
+set of visited points) and the translated contiguous slices of an already
+valid walk (the factors of ``decompose_bridge``).  The test suite checks that
+rebuilding any of them with ``Walk(...)`` gives an equal walk.
+
 Conventions used throughout the package:
 
 * every walk starts at the origin ``(0, 0)``;
@@ -145,6 +156,21 @@ class Walk:
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
+
+
+_new_instance = object.__new__
+_set_field = object.__setattr__
+
+
+def _trusted_walk(points: tuple[Point, ...]) -> Walk:
+    """A ``Walk`` on ``points`` without the checks of ``Walk.__post_init__``.
+
+    Only for point sequences that are self-avoiding unit-step walks from the
+    origin by construction; see the module docstring for the two callers.
+    """
+    walk = _new_instance(Walk)
+    _set_field(walk, "points", points)
+    return walk
 
 
 def is_bridge(walk: Walk) -> bool:

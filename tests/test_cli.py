@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stripwalks
 from stripwalks.cli import ENV_CEILING, MAX_SERIES, MAX_STRIP_WIDTH, main
 
 
@@ -201,3 +206,34 @@ def test_input_errors_exit_2(capsys, argv):
     errors = [line for line in err.splitlines() if "error" in line]
     assert len(errors) == 1 and errors[0].startswith("stripwalks: error: ")
     assert "Traceback" not in err
+
+
+def _module_cli(*argv):
+    """Start `python -m stripwalks ARGV` with the package importable."""
+    src = str(Path(stripwalks.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.Popen(
+        [sys.executable, "-m", "stripwalks", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def test_module_entry_point():
+    proc = _module_cli("count", "--strip", "0,1", "--n", "3")
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0 and err == b""
+    assert json.loads(out)["results"]["counts"] == ["1", "3", "6", "12"]
+
+
+def test_closed_pipe_exits_quietly():
+    # As `... gf bridge3 --series 2000 | head -1`: about 1 MB of output into a
+    # pipe whose reader leaves after the first line.
+    proc = _module_cli("gf", "bridge3", "--series", "2000")
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

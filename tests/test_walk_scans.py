@@ -1,0 +1,145 @@
+"""The walk-level maps against their naive reference forms in ``naive_walks``.
+
+``iter_walks`` is an explicit-stack search, ``cut_points`` and
+``decompose_bridge`` share one right-to-left scan, ``hw_decompose`` one
+backward arg-max/arg-min pass, and the walks the search yields and the
+factors a decomposition returns skip validation because they are valid by
+construction.  These tests pin all of that to the naive forms walk by walk.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from naive_walks import (
+    DELTAS,
+    naive_cut_points,
+    naive_decompose_bridge,
+    naive_hw_decompose,
+    naive_iter_walks,
+)
+from stripwalks import (
+    StripGeometry,
+    Walk,
+    cut_points,
+    decompose_bridge,
+    hw_decompose,
+    iter_walks,
+)
+
+KINDS = ("saw", "half_space", "bridge")
+
+# Every placement of the origin row on strips of 1-5 rows, so each
+# off-centre strip comes with its mirror image.
+STRIPS = [StripGeometry(lo, lo + w - 1) for w in range(1, 6) for lo in range(1 - w, 1)]
+
+
+def _strip_id(strip):
+    return f"{strip.y_min},{strip.y_max}"
+
+
+@pytest.mark.parametrize("strip", STRIPS, ids=_strip_id)
+def test_maps_match_naive_forms_on_every_walk(strip):
+    n_max = 9
+    for kind in KINDS:
+        walks = list(iter_walks(strip, n_max, kind))
+        assert walks == list(naive_iter_walks(strip, n_max, kind)), kind
+        for walk in walks:
+            assert cut_points(walk) == naive_cut_points(walk)
+            if kind == "bridge":
+                assert decompose_bridge(walk, strip) == naive_decompose_bridge(walk, strip)
+                assert decompose_bridge(walk) == naive_decompose_bridge(walk)
+            if kind == "half_space" and walk.length:
+                assert hw_decompose(walk) == naive_hw_decompose(walk)
+
+
+@st.composite
+def half_space_walks(draw, strip):
+    """A random self-avoiding walk that stays right of column 0.
+
+    Each drawn index picks one of the free moves; the walk stops when the
+    draws run out or it is trapped.
+    """
+    points = [(0, 0)]
+    visited = {(0, 0)}
+    for choice in draw(st.lists(st.integers(0, 2), max_size=40)):
+        x, y = points[-1]
+        free = [
+            (x + dx, y + dy)
+            for dx, dy in DELTAS
+            if x + dx > 0 and strip.contains((x + dx, y + dy)) and (x + dx, y + dy) not in visited
+        ]
+        if not free:
+            break
+        p = free[choice % len(free)]
+        points.append(p)
+        visited.add(p)
+    return Walk(tuple(points))
+
+
+def _longest_bridge_prefix(walk):
+    """The longest prefix ending on a running maximum of x: a bridge."""
+    end, top = 0, 0
+    for j, (x, _) in enumerate(walk.points):
+        if x >= top:
+            end, top = j, x
+    return Walk(walk.points[: end + 1])
+
+
+@pytest.mark.parametrize("strip", [StripGeometry(-1, 1), StripGeometry(-1, 2)], ids=_strip_id)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_random_walks_match_naive_forms(strip, data):
+    walk = data.draw(half_space_walks(strip))
+    bridge = _longest_bridge_prefix(walk)
+    for w in (walk, bridge):
+        assert cut_points(w) == naive_cut_points(w)
+    assert decompose_bridge(bridge, strip) == naive_decompose_bridge(bridge, strip)
+    if walk.length:
+        assert hw_decompose(walk) == naive_hw_decompose(walk)
+
+
+@pytest.mark.parametrize("strip", [StripGeometry(0, 0), StripGeometry(-1, 1), StripGeometry(-1, 2)],
+                         ids=_strip_id)
+def test_unvalidated_walks_pass_validation(strip):
+    # iter_walks and decompose_bridge build walks without Walk.__post_init__;
+    # rebuilding each one through the validating constructor must agree.
+    for kind in KINDS:
+        for walk in iter_walks(strip, 8, kind):
+            assert Walk(walk.points) == walk
+            if kind == "bridge":
+                for factor in decompose_bridge(walk, strip).factors:
+                    assert Walk(factor.walk.points) == factor.walk
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("steps", ["RUL", "RDL", "RRULL", "RRUULL", "RRRULLL"])
+    def test_hw_decompose_sees_the_last_point(self, steps):
+        # Only the last point lies at x <= 0.
+        walk = Walk.from_steps(steps)
+        assert min(x for x, _ in walk.points[1:-1]) > 0 >= walk.end[0]
+        with pytest.raises(ValueError, match="^span decomposition requires a half-space walk$"):
+            hw_decompose(walk)
+
+    def test_hw_decompose_rejects_length_zero(self):
+        with pytest.raises(ValueError, match="^span decomposition requires length >= 1$"):
+            hw_decompose(Walk(((0, 0),)))
+        with pytest.raises(ValueError, match="^span decomposition requires length >= 1$"):
+            hw_decompose(Walk.from_steps(""))
+
+    @pytest.mark.parametrize("steps", ["RUL", "RRUL", "RRUUL", "RURDDL"])
+    def test_decompose_bridge_sees_the_last_point(self, steps):
+        # The walk stays in (0, x_{n-1}] until its last step leaves it.
+        walk = Walk.from_steps(steps)
+        xs = [x for x, _ in walk.points]
+        assert all(0 < x <= xs[-2] for x in xs[1:-1])
+        assert not all(0 < x <= xs[-1] for x in xs[1:])
+        with pytest.raises(ValueError, match="^decompose_bridge requires a bridge$"):
+            decompose_bridge(walk)
+        with pytest.raises(ValueError, match="^decompose_bridge requires a bridge$"):
+            decompose_bridge(walk, StripGeometry(-1, 2))
+
+    def test_decompose_bridge_length_zero(self):
+        for strip in (None, StripGeometry(-1, 1)):
+            d = decompose_bridge(Walk(((0, 0),)), strip)
+            assert d.factors == () and d.trailing_right_run == 0
+        assert cut_points(Walk(((0, 0),))) == ()
