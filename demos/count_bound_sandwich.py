@@ -11,7 +11,6 @@ from stripwalks import (
     StripGeometry,
     connective_constant_width3,
     count_bridges,
-    count_half_space,
     count_saws,
     hw_polynomial,
     mu_bounds_width4,
@@ -38,7 +37,6 @@ for strip, label in ((StripGeometry(-1, 1), "three rows"), (StripGeometry(-1, 2)
     print(f"\n-- {label} --")
     c = count_saws(strip, n_max)
     b = count_bridges(strip, n_max)
-    h = count_half_space(strip, n_max)
     if strip.width == 3:
         mu_lo = mu_hi = connective_constant_width3().mu
         print(f"  mu = {mu_lo:.6f}")
@@ -51,7 +49,7 @@ for strip, label in ((StripGeometry(-1, 1), "three rows"), (StripGeometry(-1, 2)
     row = sandwich.rows[-1]
     print(f"    n={row.n}: {row.lower:.3e} <= {row.count} <= {row.upper:.3e}")
     print(f"  P({row.n}) = {hw_polynomial(row.n, strip.width)}")
-    half = verify_halfspace_proposition(strip, n_max, h, b)
+    half = verify_halfspace_proposition(strip, n_max)
     print(f"  half-space h_n <= P_F(n) b_n: passed={half.passed}")
     mult = verify_multiplicativity(c, b, n_max)
     print(f"  multiplicativity of c and b:  passed={mult.passed}")

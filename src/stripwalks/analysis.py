@@ -7,12 +7,14 @@ so brackets are rigorous.  Since every counting series here has
 non-negative coefficients, the smallest positive real root of the
 denominator is the smallest-modulus singularity (Pringsheim); a winding-number
 check over a circle just inside that radius guards against an unexpected
-smaller complex root and fails loudly if one exists.
+smaller complex root and fails loudly if one exists.  The guard runs on every
+root; no caller can turn it off.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,11 +66,7 @@ def _winding_number(p: IntPolynomial, radius: float) -> int:
     return round(total / cmath.pi)
 
 
-def smallest_positive_root(
-    p: IntPolynomial,
-    tol: float = DEFAULT_TOL,
-    check_smallest_modulus: bool = True,
-) -> RootResult:
+def smallest_positive_root(p: IntPolynomial, tol: float = DEFAULT_TOL) -> RootResult:
     """Least t in (0, 1] with p(t) = 0, bracketed to tol by exact bisection.
 
     Requires p(0) = 1 and a sign change on (0, 1]; raises if no sign change
@@ -111,14 +109,13 @@ def smallest_positive_root(
                 hi = mid
 
     root = float((lo + hi) / 2)
-    if check_smallest_modulus and root > 0:
-        # The circle goes just inside lo, which lies below the root; the
-        # midpoint can lie above it by tol/2, more than the 1e-6 margin.
-        inside = _winding_number(p, float(lo) * (1 - 1e-6))
-        if inside != 0:
-            raise ArithmeticError(
-                f"{inside} root(s) of smaller modulus inside |t| = {root:.6f}"
-            )
+    # The circle goes just inside lo, which lies below the root; the
+    # midpoint can lie above it by tol/2, more than the 1e-6 margin.
+    inside = _winding_number(p, float(lo) * (1 - 1e-6))
+    if inside != 0:
+        raise ArithmeticError(
+            f"{inside} root(s) of smaller modulus inside |t| = {root:.6f}"
+        )
     return RootResult(root, 1.0 / root, tol, (float(lo), float(hi)))
 
 
@@ -166,7 +163,8 @@ def estimate_mu(counts: CountTable) -> list[tuple[int, float, float]]:
     for n in range(1, counts.n_max + 1):
         c = counts[n]
         prev = counts[n - 1]
-        nth_root = c ** (1.0 / n)
+        # Through the logarithm: counts outgrow the float range.
+        nth_root = math.exp(math.log(c) / n) if c else 0.0
         ratio = c / prev if prev else float("inf")
         out.append((n, nth_root, ratio))
     return out

@@ -5,7 +5,8 @@ counts, the bridge corollary, and the closed form for the two-row strip.
 Comparisons between powers of the (approximately known) growth constant and
 exact integer counts are done in exact rational arithmetic with a
 conservative relative margin: a check only fails if it fails by more than
-``margin`` relative, since the constant itself is known to ~6 digits.
+the fixed relative margin ``_MARGIN`` = 1e-6, since the constant itself is
+known to ~6 digits.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from .enumeration import count_bridges, count_half_space
 from .lattice import CountTable, StripGeometry
 
-DEFAULT_MARGIN = 1e-6
+_MARGIN = Fraction(1e-6)
 
 # Coefficients of the sandwich polynomials in powers of (n + 1), starting at
 # the first power: width 3 uses degree 5, width 4 degree 7.
@@ -127,10 +128,8 @@ def verify_sandwich(
     counts: CountTable,
     mu_lower: float,
     mu_upper: float | None = None,
-    n_min: int = 1,
-    margin: float = DEFAULT_MARGIN,
 ) -> SandwichReport:
-    """Check the two-sided count bounds for n_min <= n <= counts.n_max.
+    """Check the two-sided count bounds for 1 <= n <= counts.n_max.
 
     For the width-3 strip the same constant serves both sides; for width 4
     only a bracket is known, so the lower check uses the lower bound of the
@@ -140,14 +139,13 @@ def verify_sandwich(
         mu_upper = mu_lower
     lo = Fraction(mu_lower)
     hi = Fraction(mu_upper)
-    slack = Fraction(margin)
     rows = []
-    for n in range(max(n_min, 1), counts.n_max + 1):
+    for n in range(1, counts.n_max + 1):
         c = counts[n]
         lower = lo**n
         upper = hi ** (n + 1) * hw_polynomial(n, strip.width)
-        lower_ok = c >= lower * (1 - slack)
-        upper_ok = c <= upper * (1 + slack)
+        lower_ok = c >= lower * (1 - _MARGIN)
+        upper_ok = c <= upper * (1 + _MARGIN)
         rows.append(SandwichRow(n, c, float(lower), float(upper), lower_ok, upper_ok))
     return SandwichReport(mu_lower, mu_upper, tuple(rows))
 
@@ -188,12 +186,7 @@ def verify_multiplicativity(
     return InequalityReport("multiplicativity", tuple(failures), checked)
 
 
-def verify_halfspace_proposition(
-    strip: StripGeometry,
-    n_max: int,
-    half_space: CountTable | None = None,
-    bridges: CountTable | None = None,
-) -> InequalityReport:
+def verify_halfspace_proposition(strip: StripGeometry, n_max: int) -> InequalityReport:
     """h_n <= P_F(n) b_n for 0 <= n <= n_max, with both forms of P_F.
 
     The partition cap is the strip width (3 on the width-3 strip, 4 on
@@ -203,8 +196,8 @@ def verify_halfspace_proposition(
     if strip.width not in (3, 4):
         raise ValueError(f"width must be 3 or 4, got {strip.width}")
     k_max = strip.width
-    h = half_space if half_space is not None else count_half_space(strip, n_max)
-    b = bridges if bridges is not None else count_bridges(strip, n_max)
+    h = count_half_space(strip, n_max)
+    b = count_bridges(strip, n_max)
     failures = []
     for n in range(n_max + 1):
         exact = pf_exact(n, k_max)
@@ -218,24 +211,18 @@ def verify_halfspace_proposition(
     return InequalityReport("halfspace", tuple(failures), 3 * (n_max + 1))
 
 
-def verify_bridge_corollary(
-    counts_b: CountTable,
-    mu: float,
-    n_max: int,
-    margin: float = DEFAULT_MARGIN,
-) -> InequalityReport:
+def verify_bridge_corollary(counts_b: CountTable, mu: float, n_max: int) -> InequalityReport:
     """mu^(n-1)/P(n) <= b_n <= mu^n on the width-3 strip, for 2 <= n <= n_max."""
     if n_max > counts_b.n_max:
         raise ValueError("bridge table does not cover n_max")
     m = Fraction(mu)
-    slack = Fraction(margin)
     failures = []
     for n in range(2, n_max + 1):
         b = counts_b[n]
         upper = m**n
         lower = m ** (n - 1) / hw_polynomial(n, 3)
-        if b > upper * (1 + slack):
+        if b > upper * (1 + _MARGIN):
             failures.append(f"b_{n} > mu^{n}")
-        if b < lower * (1 - slack):
+        if b < lower * (1 - _MARGIN):
             failures.append(f"b_{n} < mu^{n-1}/P({n})")
     return InequalityReport("bridge-corollary", tuple(failures), 2 * max(n_max - 1, 0))

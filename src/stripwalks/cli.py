@@ -84,9 +84,9 @@ def _emit(command: str, parameters: dict, results: Any, passed: bool, t0: float)
     return 0 if passed else 1
 
 
-def _root_report(name: str, poly: genfunc.IntPolynomial, res: analysis.RootResult) -> dict:
+def _root_report(polynomial: str, res: analysis.RootResult) -> dict:
     return {
-        "polynomial": poly.pretty(),
+        "polynomial": polynomial,
         "root": res.root,
         "mu": res.mu,
         "tol": res.tolerance,
@@ -152,18 +152,12 @@ def _cmd_gf(args: argparse.Namespace, t0: float) -> int:
 def _cmd_mu(args: argparse.Namespace, t0: float) -> int:
     if args.target == "width3":
         res = analysis.connective_constant_width3(args.tol)
-        results = {"width3": _root_report("width3", genfunc.W3_LOOP_POLYNOMIAL, res)}
+        results = {"width3": _root_report(genfunc.W3_LOOP_POLYNOMIAL.pretty(), res)}
     else:
         lower, upper = analysis.mu_bounds_width4(args.tol)
         results = {
-            "lower": _root_report("lower", genfunc.W4_LOWER_DENOMINATOR, lower),
-            "upper": {
-                "polynomial": "degree-44 loop denominator",
-                "root": upper.root,
-                "mu": upper.mu,
-                "tol": upper.tolerance,
-                "bracket": list(upper.bracket),
-            },
+            "lower": _root_report(genfunc.W4_LOWER_DENOMINATOR.pretty(), lower),
+            "upper": _root_report("degree-44 loop denominator", upper),
             "bracket_mu": [lower.mu, upper.mu],
         }
     return _emit("mu", {"target": args.target, "tol": args.tol}, results, True, t0)
@@ -393,9 +387,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--series must be non-negative, got {series}")
     if series is not None and series > MAX_SERIES:
         parser.error(f"--series {series} exceeds the ceiling {MAX_SERIES}")
-    tol = getattr(args, "tol", None)
-    if tol is not None and not 0 < tol < math.inf:
-        parser.error(f"--tol must be positive and finite, got {tol}")
+    for flag in ("tol", "mu"):
+        value = getattr(args, flag, None)
+        if value is not None and not 0 < value < math.inf:
+            parser.error(f"--{flag} must be positive and finite, got {value}")
     try:
         code = args.func(args, t0)
         sys.stdout.flush()

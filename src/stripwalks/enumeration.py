@@ -589,9 +589,6 @@ def hw_reflect(walk: Walk, decomposition: HWDecomposition | None = None) -> Walk
 # Width-4 irreducible-bridge transformation
 # ---------------------------------------------------------------------------
 
-# Right steps inserted by the transformation, per factor type.
-TRANSFORM_ADDED_STEPS = {"OO": 2, "OI": 1, "IO": 1, "II": 0}
-
 
 def _negate_steps(steps: str) -> str:
     table = str.maketrans("RLUD", "LRDU")

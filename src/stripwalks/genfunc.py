@@ -49,12 +49,6 @@ class IntPolynomial:
     def one(cls) -> "IntPolynomial":
         return cls((1,))
 
-    @classmethod
-    def monomial(cls, power: int, coefficient: int = 1) -> "IntPolynomial":
-        if coefficient == 0:
-            return cls.zero()
-        return cls((0,) * power + (coefficient,))
-
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
@@ -99,15 +93,6 @@ class IntPolynomial:
                 out[i + j] += ca * cb
         return IntPolynomial(tuple(out))
 
-    def scale(self, k: int) -> "IntPolynomial":
-        return IntPolynomial.from_coefficients(k * c for c in self.coefficients)
-
-    def shift(self, k: int) -> "IntPolynomial":
-        """Multiply by t**k."""
-        if self.is_zero:
-            return self
-        return IntPolynomial((0,) * k + self.coefficients)
-
     def unshift(self, k: int) -> "IntPolynomial":
         """Divide exactly by t**k."""
         if self.is_zero:
@@ -138,7 +123,7 @@ class IntPolynomial:
             acc = acc * z + c
         return acc
 
-    def pretty(self, var: str = "t") -> str:
+    def pretty(self) -> str:
         """Render in the conventional ``a + b t + c t^2`` style."""
         if self.is_zero:
             return "0"
@@ -150,7 +135,7 @@ class IntPolynomial:
             if p == 0:
                 term = str(mag)
             else:
-                t_part = var if p == 1 else f"{var}^{p}"
+                t_part = "t" if p == 1 else f"t^{p}"
                 term = t_part if mag == 1 else f"{mag}{t_part}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
@@ -316,8 +301,8 @@ class RationalGF:
             _poly_exact_div(self.numerator, g), _poly_exact_div(self.denominator, g)
         )
 
-    def pretty(self, var: str = "t") -> str:
-        return f"({self.numerator.pretty(var)}) / ({self.denominator.pretty(var)})"
+    def pretty(self) -> str:
+        return f"({self.numerator.pretty()}) / ({self.denominator.pretty()})"
 
 
 ONE_MINUS_T = _poly(1, -1)
@@ -429,6 +414,29 @@ def _require_atoms(atoms: Mapping[str, RationalGF], needed: tuple[str, ...]) -> 
         raise ValueError(f"missing atoms for types {missing}")
 
 
+def _bridge_code_parts(
+    atoms: Mapping[str, RationalGF], width: int
+) -> tuple[RationalGF, RationalGF, RationalGF | None]:
+    """The loop body IO OO* OI II*, the prefix IO OO* and II* of the bridge code.
+
+    Width 3 has no inner-to-inner type: its II* is None and its loop body
+    IO OO* OI.  Exact polynomial products commute, so the order of the
+    factors does not change a coefficient.
+    """
+    if width == 3:
+        _require_atoms(atoms, ("IO", "OO", "OI"))
+    elif width == 4:
+        _require_atoms(atoms, ("IO", "OO", "OI", "II"))
+    else:
+        raise ValueError(f"width must be 3 or 4, got {width}")
+    io_oo_star = atoms["IO"] * atoms["OO"].star()
+    loop = atoms["OI"] * io_oo_star
+    if width == 3:
+        return loop, io_oo_star, None
+    ii_star = atoms["II"].star()
+    return ii_star * loop, io_oo_star, ii_star
+
+
 def compose_bridge_code(atoms: Mapping[str, RationalGF], width: int) -> RationalGF:
     """Generating function of all bridges, composed from the alphabet atoms.
 
@@ -436,23 +444,9 @@ def compose_bridge_code(atoms: Mapping[str, RationalGF], width: int) -> Rational
     II* factors: [II* IO OO* OI]* II* ~(IO OO*) r*.  The tilde factor is
     (1 + IO OO*) and the trailing right-step run contributes 1/(1-t).
     """
-    if width == 3:
-        _require_atoms(atoms, ("IO", "OO", "OI"))
-        oo_star = atoms["OO"].star()
-        loop = atoms["IO"] * oo_star * atoms["OI"]
-        return loop.star() * (RationalGF.one() + atoms["IO"] * oo_star) * TAIL_GF
-    if width == 4:
-        _require_atoms(atoms, ("IO", "OO", "OI", "II"))
-        oo_star = atoms["OO"].star()
-        ii_star = atoms["II"].star()
-        loop = ii_star * atoms["IO"] * oo_star * atoms["OI"]
-        return (
-            loop.star()
-            * ii_star
-            * (RationalGF.one() + atoms["IO"] * oo_star)
-            * TAIL_GF
-        )
-    raise ValueError(f"width must be 3 or 4, got {width}")
+    loop, io_oo_star, ii_star = _bridge_code_parts(atoms, width)
+    code = loop.star() * (RationalGF.one() + io_oo_star) * TAIL_GF
+    return code if ii_star is None else code * ii_star
 
 
 def important_part_denominator(
@@ -467,15 +461,7 @@ def important_part_denominator(
     width-3 denominator to its degree-6 core.  The smallest positive root is
     the same either way (the extra factors only vanish at t = 1).
     """
-    if width == 3:
-        _require_atoms(atoms, ("IO", "OO", "OI"))
-        loop = atoms["IO"] * atoms["OO"].star() * atoms["OI"]
-    elif width == 4:
-        _require_atoms(atoms, ("IO", "OO", "OI", "II"))
-        loop = atoms["IO"] * atoms["OO"].star() * atoms["OI"] * atoms["II"].star()
-    else:
-        raise ValueError(f"width must be 3 or 4, got {width}")
-    starred = loop.star()
+    starred = _bridge_code_parts(atoms, width)[0].star()
     if reduce:
         starred = starred.reduced()
     return starred.denominator

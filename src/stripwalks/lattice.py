@@ -67,18 +67,10 @@ class StripGeometry:
     def width(self) -> int:
         return self.y_max - self.y_min + 1
 
-    def contains(self, point: Point) -> bool:
-        return self.y_min <= point[1] <= self.y_max
-
     @property
     def outer_lines(self) -> tuple[int, int]:
         """The two boundary rows of the strip."""
         return (self.y_min, self.y_max)
-
-    @property
-    def inner_lines(self) -> tuple[int, ...]:
-        """The non-boundary rows of the strip."""
-        return tuple(range(self.y_min + 1, self.y_max))
 
     def shift_origin(self, line: int) -> "StripGeometry":
         """The same strip in coordinates where row ``line`` becomes row 0.
@@ -150,12 +142,6 @@ class Walk:
     def span(self) -> int:
         xs = [p[0] for p in self.points]
         return max(xs) - min(xs)
-
-    def in_strip(self, strip: StripGeometry) -> bool:
-        return all(strip.contains(p) for p in self.points)
-
-    def __iter__(self) -> Iterator[Point]:
-        return iter(self.points)
 
 
 _new_instance = object.__new__

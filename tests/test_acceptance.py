@@ -158,16 +158,13 @@ def test_criterion_6_correction_pipeline():
     assert pipeline_ok and legality_ok
 
 
-def test_criterion_7_sandwich_suite(
-    saws_w3_16, saws_w4_14, bridges_w3_18, bridges_w4_16,
-    half_space_w3_14, half_space_w4_14,
-):
+def test_criterion_7_sandwich_suite(saws_w3_16, saws_w4_14, bridges_w3_18, bridges_w4_16):
     mu3 = connective_constant_width3().mu
     s3 = verify_sandwich(W3, saws_w3_16, mu3)
     lower, upper = mu_bounds_width4()
     s4 = verify_sandwich(W4, saws_w4_14, lower.mu, upper.mu)
-    h3 = verify_halfspace_proposition(W3, 14, half_space_w3_14, bridges_w3_18)
-    h4 = verify_halfspace_proposition(W4, 14, half_space_w4_14, bridges_w4_16)
+    h3 = verify_halfspace_proposition(W3, 14)
+    h4 = verify_halfspace_proposition(W4, 14)
     m3 = verify_multiplicativity(saws_w3_16, bridges_w3_18, 14)
     m4 = verify_multiplicativity(saws_w4_14, bridges_w4_16, 14)
     ok = all(r.passed for r in (s3, s4, h3, h4, m3, m4))

@@ -2,6 +2,8 @@ import pytest
 
 from stripwalks import (
     CountTable,
+    atoms_width3,
+    compose_bridge_code,
     connective_constant_width3,
     estimate_mu,
     mu_bounds_width4,
@@ -75,7 +77,6 @@ class TestSmallestPositiveRoot:
         p = _poly(1, -2, 2) * _poly(1, -1)
         with pytest.raises(ArithmeticError):
             smallest_positive_root(p)
-        smallest_positive_root(p, check_smallest_modulus=False)
 
 
 # Root moduli (from sympy's nroots): W3 loop 0.5223, 0.9024 (x2), ...;
@@ -97,7 +98,7 @@ class TestSmallestPositiveRoot:
 def test_winding_number_counts_roots_inside(poly, scale, radius, inside):
     # The guard samples only the upper half circle and doubles its phase sum.
     if radius is None:
-        radius = smallest_positive_root(poly, check_smallest_modulus=False).root * scale
+        radius = smallest_positive_root(poly).root * scale
     assert _winding_number(poly, radius) == inside
 
 
@@ -147,3 +148,11 @@ class TestEstimateMu:
         n, _, ratio = estimate_mu(bridges_w4_16)[-1]
         assert n == 16
         assert 2.0 < ratio < 2.2
+
+    def test_counts_beyond_float_range(self):
+        # b_1500 on three rows has about 420 digits, past the float range.
+        table = CountTable(compose_bridge_code(atoms_width3(), 3).series(1500))
+        mu = connective_constant_width3().mu
+        estimates = estimate_mu(table)
+        assert abs(estimates[-1][2] - mu) < 1e-9
+        assert all(nth_root <= mu for _, nth_root, _ in estimates)

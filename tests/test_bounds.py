@@ -182,17 +182,11 @@ class TestMultiplicativity:
 
 
 class TestHalfSpaceProposition:
-    def test_width3(self, half_space_w3_14, bridges_w3_18):
-        report = verify_halfspace_proposition(
-            W3, 14, half_space_w3_14, CountTable(bridges_w3_18.counts[:15])
-        )
-        assert report.passed
+    def test_width3(self):
+        assert verify_halfspace_proposition(W3, 14).passed
 
-    def test_width4(self, half_space_w4_14, bridges_w4_16):
-        report = verify_halfspace_proposition(
-            W4, 14, half_space_w4_14, CountTable(bridges_w4_16.counts[:15])
-        )
-        assert report.passed
+    def test_width4(self):
+        assert verify_halfspace_proposition(W4, 14).passed
 
     def test_spot_check_length3(self, half_space_w3_14, bridges_w3_18):
         h, b = half_space_w3_14[3], bridges_w3_18[3]

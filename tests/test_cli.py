@@ -119,7 +119,11 @@ class TestMu:
 
     def test_width4_bracket(self, capsys):
         code, env = run_json(capsys, "mu", "width4")
-        assert env["results"]["bracket_mu"] == [2.050672, 2.165804]
+        results = env["results"]
+        assert results["bracket_mu"] == [2.050672, 2.165804]
+        for side in ("lower", "upper"):
+            assert list(results[side]) == ["polynomial", "root", "mu", "tol", "bracket"]
+        assert results["upper"]["polynomial"] == "degree-44 loop denominator"
 
     def test_tighter_tolerance(self, capsys):
         code, env = run_json(capsys, "mu", "width3", "--tol", "1e-14")
@@ -196,6 +200,11 @@ class TestVerify:
         ["gf", "bridge3", "--series", str(MAX_SERIES + 1)],
         ["count", "--strip", f"0,{MAX_STRIP_WIDTH}", "--n", "4"],
         ["verify", "multiplicativity", "--strip", f"-5,{MAX_STRIP_WIDTH - 5}", "--n", "4"],
+        ["verify", "sandwich", "--mu", "nan"],
+        ["verify", "sandwich", "--mu", "inf"],
+        ["verify", "sandwich", "--mu", "0"],
+        ["verify", "sandwich", "--mu", "-2"],
+        ["verify", "all", "--mu", "nan"],
     ],
 )
 def test_input_errors_exit_2(capsys, argv):

@@ -25,8 +25,6 @@ class TestStripGeometry:
     def test_lines(self):
         s = StripGeometry(-1, 2)
         assert s.outer_lines == (-1, 2)
-        assert s.inner_lines == (0, 1)
-        assert StripGeometry(-1, 1).inner_lines == (0,)
 
     def test_shift_origin(self):
         s = StripGeometry(-1, 2).shift_origin(1)

@@ -66,7 +66,9 @@ def half_space_walks(draw, strip):
         free = [
             (x + dx, y + dy)
             for dx, dy in DELTAS
-            if x + dx > 0 and strip.contains((x + dx, y + dy)) and (x + dx, y + dy) not in visited
+            if x + dx > 0
+            and strip.y_min <= y + dy <= strip.y_max
+            and (x + dx, y + dy) not in visited
         ]
         if not free:
             break
