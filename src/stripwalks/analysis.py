@@ -1,9 +1,15 @@
 """Numerical layer: real-root isolation of denominator polynomials, and
 conversion of radii of convergence into connective constants.
 
-Root finding is bisection on (0, 1] with exact signs at the dyadic points
-a/2^k, each from the integer homogeneous evaluation sum c_i a^i 2^(k(d-i)),
-so brackets are rigorous.  Since every counting series here has
+Root finding locates the first sign change on the grid of 1024 cells of
+(0, 1] and bisects that cell, with exact signs at the dyadic points a/2^k,
+each from the integer homogeneous evaluation sum c_i a^i 2^(k(d-i)), so
+brackets are rigorous.  The roots are those of the published polynomials in
+:mod:`stripwalks.genfunc`: the three-row loop polynomial and bridge
+denominator, the four-row lower-bound denominator and the degree-44 loop
+denominator.  The alphabet compositions reproduce each of them, which the
+test suite checks and ``stripwalks verify tables`` checks for the three-row
+quotient and the degree-44 denominator.  Since every counting series here has
 non-negative coefficients, the smallest positive real root of the
 denominator is the smallest-modulus singularity (Pringsheim); a winding-number
 check over a circle just inside that radius guards against an unexpected
@@ -22,14 +28,13 @@ from .genfunc import (
     IntPolynomial,
     W3_BRIDGE_DENOMINATOR,
     W3_LOOP_POLYNOMIAL,
+    W4_LOOP_DENOMINATOR,
     W4_LOWER_DENOMINATOR,
-    atoms_width4_upper,
-    important_part_denominator,
 )
 from .lattice import CountTable
 
 DEFAULT_TOL = 1e-12
-_SCAN_CELLS = 1024
+_SCAN_BITS = 10
 _WINDING_SAMPLES = 2880
 
 
@@ -75,48 +80,36 @@ def smallest_positive_root(p: IntPolynomial, tol: float = DEFAULT_TOL) -> RootRe
     """
     if p.constant_term != 1:
         raise ValueError("expected a polynomial with constant term 1")
-    if tol <= 0:
+    if not tol > 0:  # also rejects nan
         raise ValueError("tolerance must be positive")
 
-    lo = Fraction(0)
-    hi = None
-    exact_hit = None
-    for k in range(1, _SCAN_CELLS + 1):
-        t = Fraction(k, _SCAN_CELLS)
-        v = p(t)
-        if v == 0:
-            exact_hit = t
-            break
-        if v < 0:
-            hi = t
-            break
-        lo = t
-    if exact_hit is not None:
-        lo = hi = exact_hit
-    elif hi is None:
-        raise ValueError("no sign change on (0, 1]; cannot bracket a root")
-    else:
-        ftol = Fraction(tol)
-        while hi - lo > ftol:
-            mid = (lo + hi) / 2
-            v = p(mid)
-            if v == 0:
-                lo = hi = mid
-                break
-            if v > 0:
-                lo = mid
-            else:
-                hi = mid
+    # The bracket is [lo, lo + 1] / 2**scale, with p(lo / 2**scale) > 0: a
+    # scan over the 2**_SCAN_BITS cells finds the first cell whose right end
+    # is not positive, then each halving evaluates p at its midpoint only.
+    # Whenever p vanishes, the zero is the right end lo + 1.
+    scale, lo = _SCAN_BITS, 0
+    while (v := p(Fraction(lo + 1, 1 << scale))) > 0:
+        lo += 1
+        if lo == 1 << scale:
+            raise ValueError("no sign change on (0, 1]; cannot bracket a root")
+    while v != 0 and 2.0**-scale > tol:
+        scale += 1
+        v = p(Fraction(2 * lo + 1, 1 << scale))
+        lo = 2 * lo + (v > 0)
+    hi = lo + 1
+    if v == 0:
+        lo = hi
 
-    root = float((lo + hi) / 2)
+    root = (lo + hi) / (2 << scale)
+    bracket = (lo / (1 << scale), hi / (1 << scale))
     # The circle goes just inside lo, which lies below the root; the
     # midpoint can lie above it by tol/2, more than the 1e-6 margin.
-    inside = _winding_number(p, float(lo) * (1 - 1e-6))
+    inside = _winding_number(p, bracket[0] * (1 - 1e-6))
     if inside != 0:
         raise ArithmeticError(
             f"{inside} root(s) of smaller modulus inside |t| = {root:.6f}"
         )
-    return RootResult(root, 1.0 / root, tol, (float(lo), float(hi)))
+    return RootResult(root, 1.0 / root, tol, bracket)
 
 
 def connective_constant_width3(tol: float = DEFAULT_TOL) -> RootResult:
@@ -142,11 +135,12 @@ def mu_bounds_width4(tol: float = DEFAULT_TOL) -> tuple[RootResult, RootResult]:
     The lower bound comes from the left-step-free composition's denominator
     (root near 0.487645, mu_lower near 2.0507); the upper bound from the
     degree-44 loop-star denominator of the overcounting atoms (root near
-    0.461722, mu_upper near 2.1658).
+    0.461722, mu_upper near 2.1658).  Both are read from their published
+    forms, ``W4_LOWER_DENOMINATOR`` and ``W4_LOOP_DENOMINATOR``, which the
+    compositions reproduce.
     """
     lower = smallest_positive_root(W4_LOWER_DENOMINATOR, tol)
-    d44 = important_part_denominator(atoms_width4_upper(), 4)
-    upper = smallest_positive_root(d44, tol)
+    upper = smallest_positive_root(W4_LOOP_DENOMINATOR, tol)
     if not lower.mu < upper.mu:
         raise ArithmeticError("lower bound is not below upper bound")
     return lower, upper

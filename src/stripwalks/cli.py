@@ -84,6 +84,12 @@ def _emit(command: str, parameters: dict, results: Any, passed: bool, t0: float)
     return 0 if passed else 1
 
 
+def _default_start(strip: StripGeometry, bridge_type: str) -> int:
+    """Start line of a type's irreducible counts unless one is given: the top
+    line for O types, the inner line below it for I types."""
+    return strip.y_max if bridge_type.startswith("O") else strip.y_max - 1
+
+
 def _root_report(polynomial: str, res: analysis.RootResult) -> dict:
     return {
         "polynomial": polynomial,
@@ -110,7 +116,7 @@ def _cmd_count(args: argparse.Namespace, t0: float) -> int:
     else:
         start = args.start_line
         if start is None:
-            start = strip.y_max if args.type.startswith("O") else strip.y_max - 1
+            start = _default_start(strip, args.type)
         try:
             table = enumeration.count_irreducible(strip, args.type, args.n, start)
         except ValueError as exc:
@@ -217,10 +223,9 @@ def _verify_tables(n_max: int) -> tuple[dict, bool]:
     w4 = StripGeometry(-1, 2)
 
     atoms3 = genfunc.atoms_width3()
-    starts3 = {"OO": 1, "OI": 1, "IO": 0}
     for t, gf in atoms3.items():
         series = gf.series(n)
-        counted = enumeration.count_irreducible(w3, t, n, starts3[t]).counts
+        counted = enumeration.count_irreducible(w3, t, n, _default_start(w3, t)).counts
         if tuple(series) != counted:
             failures.append(f"width3 atom {t} series != enumerated counts")
 
@@ -231,11 +236,10 @@ def _verify_tables(n_max: int) -> tuple[dict, bool]:
     if composed3 != displayed3:
         failures.append("width3 composed bridge function != displayed quotient")
 
-    starts4 = {"OO": 2, "OI": 2, "IO": 1, "II": 1}
     lower_atoms = genfunc.atoms_width4_lower()
     upper_atoms = genfunc.atoms_width4_upper()
     for t in BRIDGE_TYPES:
-        exact = enumeration.count_irreducible(w4, t, n, starts4[t]).counts
+        exact = enumeration.count_irreducible(w4, t, n, _default_start(w4, t)).counts
         low = lower_atoms[t].series(n)
         up = upper_atoms[t].series(n)
         if any(l > e for l, e in zip(low, exact)):

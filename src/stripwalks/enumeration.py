@@ -482,14 +482,14 @@ def count_irreducible(
             f"inconsistent with type {bridge_type}"
         )
     # A merged factor of length n with tail k is R^k followed by a bridge of
-    # length n - k >= 2 with no cut point.
+    # length n - k >= 2 with no cut point, so the tailed count at n is the
+    # running sum of the cut-free counts at 2..n.
     counts = [0] * (n_max + 1)
     for (_, end), cut_free in _transfer(shifted, n_max, "cut_free"):
-        if _bridge_type(shifted, 0, end) != bridge_type:
-            continue
-        for m in range(2, n_max + 1):
-            for n in range(m, m + 1 if tailless else n_max + 1):
-                counts[n] += cut_free[m]
+        if _bridge_type(shifted, 0, end) == bridge_type:
+            per_length = cut_free[2:] if tailless else accumulate(cut_free[2:])
+            for n, c in enumerate(per_length, 2):
+                counts[n] += c
     return CountTable(tuple(counts))
 
 

@@ -86,11 +86,11 @@ class IntPolynomial:
         if not a or not b:
             return IntPolynomial.zero()
         out = [0] * (len(a) + len(b) - 1)
+        b_terms = [(j, cb) for j, cb in enumerate(b) if cb]
         for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
+            if ca:
+                for j, cb in b_terms:
+                    out[i + j] += ca * cb
         return IntPolynomial(tuple(out))
 
     def unshift(self, k: int) -> "IntPolynomial":
@@ -102,20 +102,15 @@ class IntPolynomial:
         return IntPolynomial(self.coefficients[k:])
 
     def __call__(self, t: Fraction | int) -> Fraction | int:
-        if isinstance(t, Fraction) and self.coefficients:
-            # p(a/b) = sum c_i a^i b^(d-i) / b^d: integer Horner on the
-            # homogeneous form, then a single normalisation.
-            a, b = t.numerator, t.denominator
-            acc = self.coefficients[-1]
-            b_power = 1
-            for c in reversed(self.coefficients[:-1]):
-                b_power *= b
-                acc = acc * a + c * b_power
-            return Fraction(acc, b_power)
-        acc: Fraction | int = 0
-        for c in reversed(self.coefficients):
-            acc = acc * t + c
-        return acc
+        # p(a/b) = sum c_i a^i b^(d-i) / b^d: integer Horner on the
+        # homogeneous form, then a single normalisation.  An int t is a/1.
+        a, b = t.numerator, t.denominator
+        *rest, acc = self.coefficients or (0,)
+        b_power = 1
+        for c in reversed(rest):
+            b_power *= b
+            acc = acc * a + c * b_power
+        return Fraction(acc, b_power) if isinstance(t, Fraction) else acc
 
     def evaluate_complex(self, z: complex) -> complex:
         acc = 0j
@@ -246,10 +241,7 @@ class RationalGF:
         )
 
     def __sub__(self, other: "RationalGF") -> "RationalGF":
-        return RationalGF(
-            self.numerator * other.denominator - other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
+        return self + RationalGF(-other.numerator, other.denominator)
 
     def __mul__(self, other: "RationalGF") -> "RationalGF":
         return RationalGF(

@@ -11,7 +11,6 @@ from conftest import W2, W3, W4
 from stripwalks import (
     IrreducibleFactor,
     RationalGF,
-    Walk,
     atoms_width3,
     atoms_width4_lower,
     atoms_width4_upper,
@@ -26,7 +25,6 @@ from stripwalks import (
     hw_decompose,
     hw_reflect,
     important_part_denominator,
-    is_half_space,
     iter_walks,
     mu_bounds_width4,
     smallest_positive_root,

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from stripwalks import (
@@ -34,6 +36,28 @@ class TestSmallestPositiveRoot:
         assert res.root == 1.0
         assert res.mu == 1.0
 
+    def test_exact_root_found_by_bisection(self):
+        # 1/2048 lies inside the first scan cell (0, 1/1024]; the first
+        # halving lands on it and collapses the bracket.
+        res = smallest_positive_root(_poly(1, -2048))
+        assert res.root == 1 / 2048
+        assert res.bracket == (1 / 2048, 1 / 2048)
+
+    @pytest.mark.parametrize("tol", [1e-2, 1e-6, 2.0**-20, 1e-12, 1e-14])
+    @pytest.mark.parametrize(
+        "poly",
+        [W3_LOOP_POLYNOMIAL, W3_BRIDGE_DENOMINATOR, W4_LOWER_DENOMINATOR, W4_LOOP_DENOMINATOR],
+        ids=["w3_loop", "w3_bridge", "w4_lower", "w4_loop"],
+    )
+    def test_bracket_is_one_dyadic_cell(self, poly, tol):
+        # The bracket is one cell of the grid 2^-s: the largest power of two
+        # <= tol, and never coarser than the 1/1024 cells of the scan.
+        lo, hi = smallest_positive_root(poly, tol).bracket
+        width = min(2.0**-10, 2.0 ** (math.frexp(tol)[1] - 1))
+        assert hi - lo == width
+        assert (lo / width).is_integer()
+        assert hi / width == lo / width + 1
+
     def test_bracket_invariants(self):
         res = smallest_positive_root(W3_LOOP_POLYNOMIAL, tol=1e-10)
         lo, hi = res.bracket
@@ -66,6 +90,11 @@ class TestSmallestPositiveRoot:
     def test_rejects_no_sign_change(self):
         with pytest.raises(ValueError):
             smallest_positive_root(_poly(1, 1))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            smallest_positive_root(W3_LOOP_POLYNOMIAL, tol)
 
     def test_rejects_bad_constant_term(self):
         with pytest.raises(ValueError):

@@ -6,8 +6,6 @@ from conftest import W2, W3, W4
 from stripwalks import (
     CountTable,
     connective_constant_width3,
-    count_bridges,
-    count_half_space,
     count_saws,
     hw_polynomial,
     mu_bounds_width4,

@@ -51,6 +51,12 @@ wide_polys = st.lists(st.integers(-10**6, 10**6), max_size=12).map(
     IntPolynomial.from_coefficients
 )
 fractions = st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 10**4))
+# At most four non-zero terms spread over degrees 0..30.
+sparse_polys = st.dictionaries(st.integers(0, 30), st.integers(-9, 9), max_size=4).map(
+    lambda terms: IntPolynomial.from_coefficients(
+        [terms.get(i, 0) for i in range(max(terms, default=-1) + 1)]
+    )
+)
 unit_constant_polys = st.lists(st.integers(-9, 9), max_size=5).map(
     lambda cs: IntPolynomial.from_coefficients([1] + cs)
 )
@@ -105,8 +111,7 @@ class TestIntPolynomial:
     def test_call_matches_fraction_horner(self, p, t):
         value = p(t)
         assert value == naive_horner(p, t)
-        if not p.is_zero:
-            assert isinstance(value, Fraction)
+        assert isinstance(value, Fraction)
 
     @given(wide_polys, st.integers(-100, 100))
     @example(IntPolynomial.zero(), 3)
@@ -124,6 +129,15 @@ class TestIntPolynomial:
     @given(polys, polys)
     def test_add_commutes(self, p, q):
         assert p + q == q + p
+
+    @given(sparse_polys, sparse_polys)
+    @example(_poly(0, 0, 0, 5), _poly(1, 0, 0, 0, 0, 0, -2))
+    def test_mul_commutes_on_sparse_polynomials(self, p, q):
+        assert p * q == q * p
+        n = p.degree + q.degree
+        assert p * q == IntPolynomial.from_coefficients(
+            seq_mul(p.coefficients, q.coefficients, max(n, 0))
+        )
 
     @given(polys, polys, polys)
     def test_mul_distributes(self, p, q, r):
