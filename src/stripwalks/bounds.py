@@ -11,6 +11,7 @@ known to ~6 digits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,6 +97,15 @@ def zeilberger_count(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _float_or_inf(x: Fraction) -> float:
+    """A positive bound as a float for the report, ``math.inf`` beyond the
+    float range; the verdicts compare the exact values."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class SandwichRow:
     n: int
@@ -146,7 +156,9 @@ def verify_sandwich(
         upper = hi ** (n + 1) * hw_polynomial(n, strip.width)
         lower_ok = c >= lower * (1 - _MARGIN)
         upper_ok = c <= upper * (1 + _MARGIN)
-        rows.append(SandwichRow(n, c, float(lower), float(upper), lower_ok, upper_ok))
+        rows.append(
+            SandwichRow(n, c, _float_or_inf(lower), _float_or_inf(upper), lower_ok, upper_ok)
+        )
     return SandwichReport(mu_lower, mu_upper, tuple(rows))
 
 

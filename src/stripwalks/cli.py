@@ -60,6 +60,9 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
+        # Strict JSON has no Infinity: a bound beyond the float range is null.
+        if math.isinf(value):
+            return None
         # 6-decimal half-even rounding for display-scale values; tolerances
         # and other tiny magnitudes keep 6 significant digits instead.
         if value == 0.0 or abs(value) >= 1e-6:

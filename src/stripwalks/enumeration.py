@@ -590,59 +590,40 @@ def hw_reflect(walk: Walk, decomposition: HWDecomposition | None = None) -> Walk
 # ---------------------------------------------------------------------------
 
 
-def _negate_steps(steps: str) -> str:
-    table = str.maketrans("RLUD", "LRDU")
-    return steps.translate(table)
+# A half turn reverses every step; the strip's mirror swaps up and down.
+_HALF_TURN = str.maketrans("RLUD", "LRDU")
+_MIRROR = str.maketrans("UD", "DU")
 
 
-def _split_complicated(
-    walk: Walk, start_line: int, strip: StripGeometry
-) -> tuple[str, str, str]:
+def _split_complicated(steps: str, rows: list[int], y_min: int) -> tuple[str, str, str]:
     """Parse a tailless upper-start factor into its three two-row sub-walks.
 
-    For a factor starting on one of the two upper lines the pattern is: a
-    left-step-free walk A on the top two rows, a right-step-free walk B on
-    the middle two rows, and a left-step-free walk C on the bottom two rows,
-    with junction points on the shared rows.
+    ``rows[k]`` is the strip row of the factor's k-th point.  The pattern is
+    a left-step-free walk A on the top two rows, a right-step-free walk B on
+    the middle two rows, and a left-step-free walk C on the bottom two rows;
+    B starts on row ``y_min + 2`` and ends on row ``y_min + 1``.  A is the
+    longest left-free prefix on the top band and C the longest left-free
+    suffix on the bottom band; the factor matches iff what lies between them
+    is a non-empty B.
     """
-    a = strip.y_min
-    rows_a = (a + 2, a + 3)
-    rows_b = (a + 1, a + 2)
-    rows_c = (a, a + 1)
-    pts = [(x, y + start_line) for x, y in walk.points]
-    steps = walk.steps()
     n = len(steps)
-
-    # A: longest left-free prefix on the top two rows.
     i = 0
-    while i < n:
-        if steps[i] == "L" or pts[i + 1][1] not in rows_a:
-            break
+    while i < n and steps[i] != "L" and y_min + 2 <= rows[i + 1] <= y_min + 3:
         i += 1
-    if i == 0 or pts[i][1] != a + 2:
-        raise ValueError("factor does not match the complicated pattern")
-
-    # C: longest left-free suffix whose points stay on the bottom two rows.
     j = n
-    if pts[n][1] in rows_c:
-        while j > 0:
-            if steps[j - 1] == "L" or pts[j - 1][1] not in rows_c:
-                break
+    if y_min <= rows[n] <= y_min + 1:
+        while j > 0 and steps[j - 1] != "L" and y_min <= rows[j - 1] <= y_min + 1:
             j -= 1
-    if j < i:
+    # With i > 0, A ends on the top band, so B's band pins it to y_min + 2.
+    if (
+        i == 0
+        or j <= i
+        or "R" in steps[i:j]
+        or rows[j] != y_min + 1
+        or not all(y_min + 1 <= r <= y_min + 2 for r in rows[i : j + 1])
+    ):
         raise ValueError("factor does not match the complicated pattern")
-
-    walk_a, walk_b, walk_c = steps[:i], steps[i:j], steps[j:]
-    if not walk_b:
-        raise ValueError("factor does not match the complicated pattern")
-    if any(s == "R" for s in walk_b):
-        raise ValueError("factor does not match the complicated pattern")
-    for k in range(i, j + 1):
-        if pts[k][1] not in rows_b:
-            raise ValueError("factor does not match the complicated pattern")
-    if pts[j][1] != a + 1:
-        raise ValueError("factor does not match the complicated pattern")
-    return walk_a, walk_b, walk_c
+    return steps[:i], steps[i:j], steps[j:]
 
 
 def is_simple_factor(factor: IrreducibleFactor) -> bool:
@@ -656,9 +637,7 @@ def is_simple_factor(factor: IrreducibleFactor) -> bool:
     return len(rest) <= 3 and (set(rest) == {"U"} or set(rest) == {"D"})
 
 
-def transform_irreducible_w4(
-    factor: IrreducibleFactor, strip: StripGeometry
-) -> Walk:
+def transform_irreducible_w4(factor: IrreducibleFactor, strip: StripGeometry) -> Walk:
     """Transform a tailless complicated width-4 factor into a two-row walk.
 
     The middle sub-walk is rotated half a turn about its start so that it
@@ -668,8 +647,12 @@ def transform_irreducible_w4(
     lives on two rows, and is longer by the number of inserted steps; the
     map is injective on each (type, start line) domain.
 
-    Factors starting on one of the two lower lines are first mapped through
-    the strip's mirror symmetry, which swaps neither type nor length.
+    The map reads the factor's step string and the strip row of each point.
+    A factor starting on one of the two lower lines is first mirrored onto
+    the upper lines, which changes neither its type nor its length, by
+    swapping U and D in the string and mirroring the rows.  Its start and
+    end lines must be rows of the strip; the image is validated by
+    ``Walk.from_steps``.
     """
     if strip.width != 4:
         raise ValueError(f"transformation requires a width-4 strip, got width {strip.width}")
@@ -678,21 +661,22 @@ def transform_irreducible_w4(
     if is_simple_factor(factor):
         raise ValueError("factor does not match the complicated pattern")
 
-    walk, start_line = factor.walk, factor.start_line
-    if start_line <= strip.y_min + 1:
+    steps = factor.walk.steps()
+    rows = [factor.start_line + y for _, y in factor.walk.points]
+    if factor.start_line <= strip.y_min + 1:
         # Mirror lower-start factors onto the upper lines.
-        start_line = strip.mirror_line(start_line)
-        walk = Walk(tuple((x, -y) for x, y in walk.points))
+        steps = steps.translate(_MIRROR)
+        rows = [strip.mirror_line(r) for r in rows]
+    for line in (rows[0], rows[-1]):
+        if not (strip.y_min <= line <= strip.y_max):
+            raise ValueError(f"line {line} is not a row of the strip")
+    part_a, part_b, part_c = _split_complicated(steps, rows, strip.y_min)
 
-    bridge_type = classify_irreducible(
-        IrreducibleFactor(walk, start_line, 0), strip
-    )
-    part_a, part_b, part_c = _split_complicated(walk, start_line, strip)
-
+    bridge_type = _bridge_type(strip, rows[0], rows[-1])
     out = part_a
     if bridge_type in ("OO", "IO"):
         out += "R"
-    out += _negate_steps(part_b)
+    out += part_b.translate(_HALF_TURN)
     if bridge_type in ("OO", "OI"):
         out += "R"
     out += part_c

@@ -450,8 +450,12 @@ def important_part_denominator(
     With ``reduce=False`` the denominator is returned exactly as the star
     produces it from the atoms' unreduced product; with ``reduce=True`` the
     gcd with the star's numerator is cancelled first, which collapses the
-    width-3 denominator to its degree-6 core.  The smallest positive root is
-    the same either way (the extra factors only vanish at t = 1).
+    width-3 denominator to its degree-6 core.  For the published atoms the
+    smallest positive root is the same either way, but the cancelled factors
+    do not only vanish at t = 1.  On width 3 they are (1 - t)^2.  On the
+    width-4 upper atoms they are ``UPPER_ATOM_DENOMINATOR**2``, whose factor
+    1 - t - t^2 vanishes at 1/phi ~ 0.618, above the loop root ~ 0.4617; so
+    the unreduced degree-44 denominator is not square-free.
     """
     starred = _bridge_code_parts(atoms, width)[0].star()
     if reduce:

@@ -8,13 +8,15 @@ immutable value types and safe to share between threads.
 Which walks are validated: ``Walk(...)`` and ``Walk.from_steps`` check that
 the points start at the origin, move by unit steps and never repeat, so every
 walk built from outside data, and every image of a map the paper defines
-(``hw_reflect``, the width-4 transformation and its mirror step), passes that
-check.  Two kinds of walk are valid by construction and are built by the
-private ``_trusted_walk`` without it: the prefixes of the depth-first search
-in ``iter_walks`` (unit steps from the origin, each point tested against the
-set of visited points) and the translated contiguous slices of an already
-valid walk (the factors of ``decompose_bridge``).  The test suite checks that
-rebuilding any of them with ``Walk(...)`` gives an equal walk.
+(``hw_reflect`` and the width-4 transformation), passes that check.  The
+transformation's mirror step swaps U and D in the factor's step string and
+builds no walk; only the image is built, and validated.  Two kinds of walk
+are valid by construction and are built by the private ``_trusted_walk``
+without the check: the prefixes of the depth-first search in ``iter_walks``
+(unit steps from the origin, each point tested against the set of visited
+points) and the translated contiguous slices of an already valid walk (the
+factors of ``decompose_bridge``).  The test suite checks that rebuilding any
+of them with ``Walk(...)`` gives an equal walk.
 
 Conventions used throughout the package:
 

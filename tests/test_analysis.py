@@ -107,6 +107,21 @@ class TestSmallestPositiveRoot:
         with pytest.raises(ArithmeticError):
             smallest_positive_root(p)
 
+    @pytest.mark.parametrize(
+        "p, error, match",
+        [
+            # A double root at 1/3: no sign change there, so the scan goes on
+            # to 1/2 and the guard finds the two roots inside.
+            (_poly(1, -3) * _poly(1, -3) * _poly(1, -2), ArithmeticError, "2 root"),
+            # 1/46 and 1/45 share the scan cell (22/1024, 23/1024].
+            (_poly(1, -45) * _poly(1, -46) * _poly(1, -2), ArithmeticError, "2 root"),
+            (_poly(1, -3) * _poly(1, -3), ValueError, "no sign change"),
+        ],
+    )
+    def test_refuses_roots_the_scan_skips(self, p, error, match):
+        with pytest.raises(error, match=match):
+            smallest_positive_root(p)
+
 
 # Root moduli (from sympy's nroots): W3 loop 0.5223, 0.9024 (x2), ...;
 # W3 bridge denominator 0.5223, 0.6415, 0.8580 (x2), ...; degree-44 loop

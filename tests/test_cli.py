@@ -217,6 +217,43 @@ def test_input_errors_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--strip", "1,2"],
+        ["count", "--strip", "1e3,2"],
+        ["count", "--class", "nonsense"],
+        ["count", "--n", "abc"],
+        ["mu", "width5"],
+    ],
+)
+def test_parse_errors_exit_2_with_subcommand_prefix(capsys, argv):
+    # argparse reports its own errors under the subcommand's name, after the
+    # subcommand's usage.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith(f"stripwalks {argv[0]}: error: ")
+    assert "Traceback" not in err
+
+
+def test_sandwich_bound_beyond_float_range_is_null(capsys):
+    # mu^(n+1) P(n) leaves the float range from n = 12 at mu = 1e25; the
+    # report still prints, as strict JSON, and the verdict fails.
+    code, out = run_cli(capsys, "verify", "sandwich", "--mu", "1e25", "--n", "14")
+    assert code == 1
+    assert "Infinity" not in out
+    env = json.loads(out)
+    assert env["pass"] is False
+    for report in env["results"]["sandwich"].values():
+        rows = report["rows"]
+        assert [r["n"] for r in rows[10:]] == ["11", "12", "13", "14"]
+        assert [r["upper"] is None for r in rows[10:]] == [False, True, True, True]
+        assert [r["lower"] is None for r in rows[10:]] == [False, False, True, True]
+
+
 def _module_cli(*argv):
     """Start `python -m stripwalks ARGV` with the package importable."""
     src = str(Path(stripwalks.__file__).resolve().parents[1])

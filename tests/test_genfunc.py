@@ -23,6 +23,7 @@ from stripwalks.genfunc import (
     TAIL_GF,
     TRANSFORMED_WALK_GFS,
     TWO_ROW_DENOMINATOR,
+    UPPER_ATOM_DENOMINATOR,
     W3_BRIDGE_DENOMINATOR,
     W3_BRIDGE_NUMERATOR,
     W3_LOOP_POLYNOMIAL,
@@ -387,6 +388,15 @@ class TestWidth4Upper:
         assert d44.degree == 44
         assert d44.coefficients[:4] == (1, -12, 65, -209)
         assert d44.coefficients[-1] == 55764
+
+    def test_loop_reduction_cancels_squared_atom_denominator(self):
+        # The cancelled factor vanishes at 1/phi as well as at 1, so the
+        # unreduced d44 is not square-free.
+        atoms = atoms_width4_upper()
+        reduced = important_part_denominator(atoms, 4, reduce=True)
+        assert important_part_denominator(atoms, 4) == (
+            reduced * UPPER_ATOM_DENOMINATOR * UPPER_ATOM_DENOMINATOR
+        )
 
     def test_reduced_composition_degrees(self):
         composed = compose_bridge_code(atoms_width4_upper(), 4)
