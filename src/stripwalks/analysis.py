@@ -115,16 +115,17 @@ def smallest_positive_root(p: IntPolynomial, tol: float = DEFAULT_TOL) -> RootRe
 def connective_constant_width3(tol: float = DEFAULT_TOL) -> RootResult:
     """Connective constant of the width-3 strip, from two independent polynomials.
 
-    The smallest positive roots of the full degree-14 bridge denominator and
-    of the reduced degree-6 loop polynomial must agree to 1e-9; the result is
-    the reciprocal of that root, approximately 1.9146.
+    The full degree-14 bridge denominator and the reduced degree-6 loop
+    polynomial share their smallest positive root, so exact bisection puts it
+    in the same dyadic cell for both: the two brackets must be equal.  The
+    result is the reciprocal of that root, approximately 1.9146.
     """
     r_full = smallest_positive_root(W3_BRIDGE_DENOMINATOR, tol)
     r_loop = smallest_positive_root(W3_LOOP_POLYNOMIAL, tol)
-    if abs(r_full.root - r_loop.root) > 1e-9:
+    if r_full.bracket != r_loop.bracket:
         raise ArithmeticError(
             "width-3 denominators disagree: "
-            f"{r_full.root!r} (full) vs {r_loop.root!r} (loop)"
+            f"{r_full.bracket!r} (full) vs {r_loop.bracket!r} (loop)"
         )
     return r_loop
 

@@ -2,11 +2,11 @@
 the half-space/bridge proposition, the polynomial sandwich bounds on walk
 counts, the bridge corollary, and the closed form for the two-row strip.
 
-Comparisons between powers of the (approximately known) growth constant and
-exact integer counts are done in exact rational arithmetic with a
-conservative relative margin: a check only fails if it fails by more than
-the fixed relative margin ``_MARGIN`` = 1e-6, since the constant itself is
-known to ~6 digits.
+Each count is compared with the exact power of the ``Fraction`` of the
+growth constant it is given, with no slack: a verdict says whether the
+inequality holds for that constant.  With the constants of :mod:`analysis`,
+bracketed to 1e-12, and with mu = 2.3, no count on the three- or four-row
+strip up to n = 24 lies within 3 % of its bound.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from fractions import Fraction
 
 from .enumeration import count_bridges, count_half_space
 from .lattice import CountTable, StripGeometry
-
-_MARGIN = Fraction(1e-6)
 
 # Coefficients of the sandwich polynomials in powers of (n + 1), starting at
 # the first power: width 3 uses degree 5, width 4 degree 7.
@@ -124,8 +122,6 @@ class SandwichRow:
 class SandwichReport:
     """Per-length verdicts for mu_lower^n <= c_n <= mu_upper^(n+1) P(n)."""
 
-    mu_lower: float
-    mu_upper: float
     rows: tuple[SandwichRow, ...]
 
     @property
@@ -154,12 +150,12 @@ def verify_sandwich(
         c = counts[n]
         lower = lo**n
         upper = hi ** (n + 1) * hw_polynomial(n, strip.width)
-        lower_ok = c >= lower * (1 - _MARGIN)
-        upper_ok = c <= upper * (1 + _MARGIN)
+        lower_ok = c >= lower
+        upper_ok = c <= upper
         rows.append(
             SandwichRow(n, c, _float_or_inf(lower), _float_or_inf(upper), lower_ok, upper_ok)
         )
-    return SandwichReport(mu_lower, mu_upper, tuple(rows))
+    return SandwichReport(tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -233,8 +229,8 @@ def verify_bridge_corollary(counts_b: CountTable, mu: float, n_max: int) -> Ineq
         b = counts_b[n]
         upper = m**n
         lower = m ** (n - 1) / hw_polynomial(n, 3)
-        if b > upper * (1 + _MARGIN):
+        if b > upper:
             failures.append(f"b_{n} > mu^{n}")
-        if b < lower * (1 - _MARGIN):
+        if b < lower:
             failures.append(f"b_{n} < mu^{n-1}/P({n})")
     return InequalityReport("bridge-corollary", tuple(failures), 2 * max(n_max - 1, 0))

@@ -22,10 +22,11 @@ from typing import Any
 from . import analysis, bounds, enumeration, genfunc
 from .lattice import BRIDGE_TYPES, StripGeometry
 
-ENV_CEILING = "SAW_STRIPS_NMAX_CEILING"
-DEFAULT_CEILING = 24
 DEFAULT_COUNT_N = 18
 DEFAULT_VERIFY_N = 14
+# Longest `--n`.  With MAX_STRIP_WIDTH it bounds the largest table a command
+# builds: `count_saws` at n=24 on 10 rows (below).
+MAX_N = 24
 # Longest `gf --series`: its largest coefficients (lower4) have about 3,100
 # digits, below Python's 4,300-digit limit on int-to-str conversion.
 MAX_SERIES = 10000
@@ -33,16 +34,6 @@ MAX_SERIES = 10000
 # count and memory grow with the number of rows: `count_saws` at n=24 takes
 # 9-12 s and 91 MB on 10 rows, about 30 s and 200 MB on 11 (2-core Xeon).
 MAX_STRIP_WIDTH = 10
-
-
-def _ceiling(parser: argparse.ArgumentParser) -> int:
-    raw = os.environ.get(ENV_CEILING)
-    if raw is None:
-        return DEFAULT_CEILING
-    try:
-        return int(raw)
-    except ValueError:
-        parser.error(f"invalid {ENV_CEILING}={raw!r}: not an integer")
 
 
 def _parse_strip(text: str) -> StripGeometry:
@@ -282,7 +273,7 @@ def _cmd_verify(args: argparse.Namespace, t0: float) -> int:
         build_parser().error(f"verify {args.suite} needs a strip of width 3 or 4, got {width}")
     for suite in suites:
         if suite == "zeilberger":
-            rows, ok = _verify_zeilberger(max(n_max, 2))
+            rows, ok = _verify_zeilberger(n_max)
             results["zeilberger"] = {"rows": rows}
         elif suite == "tables":
             results["tables"], ok = _verify_tables(n_max)
@@ -377,12 +368,8 @@ def main(argv: list[str] | None = None) -> int:
     if n is not None:
         if n < 0:
             parser.error(f"--n must be non-negative, got {n}")
-        ceiling = _ceiling(parser)
-        if n > ceiling:
-            parser.error(
-                f"--n {n} exceeds the enumeration ceiling {ceiling} "
-                f"(override with {ENV_CEILING})"
-            )
+        if n > MAX_N:
+            parser.error(f"--n {n} exceeds the enumeration ceiling {MAX_N}")
     strip = getattr(args, "strip", None)
     if strip is not None and strip.width > MAX_STRIP_WIDTH:
         parser.error(

@@ -155,7 +155,7 @@ class TestConnectiveConstants:
     def test_width3_polynomials_agree(self):
         full = smallest_positive_root(W3_BRIDGE_DENOMINATOR)
         loop = smallest_positive_root(W3_LOOP_POLYNOMIAL)
-        assert abs(full.root - loop.root) <= 1e-9
+        assert full.bracket == loop.bracket
 
     def test_width4_bracket(self):
         lower, upper = mu_bounds_width4()

@@ -150,6 +150,14 @@ class TestSandwich:
         report = verify_bridge_corollary(bridges_w3_18, mu, 18)
         assert not report.passed
 
+    def test_exact_lower_verdict(self):
+        # mu^1 = 10000005 sits 5e-7 (relative) above the count 10^7: the
+        # lower check fails, with no slack; at mu^1 = c_1 it holds.
+        counts = CountTable((1, 10**7))
+        row = verify_sandwich(W3, counts, 10000005.0).rows[0]
+        assert (row.lower_ok, row.upper_ok) == (False, True)
+        assert verify_sandwich(W3, counts, 1e7).passed
+
     def test_row_fields(self, saws_w3_16):
         mu = connective_constant_width3().mu
         row = verify_sandwich(W3, saws_w3_16, mu).rows[2]
@@ -200,6 +208,13 @@ class TestBridgeCorollary:
         mu = connective_constant_width3().mu
         report = verify_bridge_corollary(bridges_w3_18, mu, 18)
         assert report.passed
+
+    def test_exact_upper_verdict(self):
+        # b_2 = 100000050 lies 5e-7 (relative) above mu^2 = 10^8: the upper
+        # check fails, with no slack; b_2 = mu^2 passes.
+        report = verify_bridge_corollary(CountTable((1, 1, 100000050)), 1e4, 2)
+        assert report.failures == ("b_2 > mu^2",)
+        assert verify_bridge_corollary(CountTable((1, 1, 10**8)), 1e4, 2).passed
 
     def test_spot_values(self, bridges_w3_18):
         mu = connective_constant_width3().mu

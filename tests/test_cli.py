@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import stripwalks
-from stripwalks.cli import ENV_CEILING, MAX_SERIES, MAX_STRIP_WIDTH, main
+from stripwalks import StripGeometry, count_half_space
+from stripwalks.cli import MAX_N, MAX_SERIES, MAX_STRIP_WIDTH, main
 
 
 def run_cli(capsys, *argv):
@@ -58,28 +59,31 @@ class TestCount:
             main(["count", "--class", "nonsense"])
         assert exc.value.code == 2
 
-    def test_ceiling_guard(self, capsys, monkeypatch):
-        monkeypatch.setenv(ENV_CEILING, "5")
+    def test_ceiling_guard(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["count", "--n", "6"])
+            main(["count", "--n", str(MAX_N + 1)])
         assert exc.value.code == 2
-        assert main(["count", "--n", "5", "--format", "csv"]) == 0
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert f"--n {MAX_N + 1} exceeds the enumeration ceiling {MAX_N}" in err
+        assert main(["count", "--n", str(MAX_N), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith(f"{MAX_N},")
+
+    def test_halfspace_matches_library(self, capsys):
+        table = count_half_space(StripGeometry(-1, 2), 10)
+        argv = ["count", "--strip", "-1,2", "--class", "halfspace", "--n", "10"]
+        code, env = run_json(capsys, *argv)
+        assert code == 0
+        assert env["parameters"]["class"] == "halfspace"
+        assert env["results"]["counts"] == [str(c) for c in table.counts]
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out == table.to_csv()
 
     def test_widest_strip_is_served(self, capsys):
         top = MAX_STRIP_WIDTH - 1
         code, env = run_json(capsys, "count", "--strip", f"0,{top}", "--n", "3")
         assert code == 0
         assert env["parameters"]["strip"] == ["0", str(top)]
-
-    def test_invalid_ceiling_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv(ENV_CEILING, "abc")
-        with pytest.raises(SystemExit) as exc:
-            main(["count", "--n", "6"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        errors = [line for line in err.splitlines() if "error" in line]
-        assert errors == [f"stripwalks: error: invalid {ENV_CEILING}='abc': not an integer"]
 
 
 class TestGF:
@@ -145,6 +149,13 @@ class TestVerify:
         rows = env["results"]["zeilberger"]["rows"]
         assert rows[0] == {"n": "2", "formula": "6", "enumerated": "6", "ok": True}
 
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_zeilberger_below_closed_form_checks_nothing(self, capsys, n):
+        # The closed form starts at n = 2: shorter requests check no length.
+        code, env = run_json(capsys, "verify", "zeilberger", "--n", n)
+        assert code == 0
+        assert env["results"]["zeilberger"]["rows"] == []
+
     def test_sandwich_perturbed_fails(self, capsys):
         code, env = run_json(
             capsys, "verify", "sandwich", "--mu", "2.3", "--strip", "-1,1", "--n", "12"
@@ -198,6 +209,7 @@ class TestVerify:
         ["verify", "sandwich", "--strip", "0,1", "--n", "6"],
         ["verify", "halfspace", "--strip", "-2,2", "--n", "6"],
         ["gf", "bridge3", "--series", str(MAX_SERIES + 1)],
+        ["gf", "bridge3", "--series", "-1"],
         ["count", "--strip", f"0,{MAX_STRIP_WIDTH}", "--n", "4"],
         ["verify", "multiplicativity", "--strip", f"-5,{MAX_STRIP_WIDTH - 5}", "--n", "4"],
         ["verify", "sandwich", "--mu", "nan"],
