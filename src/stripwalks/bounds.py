@@ -2,6 +2,13 @@
 the half-space/bridge proposition, the polynomial sandwich bounds on walk
 counts, the bridge corollary, and the closed form for the two-row strip.
 
+The count bounds mu^n <= c_n <= mu^(n+1) P_w(n) follow the span
+decomposition of Hammersley and Welsh (Quart. J. Math. 13, 1962).  On a strip
+of w rows a half-space walk has at most w spans, so the partition bound
+``pf_bound(a, w)`` and the sandwich polynomial
+P_w(n) = (n + 1) pf_bound(n + 1, w)^2 hold on every width; only the growth
+constants the sandwich is checked against are known for 3 and 4 rows alone.
+
 Each count is compared with the exact power of the ``Fraction`` of the
 growth constant it is given, with no slack: a verdict says whether the
 inequality holds for that constant.  With the constants of :mod:`analysis`,
@@ -18,9 +25,12 @@ from fractions import Fraction
 from .enumeration import count_bridges, count_half_space
 from .lattice import CountTable, StripGeometry
 
-# Coefficients of the sandwich polynomials in powers of (n + 1), starting at
-# the first power: width 3 uses degree 5, width 4 degree 7.
-_HW_COEFFS = {3: (1, 2, 3, 2, 1), 4: (1, 2, 3, 4, 3, 2, 1)}
+
+def _check_partition_args(a: int, k_max: int) -> None:
+    if a < 0:
+        raise ValueError("a must be non-negative")
+    if k_max < 1:
+        raise ValueError("k_max must be positive")
 
 
 def pf_exact(a: int, k_max: int) -> int:
@@ -28,10 +38,7 @@ def pf_exact(a: int, k_max: int) -> int:
 
     The empty partition counts for a = 0.
     """
-    if a < 0:
-        raise ValueError("a must be non-negative")
-    if k_max < 1:
-        raise ValueError("k_max must be positive")
+    _check_partition_args(a, k_max)
     # dp[j][s] = number of partitions of s into j distinct parts
     dp = [[0] * (a + 1) for _ in range(k_max + 1)]
     dp[0][0] = 1
@@ -44,26 +51,32 @@ def pf_exact(a: int, k_max: int) -> int:
 
 
 def pf_bound(a: int, k_max: int) -> int:
-    """The closed-form bound 1 + a + ... + a**(k_max - 1) on pf_exact."""
-    if a < 0:
-        raise ValueError("a must be non-negative")
-    if k_max not in (3, 4):
-        raise ValueError("the bound is stated for k_max in {3, 4}")
+    """The closed-form bound 1 + a + ... + a**(k_max - 1) on pf_exact.
+
+    For a >= 1, listing the j distinct parts of a partition of ``a`` in
+    decreasing order makes it a composition of ``a`` into j parts, and there
+    are C(a - 1, j - 1) <= a**(j - 1) of those; summing over 1 <= j <= k_max
+    gives the bound.  For a = 0 both sides are 1 (the empty partition).
+    The bound is non-decreasing in ``a``.
+    """
+    _check_partition_args(a, k_max)
     return sum(a**i for i in range(k_max))
 
 
 def hw_polynomial(n: int, width: int) -> int:
-    """The polynomial factor of the sandwich upper bound, evaluated exactly.
+    """The polynomial factor P_w(n) = (n + 1) pf_bound(n + 1, w)^2 of the
+    sandwich upper bound on a strip of ``width`` rows, evaluated exactly.
 
-    Width 3: (n+1) + 2(n+1)^2 + 3(n+1)^3 + 2(n+1)^4 + (n+1)^5.
-    Width 4: (n+1) + 2(n+1)^2 + 3(n+1)^3 + 4(n+1)^4 + 3(n+1)^5 + 2(n+1)^6 + (n+1)^7.
+    The walk bound sums, over the n + 1 places m to split a walk, the
+    product pf(m + 1, w) pf(n - m, w).  Both factors are at most
+    pf(n + 1, w) because pf is non-decreasing, so
+    sum_m pf(m + 1, w) pf(n - m, w) <= (n + 1) pf(n + 1, w)^2.  In powers of
+    n + 1 from the first, this is (1, 2, 3, 2, 1) on 3 rows and
+    (1, 2, 3, 4, 3, 2, 1) on 4.
     """
     if n < 1:
         raise ValueError("the bound is stated for n >= 1")
-    if width not in _HW_COEFFS:
-        raise ValueError(f"width must be 3 or 4, got {width}")
-    m = n + 1
-    return sum(c * m**i for i, c in enumerate(_HW_COEFFS[width], start=1))
+    return (n + 1) * pf_bound(n + 1, width) ** 2
 
 
 def fibonacci(n: int) -> int:
@@ -197,12 +210,14 @@ def verify_multiplicativity(
 def verify_halfspace_proposition(strip: StripGeometry, n_max: int) -> InequalityReport:
     """h_n <= P_F(n) b_n for 0 <= n <= n_max, with both forms of P_F.
 
-    The partition cap is the strip width (3 on the width-3 strip, 4 on
-    width 4); the exact partition count and its polynomial bound must both
-    satisfy the inequality.
+    The partition cap is the strip width w, which bounds the number of spans
+    (see ``enumeration.HWDecomposition``).  Reflecting the spans maps a
+    half-space walk of length n with spans A_1 > ... > A_k injectively to a
+    bridge of length n and span A = A_1 + ... + A_k <= n, so
+    h_n <= sum_A pf(A, w) b_(n,A) <= pf(n, w) b_n, since pf(., w) is
+    non-decreasing.  The exact partition count and its polynomial bound must
+    both satisfy the inequality.
     """
-    if strip.width not in (3, 4):
-        raise ValueError(f"width must be 3 or 4, got {strip.width}")
     k_max = strip.width
     h = count_half_space(strip, n_max)
     b = count_bridges(strip, n_max)

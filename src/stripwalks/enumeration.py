@@ -503,8 +503,14 @@ class HWDecomposition:
     """Span decomposition (A_1..A_k, n_1..n_k) of a half-space walk.
 
     The spans decrease strictly, the cut indices increase, and n_k equals the
-    walk length.  On a width-3 strip k never exceeds 3; on width 4 it never
-    exceeds 4 (verified exhaustively by the test suite).
+    walk length.  On a strip of w rows k never exceeds w.  Segment i runs
+    between x_{n_(i-1)} and x_{n_i}, and these x-intervals are nested: a
+    half-space walk never goes left of its start, and after a last maximum
+    (minimum) the walk stays strictly below (above) it.  The innermost
+    interval has span A_k >= 1, so it holds a gap between two adjacent
+    columns that every segment crosses, each time on its own horizontal edge
+    because a self-avoiding walk uses no edge twice.  The strip has only w
+    horizontal edges across that gap.
     """
 
     spans: tuple[int, ...]

@@ -5,6 +5,7 @@ import pytest
 from conftest import W2, W3, W4
 from stripwalks import (
     CountTable,
+    StripGeometry,
     connective_constant_width3,
     count_saws,
     hw_polynomial,
@@ -73,7 +74,7 @@ class TestPartitionCounts:
     def test_bound_dominates(self):
         assert pf_bound(0, 3) == 1
         assert pf_bound(5, 3) == 31
-        for k_max in (3, 4):
+        for k_max in range(1, 9):
             for a in range(0, 61):
                 assert pf_exact(a, k_max) <= pf_bound(a, k_max)
 
@@ -81,7 +82,11 @@ class TestPartitionCounts:
         with pytest.raises(ValueError):
             pf_exact(-1, 3)
         with pytest.raises(ValueError):
-            pf_bound(3, 5)
+            pf_bound(-1, 3)
+        with pytest.raises(ValueError):
+            pf_bound(3, 0)
+        # Every cap from 1 up is served.
+        assert pf_bound(3, 5) == 1 + 3 + 9 + 27 + 81
 
 
 class TestHWPolynomial:
@@ -93,13 +98,26 @@ class TestHWPolynomial:
         with pytest.raises(ValueError):
             hw_polynomial(0, 3)
         with pytest.raises(ValueError):
-            hw_polynomial(3, 5)
+            hw_polynomial(0, 5)
+        with pytest.raises(ValueError):
+            hw_polynomial(3, 0)
+        # Every width from 1 up is served.
+        assert hw_polynomial(3, 5) == 4 * (1 + 4 + 16 + 64 + 256) ** 2
+
+    def test_published_coefficients(self):
+        # The sandwich polynomials as published, in powers of (n + 1) from
+        # the first: degree 5 on three rows, degree 7 on four.
+        published = {3: (1, 2, 3, 2, 1), 4: (1, 2, 3, 4, 3, 2, 1)}
+        for width, coeffs in published.items():
+            for n in range(1, 60):
+                expected = sum(c * (n + 1) ** i for i, c in enumerate(coeffs, start=1))
+                assert hw_polynomial(n, width) == expected
 
     def test_dominates_partition_convolution(self):
-        for width, k_max in ((3, 3), (4, 4)):
+        for width in range(1, 9):
             for n in range(1, 51):
                 conv = sum(
-                    pf_bound(m + 1, k_max) * pf_bound(n - m, k_max)
+                    pf_bound(m + 1, width) * pf_bound(n - m, width)
                     for m in range(n + 1)
                 )
                 assert conv <= hw_polynomial(n, width)
@@ -193,6 +211,11 @@ class TestHalfSpaceProposition:
 
     def test_width4(self):
         assert verify_halfspace_proposition(W4, 14).passed
+
+    @pytest.mark.parametrize("y_max", [0, 1, 4, 5, 6])
+    def test_other_widths(self, y_max):
+        # Spans never outnumber the rows, so the cap is the width everywhere.
+        assert verify_halfspace_proposition(StripGeometry(0, y_max), 24).passed
 
     def test_spot_check_length3(self, half_space_w3_14, bridges_w3_18):
         h, b = half_space_w3_14[3], bridges_w3_18[3]

@@ -168,6 +168,22 @@ class TestVerify:
         assert code == 0
         assert env["pass"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "halfspace", "--strip", "-2,2", "--n", "14"],
+            ["verify", "sandwich", "--strip", "-2,2", "--mu", "2", "--n", "14"],
+            ["verify", "sandwich", "--strip", "0,0", "--mu", "1", "--n", "14"],
+        ],
+    )
+    def test_any_width_with_known_constant(self, capsys, argv):
+        # The half-space proposition holds on every strip; the sandwich runs
+        # on any strip once --mu supplies the constant.
+        code, env = run_json(capsys, *argv)
+        assert code == 0
+        assert env["pass"] is True
+        assert list(env["results"][argv[1]]) == [argv[3]]
+
     def test_multiplicativity_single_strip(self, capsys):
         code, env = run_json(
             capsys, "verify", "multiplicativity", "--strip", "-1,1", "--n", "10"
@@ -207,7 +223,7 @@ class TestVerify:
         ["mu", "width3", "--tol", "nan"],
         ["mu", "width4", "--tol", "inf"],
         ["verify", "sandwich", "--strip", "0,1", "--n", "6"],
-        ["verify", "halfspace", "--strip", "-2,2", "--n", "6"],
+        ["verify", "sandwich", "--strip", "-2,2", "--n", "6"],
         ["gf", "bridge3", "--series", str(MAX_SERIES + 1)],
         ["gf", "bridge3", "--series", "-1"],
         ["count", "--strip", f"0,{MAX_STRIP_WIDTH}", "--n", "4"],
@@ -217,6 +233,8 @@ class TestVerify:
         ["verify", "sandwich", "--mu", "0"],
         ["verify", "sandwich", "--mu", "-2"],
         ["verify", "all", "--mu", "nan"],
+        ["verify", "zeilberger", "--strip", "-1,1"],
+        ["verify", "tables", "--strip", "-1,2", "--n", "6"],
     ],
 )
 def test_input_errors_exit_2(capsys, argv):
@@ -295,3 +313,18 @@ def test_closed_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+def test_readme_cli_examples_run(capsys):
+    # Each line of the README's CLI block runs as written: exit 1 where its
+    # comment says so, 0 otherwise.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert lines
+    for line in lines:
+        command, _, comment = line.partition("#")
+        program, *argv = command.split()
+        assert program == "stripwalks", line
+        assert main(argv) == (1 if "exit 1" in comment else 0), line
+    capsys.readouterr()

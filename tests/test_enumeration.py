@@ -344,12 +344,13 @@ class TestHWDecomposition:
             hw_decompose(Walk.from_steps("RUL"))
 
     def test_k_bound_and_subwalk_structure(self):
-        for strip, cap in ((W3, 3), (W4, 4)):
+        # A strip of w rows allows at most w spans.
+        for strip in (StripGeometry(0, 0), W2, W3, W4, W5, StripGeometry(-2, 3)):
             for walk in iter_walks(strip, 10, kind="half_space"):
                 if walk.length == 0:
                     continue
                 d = hw_decompose(walk)
-                assert d.k <= cap
+                assert d.k <= strip.width
                 assert d.cut_indices[-1] == walk.length
                 assert (d.k == 1) == is_bridge(walk)
                 # each subwalk between cuts is a bridge or a reflected bridge
