@@ -175,7 +175,6 @@ def verify_sandwich(
 class InequalityReport:
     """A flat list of named inequality checks with a global verdict."""
 
-    name: str
     failures: tuple[str, ...]
     checked: int
 
@@ -204,7 +203,7 @@ def verify_multiplicativity(
                 failures.append(f"c_{total} > c_{n} * c_{m}")
             if counts_b[n] * counts_b[m] > counts_b[total]:
                 failures.append(f"b_{n} * b_{m} > b_{total}")
-    return InequalityReport("multiplicativity", tuple(failures), checked)
+    return InequalityReport(tuple(failures), checked)
 
 
 def verify_halfspace_proposition(strip: StripGeometry, n_max: int) -> InequalityReport:
@@ -231,7 +230,7 @@ def verify_halfspace_proposition(strip: StripGeometry, n_max: int) -> Inequality
             failures.append(f"h_{n} > pf_bound({n}) * b_{n}")
         if exact > bound:
             failures.append(f"pf_exact({n}) > pf_bound({n})")
-    return InequalityReport("halfspace", tuple(failures), 3 * (n_max + 1))
+    return InequalityReport(tuple(failures), 3 * (n_max + 1))
 
 
 def verify_bridge_corollary(counts_b: CountTable, mu: float, n_max: int) -> InequalityReport:
@@ -248,4 +247,4 @@ def verify_bridge_corollary(counts_b: CountTable, mu: float, n_max: int) -> Ineq
             failures.append(f"b_{n} > mu^{n}")
         if b < lower:
             failures.append(f"b_{n} < mu^{n-1}/P({n})")
-    return InequalityReport("bridge-corollary", tuple(failures), 2 * max(n_max - 1, 0))
+    return InequalityReport(tuple(failures), 2 * max(n_max - 1, 0))

@@ -6,7 +6,8 @@ suites).  JSON reports wrap results in an envelope with the command, its
 parameters, a global pass flag and the runtime; exact integers are emitted as
 strings because counts outgrow the 53-bit float mantissa, and floats are
 rounded half-even to 6 decimals so identical inputs give identical output.
-The process exits non-zero when a verify suite fails.
+The process exits non-zero when a verify suite fails.  A command refuses, as
+an input error, any optional flag that its target does not read.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ import math
 import os
 import sys
 import time
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from . import analysis, bounds, enumeration, genfunc
 from .lattice import BRIDGE_TYPES, StripGeometry
 
 DEFAULT_COUNT_N = 18
 DEFAULT_VERIFY_N = 14
+DEFAULT_SERIES = 10
 # Longest `--n`.  With MAX_STRIP_WIDTH it bounds the largest table a command
 # builds: `count_saws` at n=24 on 10 rows (below).
 MAX_N = 24
@@ -99,20 +101,27 @@ def _root_report(polynomial: str, res: analysis.RootResult) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# The classes `count` tabulates without a bridge type or start line.
+_COUNTS = {
+    "saw": lambda strip, n: enumeration.count_saws(strip, n),
+    "bridge": lambda strip, n: enumeration.count_bridges(strip, n),
+    "halfspace": lambda strip, n: enumeration.count_half_space(strip, n),
+}
+
+
 def _cmd_count(args: argparse.Namespace, t0: float) -> int:
     strip = args.strip
-    if args.klass == "saw":
-        table = enumeration.count_saws(strip, args.n)
-    elif args.klass == "bridge":
-        table = enumeration.count_bridges(strip, args.n)
-    elif args.klass == "halfspace":
-        table = enumeration.count_half_space(strip, args.n)
+    bridge_type = args.type or "OO"
+    if args.klass in _COUNTS:
+        if (args.type, args.start_line) != (None, None):
+            build_parser().error(f"count --class {args.klass} takes no --type or --start-line")
+        table = _COUNTS[args.klass](strip, args.n)
     else:
         start = args.start_line
         if start is None:
-            start = _default_start(strip, args.type)
+            start = _default_start(strip, bridge_type)
         try:
-            table = enumeration.count_irreducible(strip, args.type, args.n, start)
+            table = enumeration.count_irreducible(strip, bridge_type, args.n, start)
         except ValueError as exc:
             build_parser().error(str(exc))
     if args.format == "csv":
@@ -120,7 +129,7 @@ def _cmd_count(args: argparse.Namespace, t0: float) -> int:
         return 0
     params = {"strip": [strip.y_min, strip.y_max], "class": args.klass, "n": args.n}
     if args.klass == "irreducible":
-        params["type"] = args.type
+        params["type"] = bridge_type
     return _emit("count", params, {"counts": table.to_json_list()}, True, t0)
 
 
@@ -135,18 +144,18 @@ _GF_BUILDERS = {
 
 
 def _cmd_gf(args: argparse.Namespace, t0: float) -> int:
+    terms = DEFAULT_SERIES if args.series is None else args.series
     results: dict[str, Any] = {}
     if args.name == "upper4":
+        if args.series is not None:
+            build_parser().error("gf upper4 prints a denominator and takes no --series")
         d44 = genfunc.important_part_denominator(genfunc.atoms_width4_upper(), 4)
         results["denominator"] = d44.pretty()
         results["denominator_coefficients"] = list(d44.coefficients)
     else:
         for label, gf in _GF_BUILDERS[args.name]().items():
-            results[label] = {
-                "function": gf.pretty(),
-                "series": list(gf.series(args.series)),
-            }
-    return _emit("gf", {"name": args.name, "series": args.series}, results, True, t0)
+            results[label] = {"function": gf.pretty(), "series": list(gf.series(terms))}
+    return _emit("gf", {"name": args.name, "series": terms}, results, True, t0)
 
 
 def _cmd_mu(args: argparse.Namespace, t0: float) -> int:
@@ -163,27 +172,36 @@ def _cmd_mu(args: argparse.Namespace, t0: float) -> int:
     return _emit("mu", {"target": args.target, "tol": args.tol}, results, True, t0)
 
 
-def _verify_zeilberger(n_max: int) -> tuple[list, bool]:
-    table = enumeration.count_saws(StripGeometry(0, 1), n_max)
+def _verify_zeilberger(strip: None, args: argparse.Namespace) -> tuple[dict, bool]:
+    table = enumeration.count_saws(StripGeometry(0, 1), args.n)
     rows = []
     ok = True
-    for n in range(2, n_max + 1):
+    for n in range(2, args.n + 1):
         formula = bounds.zeilberger_count(n)
         match = formula == table[n]
         ok &= match
         rows.append({"n": n, "formula": formula, "enumerated": table[n], "ok": match})
-    return rows, ok
+    return {"rows": rows}, ok
 
 
-def _verify_sandwich(strip: StripGeometry, n_max: int, mu_override: float | None) -> tuple[dict, bool]:
-    counts = enumeration.count_saws(strip, n_max)
-    if mu_override is not None:
-        mu_lo = mu_hi = mu_override
-    elif strip.width == 3:
-        mu_lo = mu_hi = analysis.connective_constant_width3().mu
-    else:
+def _growth_constants(strip: StripGeometry, mu: float | None) -> tuple[float, float]:
+    """The sandwich's (lower, upper) growth constant: ``--mu`` if given, else
+    the three-row constant or the four-row bracket, the only widths where it
+    is known."""
+    if mu is not None:
+        return mu, mu
+    if strip.width == 3:
+        mu = analysis.connective_constant_width3().mu
+        return mu, mu
+    if strip.width == 4:
         lower, upper = analysis.mu_bounds_width4()
-        mu_lo, mu_hi = lower.mu, upper.mu
+        return lower.mu, upper.mu
+    build_parser().error(f"--mu is needed on {strip.width} rows; the constant is known on 3 and 4")
+
+
+def _verify_sandwich(strip: StripGeometry, args: argparse.Namespace) -> tuple[dict, bool]:
+    mu_lo, mu_hi = _growth_constants(strip, args.mu)
+    counts = enumeration.count_saws(strip, args.n)
     report = bounds.verify_sandwich(strip, counts, mu_lo, mu_hi)
     rows = [
         {
@@ -198,20 +216,12 @@ def _verify_sandwich(strip: StripGeometry, n_max: int, mu_override: float | None
     return {"mu_lower": mu_lo, "mu_upper": mu_hi, "rows": rows}, report.passed
 
 
-def _verify_halfspace(strip: StripGeometry, n_max: int) -> tuple[dict, bool]:
-    report = bounds.verify_halfspace_proposition(strip, n_max)
+def _inequalities(report: bounds.InequalityReport) -> tuple[dict, bool]:
     return {"checked": report.checked, "failures": list(report.failures)}, report.passed
 
 
-def _verify_multiplicativity(strip: StripGeometry, n_max: int) -> tuple[dict, bool]:
-    counts_c = enumeration.count_saws(strip, n_max)
-    counts_b = enumeration.count_bridges(strip, n_max)
-    report = bounds.verify_multiplicativity(counts_c, counts_b, n_max)
-    return {"checked": report.checked, "failures": list(report.failures)}, report.passed
-
-
-def _verify_tables(n_max: int) -> tuple[dict, bool]:
-    n = min(n_max, 12)
+def _verify_tables(strip: None, args: argparse.Namespace) -> tuple[dict, bool]:
+    n = min(args.n, 12)
     failures: list[str] = []
     w3 = StripGeometry(-1, 1)
     w4 = StripGeometry(-1, 2)
@@ -249,48 +259,50 @@ def _verify_tables(n_max: int) -> tuple[dict, bool]:
     return {"n": n, "failures": failures}, not failures
 
 
-# Suites that run once per strip: suite -> (strip, args) -> (payload, passed).
-_STRIP_SUITES = {
-    "sandwich": lambda strip, args: _verify_sandwich(strip, args.n, args.mu),
-    "halfspace": lambda strip, args: _verify_halfspace(strip, args.n),
-    "multiplicativity": lambda strip, args: _verify_multiplicativity(strip, args.n),
+class _Suite(NamedTuple):
+    run: Callable[[Any, argparse.Namespace], tuple[Any, bool]]  # (strip, args) -> (payload, passed)
+    per_strip: bool  # runs once per --strip; else on fixed strips of its own, given strip None
+    reads_mu: bool
+
+
+# Every verify suite, in the order `verify all` runs them.
+_SUITES = {
+    "zeilberger": _Suite(_verify_zeilberger, per_strip=False, reads_mu=False),
+    "sandwich": _Suite(_verify_sandwich, per_strip=True, reads_mu=True),
+    "halfspace": _Suite(
+        lambda strip, args: _inequalities(bounds.verify_halfspace_proposition(strip, args.n)),
+        per_strip=True, reads_mu=False,
+    ),
+    "multiplicativity": _Suite(
+        lambda strip, args: _inequalities(bounds.verify_multiplicativity(
+            enumeration.count_saws(strip, args.n), enumeration.count_bridges(strip, args.n), args.n
+        )),
+        per_strip=True, reads_mu=False,
+    ),
+    "tables": _Suite(_verify_tables, per_strip=False, reads_mu=False),
 }
 
 
 def _cmd_verify(args: argparse.Namespace, t0: float) -> int:
-    n_max = args.n
+    suites = _SUITES if args.suite == "all" else {args.suite: _SUITES[args.suite]}
+    if args.strip and not any(s.per_strip for s in suites.values()):
+        build_parser().error(f"verify {args.suite} takes no --strip")
+    if args.mu is not None and not any(s.reads_mu for s in suites.values()):
+        build_parser().error(f"verify {args.suite} takes no --mu")
+    strips = [args.strip] if args.strip else [StripGeometry(-1, 1), StripGeometry(-1, 2)]
     results: dict[str, Any] = {}
     passed = True
-
-    suites = (
-        ["zeilberger", "sandwich", "halfspace", "multiplicativity", "tables"]
-        if args.suite == "all"
-        else [args.suite]
-    )
-    if args.strip and args.suite in ("zeilberger", "tables"):
-        build_parser().error(f"verify {args.suite} runs on fixed strips and takes no --strip")
-    strips = [args.strip] if args.strip else [StripGeometry(-1, 1), StripGeometry(-1, 2)]
-    width = strips[0].width
-    # The growth constants are known for 3 and 4 rows; other strips need --mu.
-    if "sandwich" in suites and args.mu is None and width not in (3, 4):
-        build_parser().error(f"verify {args.suite} needs --mu on a strip of {width} rows")
-    for suite in suites:
-        if suite == "zeilberger":
-            rows, ok = _verify_zeilberger(n_max)
-            results["zeilberger"] = {"rows": rows}
-        elif suite == "tables":
-            results["tables"], ok = _verify_tables(n_max)
-        else:
-            ok = True
-            payload = {}
+    for name, suite in suites.items():
+        if suite.per_strip:
+            results[name] = {}
             for strip in strips:
-                sub, sub_ok = _STRIP_SUITES[suite](strip, args)
-                payload[f"{strip.y_min},{strip.y_max}"] = sub
-                ok &= sub_ok
-            results[suite] = payload
-        passed &= ok
+                results[name][f"{strip.y_min},{strip.y_max}"], ok = suite.run(strip, args)
+                passed &= ok
+        else:
+            results[name], ok = suite.run(None, args)
+            passed &= ok
 
-    params = {"suite": args.suite, "n": n_max}
+    params = {"suite": args.suite, "n": args.n}
     if args.strip:
         params["strip"] = [args.strip.y_min, args.strip.y_max]
     if args.mu is not None:
@@ -312,13 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="enumerate walks on a strip")
     p_count.add_argument("--strip", type=_parse_strip, default=StripGeometry(-1, 1))
-    p_count.add_argument(
-        "--class",
-        dest="klass",
-        choices=["saw", "bridge", "halfspace", "irreducible"],
-        default="saw",
-    )
-    p_count.add_argument("--type", choices=list(BRIDGE_TYPES), default="OO")
+    p_count.add_argument("--class", dest="klass", choices=[*_COUNTS, "irreducible"], default="saw")
+    p_count.add_argument("--type", choices=list(BRIDGE_TYPES), default=None)
     p_count.add_argument("--start-line", type=int, default=None)
     p_count.add_argument("--n", type=int, default=DEFAULT_COUNT_N)
     p_count.add_argument("--format", choices=["json", "csv"], default="json")
@@ -326,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gf = sub.add_parser("gf", help="print generating functions and series")
     p_gf.add_argument("name", choices=["table1", "bridge3", "lower4", "upper4", "table4"])
-    p_gf.add_argument("--series", type=int, default=10)
+    p_gf.add_argument("--series", type=int, default=None)
     p_gf.set_defaults(func=_cmd_gf)
 
     p_mu = sub.add_parser("mu", help="connective-constant roots")
@@ -335,10 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mu.set_defaults(func=_cmd_mu)
 
     p_verify = sub.add_parser("verify", help="run inequality suites")
-    p_verify.add_argument(
-        "suite",
-        choices=["all", "sandwich", "halfspace", "multiplicativity", "zeilberger", "tables"],
-    )
+    p_verify.add_argument("suite", choices=["all", *_SUITES])
     p_verify.add_argument("--n", type=int, default=DEFAULT_VERIFY_N)
     p_verify.add_argument("--strip", type=_parse_strip, default=None)
     p_verify.add_argument("--mu", type=float, default=None)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import stripwalks
-from stripwalks import StripGeometry, count_half_space
+from stripwalks import StripGeometry, cli, count_half_space
 from stripwalks.cli import MAX_N, MAX_SERIES, MAX_STRIP_WIDTH, main
 
 
@@ -212,6 +212,16 @@ class TestVerify:
         assert scrub(first) == scrub(second)
 
 
+def _assert_input_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith("stripwalks: error: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -235,16 +245,32 @@ class TestVerify:
         ["verify", "all", "--mu", "nan"],
         ["verify", "zeilberger", "--strip", "-1,1"],
         ["verify", "tables", "--strip", "-1,2", "--n", "6"],
+        ["verify", "zeilberger", "--mu", "2"],
+        ["verify", "halfspace", "--mu", "2"],
+        ["verify", "multiplicativity", "--mu", "2"],
+        ["verify", "tables", "--mu", "2"],
+        ["gf", "upper4", "--series", "5"],
+        ["count", "--class", "saw", "--type", "II"],
+        ["count", "--class", "bridge", "--start-line", "0"],
     ],
 )
 def test_input_errors_exit_2(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    errors = [line for line in err.splitlines() if "error" in line]
-    assert len(errors) == 1 and errors[0].startswith("stripwalks: error: ")
-    assert "Traceback" not in err
+    _assert_input_error(capsys, argv)
+
+
+@pytest.mark.parametrize("suite", list(cli._SUITES))
+def test_verify_suite_refuses_flags_it_does_not_read(capsys, suite):
+    # Each suite's row in the table says which optional flags it reads; every
+    # other flag is refused, and the flags it reads are served.
+    row = cli._SUITES[suite]
+    flags = [(["--strip", "-1,1"], row.per_strip), (["--mu", "2"], row.reads_mu)]
+    for flag, read in flags:
+        argv = ["verify", suite, *flag, "--n", "2"]
+        if read:
+            assert main(argv) in (0, 1)
+            capsys.readouterr()
+        else:
+            _assert_input_error(capsys, argv)
 
 
 @pytest.mark.parametrize(
