@@ -130,7 +130,7 @@ def _cmd_count(args: argparse.Namespace, t0: float) -> int:
     params = {"strip": [strip.y_min, strip.y_max], "class": args.klass, "n": args.n}
     if args.klass == "irreducible":
         params["type"] = bridge_type
-    return _emit("count", params, {"counts": table.to_json_list()}, True, t0)
+    return _emit("count", params, {"counts": table.counts}, True, t0)
 
 
 _GF_BUILDERS = {

@@ -386,10 +386,6 @@ class IrreducibleFactor:
     bridge_type: str | None = None
 
     @property
-    def length(self) -> int:
-        return self.walk.length
-
-    @property
     def end_line(self) -> int:
         return self.start_line + self.walk.end[1]
 
@@ -502,11 +498,14 @@ def count_irreducible(
 class HWDecomposition:
     """Span decomposition (A_1..A_k, n_1..n_k) of a half-space walk.
 
-    The spans decrease strictly, the cut indices increase, and n_k equals the
-    walk length.  On a strip of w rows k never exceeds w.  Segment i runs
-    between x_{n_(i-1)} and x_{n_i}, and these x-intervals are nested: a
+    ``hw_decompose`` builds only records in which the spans are positive and
+    decrease strictly, the cut indices increase strictly, there are as many
+    of each, and n_k equals the walk length.  Segment i runs between
+    x_{n_(i-1)} and x_{n_i}, and these x-intervals are strictly nested: a
     half-space walk never goes left of its start, and after a last maximum
-    (minimum) the walk stays strictly below (above) it.  The innermost
+    (minimum) the walk stays strictly below (above) it, so each cut comes
+    after the one before and each segment ends strictly inside the previous
+    one.  On a strip of w rows k never exceeds w.  The innermost
     interval has span A_k >= 1, so it holds a gap between two adjacent
     columns that every segment crosses, each time on its own horizontal edge
     because a self-avoiding walk uses no edge twice.  The strip has only w
@@ -515,14 +514,6 @@ class HWDecomposition:
 
     spans: tuple[int, ...]
     cut_indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.spans) != len(self.cut_indices) or not self.spans:
-            raise ValueError("spans and cut indices must be non-empty and aligned")
-        if any(a <= b for a, b in zip(self.spans, self.spans[1:])) or self.spans[-1] <= 0:
-            raise ValueError("spans must be strictly decreasing and positive")
-        if any(a >= b for a, b in zip(self.cut_indices, self.cut_indices[1:])):
-            raise ValueError("cut indices must be strictly increasing")
 
     @property
     def k(self) -> int:
@@ -574,18 +565,18 @@ def hw_decompose(walk: Walk) -> HWDecomposition:
     return HWDecomposition(tuple(spans), tuple(cuts))
 
 
-def hw_reflect(walk: Walk, decomposition: HWDecomposition | None = None) -> Walk:
+def hw_reflect(walk: Walk, decomposition: HWDecomposition) -> Walk:
     """Reflect the part of a half-space walk beyond its first span maximum.
 
     Points up to n_1 are kept; points after n_1 are reflected across the
     column x = A_1.  The image is a half-space walk whose span decomposition
-    is (A_1 + A_2, A_3, ..., A_k).  Requires k >= 2.
+    is (A_1 + A_2, A_3, ..., A_k).  ``decomposition`` is ``hw_decompose(walk)``
+    and must have k >= 2.
     """
-    dec = decomposition if decomposition is not None else hw_decompose(walk)
-    if dec.k < 2:
+    if decomposition.k < 2:
         raise ValueError("reflection requires a decomposition with k >= 2")
-    a1 = dec.spans[0]
-    n1 = dec.cut_indices[0]
+    a1 = decomposition.spans[0]
+    n1 = decomposition.cut_indices[0]
     pts = list(walk.points[: n1 + 1])
     pts += [(2 * a1 - x, y) for x, y in walk.points[n1 + 1 :]]
     return Walk(tuple(pts))
@@ -673,12 +664,10 @@ def transform_irreducible_w4(factor: IrreducibleFactor, strip: StripGeometry) ->
         # Mirror lower-start factors onto the upper lines.
         steps = steps.translate(_MIRROR)
         rows = [strip.mirror_line(r) for r in rows]
-    for line in (rows[0], rows[-1]):
-        if not (strip.y_min <= line <= strip.y_max):
-            raise ValueError(f"line {line} is not a row of the strip")
+    # The mirror keeps the start and end lines in the strip and the type.
+    bridge_type = classify_irreducible(factor, strip)
     part_a, part_b, part_c = _split_complicated(steps, rows, strip.y_min)
 
-    bridge_type = _bridge_type(strip, rows[0], rows[-1])
     out = part_a
     if bridge_type in ("OO", "IO"):
         out += "R"

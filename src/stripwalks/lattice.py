@@ -204,8 +204,3 @@ class CountTable:
         lines = ["n,count"]
         lines += [f"{n},{c}" for n, c in self.items()]
         return "\n".join(lines) + "\n"
-
-    def to_json_list(self) -> list[str]:
-        # Ascending lengths; counts exceed the 53-bit float mantissa at
-        # large n, so they are emitted as strings.
-        return [str(c) for c in self.counts]

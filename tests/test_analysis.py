@@ -152,10 +152,24 @@ class TestConnectiveConstants:
         assert 0.52228 <= res.root <= 0.52231
         assert abs(res.mu - 1.914628) < 1e-5
 
-    def test_width3_polynomials_agree(self):
-        full = smallest_positive_root(W3_BRIDGE_DENOMINATOR)
-        loop = smallest_positive_root(W3_LOOP_POLYNOMIAL)
-        assert full.bracket == loop.bracket
+    @pytest.mark.parametrize("tol", [1e-2, 2**-20, 1e-12, 1e-14])
+    def test_width3_polynomials_agree(self, tol):
+        full = smallest_positive_root(W3_BRIDGE_DENOMINATOR, tol)
+        assert connective_constant_width3(tol).bracket == full.bracket
+
+    def test_width3_denominator_is_loop_times_rootless_cofactor(self):
+        # connective_constant_width3 isolates only the loop polynomial.  The
+        # bridge denominator is loop * c, and c has no real root on
+        # [0, 53/100] while every point the root search evaluates lies in or
+        # below its first scan cell: the two polynomials have the same sign
+        # at each of them, so their brackets are equal at every tolerance.
+        assert connective_constant_width3(1.0).bracket[1] < 53 / 100
+        sympy = pytest.importorskip("sympy")
+        c = _poly(1, -5, 10, -12, 14, -17, 14, -6, 1)
+        assert W3_LOOP_POLYNOMIAL * c == W3_BRIDGE_DENOMINATOR
+        t = sympy.Symbol("t")
+        c_sympy = sympy.Poly(list(reversed(c.coefficients)), t)
+        assert c_sympy.count_roots(0, sympy.Rational(53, 100)) == 0
 
     def test_width4_bracket(self):
         lower, upper = mu_bounds_width4()

@@ -310,6 +310,11 @@ def test_sandwich_bound_beyond_float_range_is_null(capsys):
         assert [r["lower"] is None for r in rows[10:]] == [False, False, True, True]
 
 
+def test_jsonable_writes_big_integers_as_strings():
+    # Counts outgrow the 53-bit float mantissa.
+    assert cli._jsonable((1, 10**30)) == ["1", str(10**30)]
+
+
 def _module_cli(*argv):
     """Start `python -m stripwalks ARGV` with the package importable."""
     src = str(Path(stripwalks.__file__).resolve().parents[1])

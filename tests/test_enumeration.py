@@ -351,6 +351,10 @@ class TestHWDecomposition:
                     continue
                 d = hw_decompose(walk)
                 assert d.k <= strip.width
+                assert len(d.spans) == len(d.cut_indices)
+                assert all(a > b for a, b in zip(d.spans, d.spans[1:]))
+                assert d.spans[-1] > 0
+                assert all(a < b for a, b in zip(d.cut_indices, d.cut_indices[1:]))
                 assert d.cut_indices[-1] == walk.length
                 assert (d.k == 1) == is_bridge(walk)
                 # each subwalk between cuts is a bridge or a reflected bridge
@@ -391,8 +395,9 @@ class TestHWDecomposition:
             classes[key].add(img.points)
 
     def test_reflection_rejects_bridges(self):
+        walk = Walk.from_steps("RRU")
         with pytest.raises(ValueError):
-            hw_reflect(Walk.from_steps("RRU"))
+            hw_reflect(walk, hw_decompose(walk))
 
 
 class TestTransformWidth4:
