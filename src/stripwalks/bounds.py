@@ -146,16 +146,14 @@ def verify_sandwich(
     strip: StripGeometry,
     counts: CountTable,
     mu_lower: float,
-    mu_upper: float | None = None,
+    mu_upper: float,
 ) -> SandwichReport:
     """Check the two-sided count bounds for 1 <= n <= counts.n_max.
 
-    For the width-3 strip the same constant serves both sides; for width 4
-    only a bracket is known, so the lower check uses the lower bound of the
-    bracket and the upper check its upper bound.
+    The constant is given as a bracket [mu_lower, mu_upper]: the lower check
+    uses its lower end and the upper check its upper end.  A known constant,
+    such as width 3's, is the bracket [mu, mu].
     """
-    if mu_upper is None:
-        mu_upper = mu_lower
     lo = Fraction(mu_lower)
     hi = Fraction(mu_upper)
     rows = []

@@ -371,23 +371,21 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_dash_values(list(argv)))
-    n = getattr(args, "n", None)
-    if n is not None:
-        if n < 0:
-            parser.error(f"--n must be non-negative, got {n}")
-        if n > MAX_N:
-            parser.error(f"--n {n} exceeds the enumeration ceiling {MAX_N}")
+    for flag, ceiling, what in (
+        ("n", MAX_N, "the enumeration ceiling"),
+        ("series", MAX_SERIES, "the ceiling"),
+    ):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            parser.error(f"--{flag} must be non-negative, got {value}")
+        if value is not None and value > ceiling:
+            parser.error(f"--{flag} {value} exceeds {what} {ceiling}")
     strip = getattr(args, "strip", None)
     if strip is not None and strip.width > MAX_STRIP_WIDTH:
         parser.error(
             f"--strip {strip.y_min},{strip.y_max} has {strip.width} rows, "
             f"more than the ceiling {MAX_STRIP_WIDTH}"
         )
-    series = getattr(args, "series", None)
-    if series is not None and series < 0:
-        parser.error(f"--series must be non-negative, got {series}")
-    if series is not None and series > MAX_SERIES:
-        parser.error(f"--series {series} exceeds the ceiling {MAX_SERIES}")
     for flag in ("tol", "mu"):
         value = getattr(args, flag, None)
         if value is not None and not 0 < value < math.inf:

@@ -201,15 +201,12 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
                     if _alone(labels, r):
                         done[x, code] = done.get((x, code), 0) + poly
                 elif below != _OPEN or left != _CLOSE:  # else a closed loop
-                    # Two edges enter: join their pieces.
-                    if below == _SINGLE:
-                        merged = _merge(labels, r, _partner(labels, r + 1), _SINGLE)
-                    elif left == _SINGLE:
-                        merged = _merge(labels, r, _partner(labels, r), _SINGLE)
-                    elif below == left == _OPEN:
-                        merged = _merge(labels, r, _partner(labels, r + 1), _OPEN)
-                    elif below == left == _CLOSE:
-                        merged = _merge(labels, r, _partner(labels, r), _CLOSE)
+                    # Two edges enter: join their pieces.  The partner of one
+                    # end takes over the label of the other end.
+                    if below == _SINGLE or below == left == _OPEN:
+                        merged = _merge(labels, r, _partner(labels, r + 1), below)
+                    elif left == _SINGLE or below == left == _CLOSE:
+                        merged = _merge(labels, r, _partner(labels, r), left)
                     else:
                         merged = labels[:r] + (_EMPTY, _EMPTY) + labels[r + 2 :]
                     key = (merged, code)
@@ -343,7 +340,8 @@ def _scan_cuts(xs: list[int]) -> tuple[tuple[int, ...], int, int]:
 
     One right-to-left scan that keeps the suffix minimum and reads the prefix
     maxima.  For unit steps, j is a cut iff max(x_0..x_j) < min(x_{j+1}..x_n):
-    then x_{j+1} = x_j + 1, so x_j is the prefix maximum.  Needs n >= 1.
+    then x_{j+1} = x_j + 1, so x_j is the prefix maximum.  For n <= 1 there
+    is no 0 < j < n, and the cut tuple is empty.
     """
     n = len(xs) - 1
     prefix_max = list(accumulate(xs, max))
@@ -366,8 +364,6 @@ def cut_points(walk: Walk) -> tuple[int, ...]:
     both bridges after translation, i.e. x_j is a running maximum and the
     suffix never returns to column x_j or further left.
     """
-    if walk.length <= 1:
-        return ()
     return _scan_cuts([p[0] for p in walk.points])[0]
 
 

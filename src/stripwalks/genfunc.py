@@ -95,8 +95,6 @@ class IntPolynomial:
 
     def unshift(self, k: int) -> "IntPolynomial":
         """Divide exactly by t**k."""
-        if self.is_zero:
-            return self
         if any(c != 0 for c in self.coefficients[:k]):
             raise ValueError(f"polynomial is not divisible by t^{k}")
         return IntPolynomial(self.coefficients[k:])
@@ -283,12 +281,12 @@ class RationalGF:
         return tuple(out)
 
     def reduced(self) -> "RationalGF":
-        """The same function with the numerator/denominator gcd cancelled."""
-        if self.numerator.is_zero:
-            return RationalGF.zero()
+        """The same function with the numerator/denominator gcd cancelled.
+
+        A zero numerator has the denominator's primitive part as its gcd, so
+        it comes out as 0 / 1; a constant gcd is 1 and leaves both as they are.
+        """
         g = _poly_gcd(self.numerator, self.denominator)
-        if g.degree < 1:
-            return self
         return RationalGF(
             _poly_exact_div(self.numerator, g), _poly_exact_div(self.denominator, g)
         )
@@ -408,37 +406,31 @@ def _require_atoms(atoms: Mapping[str, RationalGF], needed: tuple[str, ...]) -> 
 
 def _bridge_code_parts(
     atoms: Mapping[str, RationalGF], width: int
-) -> tuple[RationalGF, RationalGF, RationalGF | None]:
+) -> tuple[RationalGF, RationalGF, RationalGF]:
     """The loop body IO OO* OI II*, the prefix IO OO* and II* of the bridge code.
 
-    Width 3 has no inner-to-inner type: its II* is None and its loop body
-    IO OO* OI.  Exact polynomial products commute, so the order of the
-    factors does not change a coefficient.
+    Width 3 is width 4 over an alphabet with no inner-to-inner type: its II*
+    is 1 and its loop body IO OO* OI.  A factor 1/1 leaves every coefficient
+    tuple as it is, and exact polynomial products commute, so neither the
+    extra factor nor the order of the factors changes a coefficient.
     """
-    if width == 3:
-        _require_atoms(atoms, ("IO", "OO", "OI"))
-    elif width == 4:
-        _require_atoms(atoms, ("IO", "OO", "OI", "II"))
-    else:
+    if width not in (3, 4):
         raise ValueError(f"width must be 3 or 4, got {width}")
+    _require_atoms(atoms, ("IO", "OO", "OI", "II")[:width])
     io_oo_star = atoms["IO"] * atoms["OO"].star()
-    loop = atoms["OI"] * io_oo_star
-    if width == 3:
-        return loop, io_oo_star, None
-    ii_star = atoms["II"].star()
-    return ii_star * loop, io_oo_star, ii_star
+    ii_star = atoms["II"].star() if width == 4 else RationalGF.one()
+    return ii_star * (atoms["OI"] * io_oo_star), io_oo_star, ii_star
 
 
 def compose_bridge_code(atoms: Mapping[str, RationalGF], width: int) -> RationalGF:
     """Generating function of all bridges, composed from the alphabet atoms.
 
-    Width 3 realizes the code [IO OO* OI]* ~(IO OO*) r*; width 4 inserts the
-    II* factors: [II* IO OO* OI]* II* ~(IO OO*) r*.  The tilde factor is
-    (1 + IO OO*) and the trailing right-step run contributes 1/(1-t).
+    Width 4 realizes the code [II* IO OO* OI]* II* ~(IO OO*) r*; width 3 is
+    the same word with II* = 1, [IO OO* OI]* ~(IO OO*) r*.  The tilde factor
+    is (1 + IO OO*) and the trailing right-step run contributes 1/(1-t).
     """
     loop, io_oo_star, ii_star = _bridge_code_parts(atoms, width)
-    code = loop.star() * (RationalGF.one() + io_oo_star) * TAIL_GF
-    return code if ii_star is None else code * ii_star
+    return loop.star() * (RationalGF.one() + io_oo_star) * TAIL_GF * ii_star
 
 
 def important_part_denominator(
@@ -446,7 +438,7 @@ def important_part_denominator(
 ) -> IntPolynomial:
     """Denominator of the starred loop body of the bridge code.
 
-    The loop body is IO OO* OI for width 3 and IO OO* OI II* for width 4.
+    The loop body is IO OO* OI II*, where width 3 has II* = 1.
     With ``reduce=False`` the denominator is returned exactly as the star
     produces it from the atoms' unreduced product; with ``reduce=True`` the
     gcd with the star's numerator is cancelled first, which collapses the

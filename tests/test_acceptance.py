@@ -158,7 +158,7 @@ def test_criterion_6_correction_pipeline():
 
 def test_criterion_7_sandwich_suite(saws_w3_16, saws_w4_14, bridges_w3_18, bridges_w4_16):
     mu3 = connective_constant_width3().mu
-    s3 = verify_sandwich(W3, saws_w3_16, mu3)
+    s3 = verify_sandwich(W3, saws_w3_16, mu3, mu3)
     lower, upper = mu_bounds_width4()
     s4 = verify_sandwich(W4, saws_w4_14, lower.mu, upper.mu)
     h3 = verify_halfspace_proposition(W3, 14)

@@ -145,7 +145,7 @@ class TestZeilberger:
 class TestSandwich:
     def test_width3_passes(self, saws_w3_16):
         mu = connective_constant_width3().mu
-        report = verify_sandwich(W3, saws_w3_16, mu)
+        report = verify_sandwich(W3, saws_w3_16, mu, mu)
         assert report.passed
         assert report.rows[0].n == 1
         assert report.rows[-1].n == 16
@@ -159,7 +159,7 @@ class TestSandwich:
         # The counts run ~4.6x above mu^n, so at enumerable lengths the lower
         # check only breaks for a perturbation of (4.6)^(1/16) ~ 10% or more.
         mu = connective_constant_width3().mu * 1.2
-        report = verify_sandwich(W3, saws_w3_16, mu)
+        report = verify_sandwich(W3, saws_w3_16, mu, mu)
         assert not report.passed
         assert any(not r.lower_ok for r in report.rows if r.n >= 10)
 
@@ -172,13 +172,13 @@ class TestSandwich:
         # mu^1 = 10000005 sits 5e-7 (relative) above the count 10^7: the
         # lower check fails, with no slack; at mu^1 = c_1 it holds.
         counts = CountTable((1, 10**7))
-        row = verify_sandwich(W3, counts, 10000005.0).rows[0]
+        row = verify_sandwich(W3, counts, 10000005.0, 10000005.0).rows[0]
         assert (row.lower_ok, row.upper_ok) == (False, True)
-        assert verify_sandwich(W3, counts, 1e7).passed
+        assert verify_sandwich(W3, counts, 1e7, 1e7).passed
 
     def test_row_fields(self, saws_w3_16):
         mu = connective_constant_width3().mu
-        row = verify_sandwich(W3, saws_w3_16, mu).rows[2]
+        row = verify_sandwich(W3, saws_w3_16, mu, mu).rows[2]
         assert row.n == 3
         assert row.count == saws_w3_16[3]
         assert row.lower <= row.count <= row.upper

@@ -191,6 +191,8 @@ class TestDecomposition:
         assert cut_points(Walk.from_steps("RUR")) == (2,)
         assert cut_points(Walk.from_steps("RRR")) == (1, 2)
         assert cut_points(Walk.from_steps("RURD")) == (2,)
+        assert cut_points(Walk.from_steps("")) == ()
+        assert cut_points(Walk.from_steps("R")) == ()
 
     def test_reassembly_is_identity(self):
         for strip in (W3, W4):

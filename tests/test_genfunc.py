@@ -95,6 +95,7 @@ class TestIntPolynomial:
     def test_shift_unshift(self):
         p = _poly(0, 0, 1, -1)
         assert p.unshift(2).coefficients == (1, -1)
+        assert IntPolynomial.zero().unshift(3).is_zero
         with pytest.raises(ValueError):
             _poly(1, 1).unshift(1)
 
@@ -200,6 +201,7 @@ class TestRationalGF:
     @given(polys, unit_constant_polys, unit_constant_polys)
     @example(_poly(0, 3), _poly(1, -1), _poly(1, 2, 1))
     @example(_poly(2, 4), _poly(1, 0, -4), _poly(1, 1))
+    @example(IntPolynomial.zero(), _poly(1, -1), _poly(1, 2, 3))
     def test_reduced_matches_sympy_gcd(self, f, g, h):
         sympy = pytest.importorskip("sympy")
         num, den = f * g, h * g  # g is a planted common factor
@@ -259,6 +261,9 @@ class TestWidth3Composition:
     def test_composition_matches_displayed_quotient(self):
         composed = compose_bridge_code(atoms_width3(), 3)
         assert composed == RationalGF(W3_BRIDGE_NUMERATOR, W3_BRIDGE_DENOMINATOR)
+        # Not just equal as functions: the same unreduced tuples.
+        assert composed.numerator.coefficients == W3_BRIDGE_NUMERATOR.coefficients
+        assert composed.denominator.coefficients == W3_BRIDGE_DENOMINATOR.coefficients
 
     def test_composition_series_counts_bridges(self):
         composed = compose_bridge_code(atoms_width3(), 3)
@@ -375,6 +380,22 @@ class TestWidth4Upper:
             n = first_short[t]
             assert corrections[:n] == gap[:n]
             assert corrections[n] < gap[n]
+
+    def test_upper_atoms_exact_only_on_short_lengths(self):
+        # The published atoms equal the tailed exact counts only below the
+        # length where their corrections fall short, and exceed them there,
+        # at both start lines of each type.  So an exact-prefix atom at
+        # L = 13 is not UPPER_ATOM_NUMERATORS over its denominator.
+        atoms = atoms_width4_upper()
+        last_exact = {"OO": 11, "OI": 10, "IO": 10, "II": 12}
+        next_pair = {"OO": (16, 15), "OI": (10, 9), "IO": (10, 9), "II": (4, 2)}
+        for t, lines in (("OO", (2, -1)), ("OI", (2, -1)), ("IO", (1, 0)), ("II", (1, 0))):
+            series = atoms[t].series(13)
+            n = last_exact[t]
+            for line in lines:
+                exact = count_irreducible(W4, t, 13, line).counts
+                assert series[: n + 1] == exact[: n + 1]
+                assert (series[n + 1], exact[n + 1]) == next_pair[t]
 
     def test_atoms_overcount(self):
         atoms = atoms_width4_upper()
