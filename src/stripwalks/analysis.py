@@ -1,27 +1,32 @@
 """Numerical layer: real-root isolation of denominator polynomials, and
 conversion of radii of convergence into connective constants.
 
-Root finding locates the first sign change on the grid of 1024 cells of
-(0, 1] and bisects that cell, with exact signs at the dyadic points a/2^k,
-each from the integer homogeneous evaluation sum c_i a^i 2^(k(d-i)), so
-brackets are rigorous.  The roots isolated at run time are those of the
-published polynomials in :mod:`stripwalks.genfunc`: the three-row loop
-polynomial (the paper's shorter way to the three-row constant; the degree-14
-bridge denominator gives the same bracket, see
-:func:`connective_constant_width3`), the four-row lower-bound denominator and
-the degree-44 loop denominator.  The alphabet compositions reproduce each
-published polynomial, which the test suite checks and ``stripwalks verify
-tables`` checks for the three-row quotient and the degree-44 denominator.
-Since every counting series here has non-negative coefficients, the smallest
-positive real root of the denominator is the smallest-modulus singularity
-(Pringsheim); a winding-number check over a circle just inside that radius
-guards against an unexpected smaller complex root and fails loudly if one
-exists.  The guard runs on every root; no caller can turn it off.
+The least positive root of a denominator p is isolated exactly, by the
+Vincent-Collins-Akritas descent over the dyadic cells of (0, 1), left cell
+first.  A cell's polynomial is p mapped onto (0, 1); Descartes' rule of
+signs on its Moebius image counts the cell's roots: no sign variation
+proves the open cell root-free, one proves it holds exactly one simple
+root.  The isolating cell is then halved to the requested width with exact
+signs at the dyadic points a/2^k, each from the integer homogeneous
+evaluation sum c_i a^i 2^(k(d-i)), so brackets are rigorous.
+
+The roots isolated at run time are those of the published polynomials in
+:mod:`stripwalks.genfunc`: the three-row loop polynomial (the paper's
+shorter way to the three-row constant; the degree-14 bridge denominator
+gives the same bracket, see :func:`connective_constant_width3`), the
+four-row lower-bound denominator and the degree-44 loop denominator.  The
+alphabet compositions reproduce each published polynomial, which the test
+suite checks and ``stripwalks verify tables`` checks for the three-row
+quotient and the degree-44 denominator.  Each of these denominators p, and
+that of each truncated alphabet composition, is, up to a cofactor with no
+root of smaller modulus, one whose reciprocal 1/p has non-negative
+coefficients.  So its least positive root is also its root of least
+modulus (Pringsheim), and no complex root needs to be checked.  The test
+suite checks this on the first terms of each 1/p.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,12 +36,13 @@ from .genfunc import (
     W3_LOOP_POLYNOMIAL,
     W4_LOOP_DENOMINATOR,
     W4_LOWER_DENOMINATOR,
+    _poly_exact_div,
+    _poly_gcd,
 )
 from .lattice import CountTable
 
 DEFAULT_TOL = 1e-12
-_SCAN_BITS = 10
-_WINDING_SAMPLES = 2880
+_MIN_SCALE = 10
 
 
 @dataclass(frozen=True)
@@ -53,63 +59,105 @@ class RootResult:
         return (round(self.root, 6), round(self.mu, 6))
 
 
-def _winding_number(p: IntPolynomial, radius: float) -> int:
-    """Number of roots of p strictly inside |t| = radius, by argument principle.
+def _taylor_shift_1(cs: list[int]) -> list[int]:
+    """Coefficients of P(x + 1), by additions only."""
+    out = list(cs)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += out[j + 1]
+    return out
 
-    The sample count is far above the polynomial degree, so the argument
-    cannot jump by more than pi between consecutive samples.  The
-    coefficients are real, so p(conj z) = conj p(z) and the lower half circle
-    turns the argument by as much as the upper one: only the upper half is
-    sampled and its phase sum doubled.
+
+def _sign_variations(cs: list[int]) -> int:
+    signs = [c > 0 for c in cs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _isolate(p: IntPolynomial, max_scale: int | None) -> tuple[int, int, int] | None:
+    """(k, lo, hi) such that the least root of p on (0, 1] is lo / 2^k = hi / 2^k,
+    or is the only root of p in the open cell (lo, hi) / 2^k with hi = lo + 1.
+
+    Depth first over the dyadic cells, left child first.  A cell's list cs
+    holds the coefficients of P(x) = 2^(kd) p((a + x) / 2^k) on the cell
+    (a, a + 1) / 2^k; its roots in (0, 1) correspond to the positive roots of
+    (x + 1)^d P(1 / (x + 1)), whose sign variations V bound their number and
+    match its parity.  So V = 0 leaves only the right end, where P(1) is the
+    coefficient sum, and V = 1 isolates one simple root.  Returns None when a
+    cell at scale max_scale or finer still shows V >= 2: a repeated root does
+    that in every cell around it.
     """
-    total = 0.0
-    prev = p.evaluate_complex(complex(radius, 0.0))
-    for k in range(1, _WINDING_SAMPLES // 2 + 1):
-        z = radius * cmath.exp(2j * cmath.pi * k / _WINDING_SAMPLES)
-        cur = p.evaluate_complex(z)
-        total += cmath.phase(cur / prev)
-        prev = cur
-    return round(total / cmath.pi)
+    d = p.degree
+    pending = [(0, 0, list(p.coefficients))]
+    while pending:
+        k, a, cs = pending.pop()
+        v = _sign_variations(_taylor_shift_1(cs[::-1]))
+        if v == 1:
+            return k, a, a + 1
+        if v == 0:
+            if sum(cs) == 0:
+                return k, a + 1, a + 1
+            continue
+        if max_scale is not None and k >= max_scale:
+            return None
+        left = [c << (d - i) for i, c in enumerate(cs)]  # 2^d P(x / 2)
+        pending += [(k + 1, 2 * a + 1, _taylor_shift_1(left)), (k + 1, 2 * a, left)]
+    raise ValueError("no root on (0, 1]; cannot bracket a root")
+
+
+def _square_free_part(p: IntPolynomial) -> IntPolynomial:
+    """p / gcd(p, p'), with the sign of p at 0: the same roots, each simple."""
+    derivative = IntPolynomial(tuple(i * c for i, c in enumerate(p.coefficients))[1:])
+    q = _poly_exact_div(p, _poly_gcd(p, derivative))
+    return q if q.constant_term > 0 else -q
 
 
 def smallest_positive_root(p: IntPolynomial, tol: float = DEFAULT_TOL) -> RootResult:
-    """Least t in (0, 1] with p(t) = 0, bracketed to tol by exact bisection.
+    """Least t in (0, 1] with p(t) = 0, bracketed to tol with an exact certificate.
 
-    Requires p(0) = 1 and a sign change on (0, 1]; raises if no sign change
-    is found, or if the winding check detects a complex root of smaller
-    modulus.
+    The bracket is the cell [lo, lo + 1] / 2^s of the first scale s >= 10
+    with 2^-s <= tol that holds the root, or the root itself if it is a
+    point of that grid.  The certificate is exact: Descartes' rule finds no
+    root in each dyadic cell left of the isolating one and exactly one in
+    that one, so p has no root on (0, lo / 2^s).  Roots of any multiplicity
+    are found, and other roots may share the bracket.  Only real roots are
+    examined: a complex root of smaller modulus is not ruled out here, and
+    cannot exist when 1/p is a series with non-negative coefficients, as
+    for every caller in this package.  Requires p(0) = 1; raises if p has
+    no root on (0, 1].
     """
     if p.constant_term != 1:
         raise ValueError("expected a polynomial with constant term 1")
     if not tol > 0:  # also rejects nan
         raise ValueError("tolerance must be positive")
-
-    # The bracket is [lo, lo + 1] / 2**scale, with p(lo / 2**scale) > 0: a
-    # scan over the 2**_SCAN_BITS cells finds the first cell whose right end
-    # is not positive, then each halving evaluates p at its midpoint only.
-    # Whenever p vanishes, the zero is the right end lo + 1.
-    scale, lo = _SCAN_BITS, 0
-    while (v := p(Fraction(lo + 1, 1 << scale))) > 0:
-        lo += 1
-        if lo == 1 << scale:
-            raise ValueError("no sign change on (0, 1]; cannot bracket a root")
-    while v != 0 and 2.0**-scale > tol:
+    scale = _MIN_SCALE
+    while 2.0**-scale > tol:
         scale += 1
-        v = p(Fraction(2 * lo + 1, 1 << scale))
-        lo = 2 * lo + (v > 0)
-    hi = lo + 1
-    if v == 0:
-        lo = hi
 
-    root = (lo + hi) / (2 << scale)
-    bracket = (lo / (1 << scale), hi / (1 << scale))
-    # The circle goes just inside lo, which lies below the root; the
-    # midpoint can lie above it by tol/2, more than the 1e-6 margin.
-    inside = _winding_number(p, bracket[0] * (1 - 1e-6))
-    if inside != 0:
-        raise ArithmeticError(
-            f"{inside} root(s) of smaller modulus inside |t| = {root:.6f}"
-        )
+    isolated = _isolate(p, scale)
+    if isolated is None:
+        # The gcd is costly on large denominators, so it is taken only here.
+        p = _square_free_part(p)
+        isolated = _isolate(p, None)
+    k, lo, hi = isolated
+    if k > scale:
+        # The descent went below the grid: round out to it.  An exact root
+        # stays exact if it is a grid point.
+        lo, hi, k = lo >> (k - scale), -(-hi >> (k - scale)), scale
+    # p(lo / 2^k) > 0 and p changes sign once inside the cell: halving it
+    # keeps the half whose midpoint sign says where the root is.
+    while lo != hi and k < scale:
+        k += 1
+        mid = 2 * lo + 1
+        v = p(Fraction(mid, 1 << k))
+        if v > 0:
+            lo, hi = mid, mid + 1
+        elif v < 0:
+            lo, hi = mid - 1, mid
+        else:
+            lo = hi = mid
+
+    root = (lo + hi) / (2 << k)
+    bracket = (lo / (1 << k), hi / (1 << k))
     return RootResult(root, 1.0 / root, tol, bracket)
 
 
@@ -119,11 +167,10 @@ def connective_constant_width3(tol: float = DEFAULT_TOL) -> RootResult:
     The result is the reciprocal of the smallest positive root of
     ``W3_LOOP_POLYNOMIAL``, approximately 1.9146.  The degree-14 bridge
     denominator is that polynomial times a cofactor with no real root on
-    [0, 53/100], and every point the root search evaluates lies in or below
-    its first scan cell, which ends below 0.5225: the two polynomials agree
-    in sign at each such point, so isolating the denominator would give the
-    same bracket at every tolerance.  The test suite proves these facts
-    exactly.
+    [0, 53/100], an interval that holds the loop's least positive root.  The
+    bracket depends only on the least positive root, so isolating the
+    denominator would give the same bracket at every tolerance.  The test
+    suite proves these facts exactly.
     """
     return smallest_positive_root(W3_LOOP_POLYNOMIAL, tol)
 

@@ -1,6 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stripwalks import (
     CountTable,
@@ -11,14 +13,37 @@ from stripwalks import (
     mu_bounds_width4,
     smallest_positive_root,
 )
-from stripwalks.analysis import _winding_number
 from stripwalks.genfunc import (
+    UPPER_ATOM_DENOMINATOR,
     W3_BRIDGE_DENOMINATOR,
     W3_LOOP_POLYNOMIAL,
     W4_LOOP_DENOMINATOR,
     W4_LOWER_DENOMINATOR,
+    IntPolynomial,
+    RationalGF,
     _poly,
+    _poly_exact_div,
+    atoms_width4_upper,
+    important_part_denominator,
 )
+
+
+def _product(*factors):
+    out = IntPolynomial.one()
+    for f in factors:
+        out = out * f
+    return out
+
+
+# The degree-44 loop denominator over its cofactor UPPER_ATOM_DENOMINATOR**2.
+W4_REDUCED_LOOP = _poly_exact_div(
+    W4_LOOP_DENOMINATOR, UPPER_ATOM_DENOMINATOR * UPPER_ATOM_DENOMINATOR
+)
+
+
+def _grid_width(tol):
+    """2^-s for the first scale s >= 10 with 2^-s <= tol: every bracket's grid."""
+    return min(2.0**-10, 2.0 ** (math.frexp(tol)[1] - 1))
 
 
 class TestSmallestPositiveRoot:
@@ -37,8 +62,8 @@ class TestSmallestPositiveRoot:
         assert res.mu == 1.0
 
     def test_exact_root_found_by_bisection(self):
-        # 1/2048 lies inside the first scan cell (0, 1/1024]; the first
-        # halving lands on it and collapses the bracket.
+        # Descartes isolates the root in (0, 1); the eleventh halving lands
+        # on 1/2048 and collapses the bracket.
         res = smallest_positive_root(_poly(1, -2048))
         assert res.root == 1 / 2048
         assert res.bracket == (1 / 2048, 1 / 2048)
@@ -51,9 +76,9 @@ class TestSmallestPositiveRoot:
     )
     def test_bracket_is_one_dyadic_cell(self, poly, tol):
         # The bracket is one cell of the grid 2^-s: the largest power of two
-        # <= tol, and never coarser than the 1/1024 cells of the scan.
+        # <= tol, and never coarser than 1/1024.
         lo, hi = smallest_positive_root(poly, tol).bracket
-        width = min(2.0**-10, 2.0 ** (math.frexp(tol)[1] - 1))
+        width = _grid_width(tol)
         assert hi - lo == width
         assert (lo / width).is_integer()
         assert hi / width == lo / width + 1
@@ -66,8 +91,6 @@ class TestSmallestPositiveRoot:
         assert abs(res.mu * res.root - 1.0) < 1e-12
 
     def test_bracket_endpoints_have_opposite_signs(self):
-        from fractions import Fraction
-
         res = smallest_positive_root(W3_LOOP_POLYNOMIAL, tol=1e-6)
         lo, hi = res.bracket
         assert W3_LOOP_POLYNOMIAL(Fraction(lo)) > 0
@@ -81,11 +104,13 @@ class TestSmallestPositiveRoot:
 
     @pytest.mark.parametrize("tol", [1e-2, 1e-4, 2e-5, 1e-6])
     def test_coarse_tolerance_passes_the_guard(self, tol):
-        # A coarse bracket's midpoint can lie above the root by more than the
-        # guard's 1e-6 margin; the guard's circle must still stay inside it.
+        # The certificate does not depend on the tolerance: a coarse bracket
+        # is the cell of the fine one's grid ancestor.
         for p in (W3_LOOP_POLYNOMIAL, W4_LOWER_DENOMINATOR, W4_LOOP_DENOMINATOR):
             lo, hi = smallest_positive_root(p, tol).bracket
+            fine_lo, fine_hi = smallest_positive_root(p, 1e-14).bracket
             assert 0 < hi - lo <= tol
+            assert lo <= fine_lo < fine_hi <= hi
 
     def test_rejects_no_sign_change(self):
         with pytest.raises(ValueError):
@@ -100,50 +125,121 @@ class TestSmallestPositiveRoot:
         with pytest.raises(ValueError):
             smallest_positive_root(_poly(2, -1))
 
-    def test_detects_smaller_modulus_complex_roots(self):
-        # (1 - 2t + 2t^2)(1 - t) has complex roots of modulus ~0.707 inside
-        # the circle through its only positive real root t = 1.
-        p = _poly(1, -2, 2) * _poly(1, -1)
-        with pytest.raises(ArithmeticError):
-            smallest_positive_root(p)
+    @pytest.mark.parametrize(
+        "p, root",
+        [
+            # A double root at 1/3: p does not change sign there.
+            (_poly(1, -3) * _poly(1, -3) * _poly(1, -2), Fraction(1, 3)),
+            # 1/46 and 1/45 share the cell (22/1024, 23/1024).
+            (_poly(1, -45) * _poly(1, -46) * _poly(1, -2), Fraction(1, 46)),
+            # p >= 0 on all of (0, 1].
+            (_poly(1, -3) * _poly(1, -3), Fraction(1, 3)),
+        ],
+        ids=["double_root_first", "two_roots_in_one_cell", "only_a_double_root"],
+    )
+    def test_brackets_roots_a_sign_scan_skips(self, p, root):
+        lo, hi = smallest_positive_root(p).bracket
+        assert Fraction(lo) < root < Fraction(hi)
+        assert hi - lo == 2.0**-40
+
+    def test_separates_roots_below_the_grid(self):
+        # 1/2048 and 1/1500 share the grid cell (0, 1/1024): at a coarse
+        # tolerance the bracket is that cell, at a fine one the exact root.
+        p = _poly(1, -2048) * _poly(1, -1500)
+        assert smallest_positive_root(p, 1e-2).bracket == (0.0, 1 / 1024)
+        assert smallest_positive_root(p, 1e-6).bracket == (1 / 2048, 1 / 2048)
+        # Complex roots (65 +/- i) / 4226 just left of 1/64 keep two sign
+        # variations in its grid cell; the descent finds 1/64 below the grid
+        # and reports the grid point exactly.
+        p = _poly(1, -64) * _poly(1, -130, 4226)
+        assert smallest_positive_root(p, 2.0**-10).bracket == (1 / 64, 1 / 64)
 
     @pytest.mark.parametrize(
-        "p, error, match",
+        "p, same_as",
         [
-            # A double root at 1/3: no sign change there, so the scan goes on
-            # to 1/2 and the guard finds the two roots inside.
-            (_poly(1, -3) * _poly(1, -3) * _poly(1, -2), ArithmeticError, "2 root"),
-            # 1/46 and 1/45 share the scan cell (22/1024, 23/1024].
-            (_poly(1, -45) * _poly(1, -46) * _poly(1, -2), ArithmeticError, "2 root"),
-            (_poly(1, -3) * _poly(1, -3), ValueError, "no sign change"),
+            # Repeated roots at 1/phi and 1, above the least root.
+            (W4_LOOP_DENOMINATOR, W4_REDUCED_LOOP),
+            (_product(*[_poly(1, -3)] * 3, _poly(1, -2)), _poly(1, -3)),
+            (_product(*[_poly(1, -3)] * 2), _poly(1, -3)),
+            (_product(*[W3_LOOP_POLYNOMIAL] * 2), W3_LOOP_POLYNOMIAL),
+            (_product(*[_poly(1, -2)] * 3), _poly(1, -2)),
+        ],
+        ids=[
+            "w4_loop", "triple_root_first", "double_root_only", "w3_loop_squared", "dyadic_triple"
         ],
     )
-    def test_refuses_roots_the_scan_skips(self, p, error, match):
-        with pytest.raises(error, match=match):
-            smallest_positive_root(p)
+    @pytest.mark.parametrize("tol", [1.0, 1e-6, 1e-14])
+    def test_terminates_on_repeated_roots(self, p, same_as, tol):
+        # A repeated root keeps two sign variations in every cell around it;
+        # the descent restarts once on the square-free part and ends there.
+        # The degree-44 denominator's repeated roots lie above its least one.
+        assert smallest_positive_root(p, tol) == smallest_positive_root(same_as, tol)
 
 
-# Root moduli (from sympy's nroots): W3 loop 0.5223, 0.9024 (x2), ...;
-# W3 bridge denominator 0.5223, 0.6415, 0.8580 (x2), ...; degree-44 loop
-# denominator 0.4617, 0.5467 (x2), 0.5645, ...; (1-2t+2t^2)(1-t) 0.7071 (x2), 1.
-@pytest.mark.parametrize(
-    "poly, scale, radius, inside",
-    [
-        (W3_LOOP_POLYNOMIAL, 1 - 1e-6, None, 0),
-        (W3_LOOP_POLYNOMIAL, 1 + 1e-6, None, 1),
-        (W3_LOOP_POLYNOMIAL, 1.5, None, 1),
-        (W3_BRIDGE_DENOMINATOR, 1.5, None, 2),
-        (W4_LOOP_DENOMINATOR, 1 - 1e-6, None, 0),
-        (W4_LOOP_DENOMINATOR, None, 0.55, 3),
-        (_poly(1, -2, 2) * _poly(1, -1), None, 0.9, 2),
-        (_poly(1, -2, 2) * _poly(1, -1), None, 1.1, 3),
-    ],
+def test_runtime_denominators_have_nonnegative_reciprocal_series():
+    # smallest_positive_root rules out no complex root: it relies on each
+    # denominator p its callers pass being 1 / (a series with non-negative
+    # coefficients), up to a cofactor with no root inside the least positive
+    # root, so that root has the least modulus (Pringsheim).  The first 200
+    # terms of each 1/p are checked.
+    def nonnegative(p):
+        return min(RationalGF(IntPolynomial.one(), p).series(200)) >= 0
+
+    assert nonnegative(W3_LOOP_POLYNOMIAL)
+    assert nonnegative(W4_LOWER_DENOMINATOR)
+    # The degree-44 loop denominator is W4_REDUCED_LOOP times
+    # UPPER_ATOM_DENOMINATOR**2, whose roots 1, (-1 +/- sqrt 5) / 2 and
+    # e^(+/- i pi/3) have modulus >= 0.618 > 0.4617.
+    assert UPPER_ATOM_DENOMINATOR == _poly(1, -1) * _poly(1, -1, -1) * _poly(1, -1, 1)
+    assert nonnegative(W4_REDUCED_LOOP)
+    assert smallest_positive_root(W4_LOOP_DENOMINATOR).root < 0.618
+    # The truncated compositions whose roots the algebra benchmark isolates.
+    for atoms, width in ((atoms_width3(), 3), (atoms_width4_upper(), 4)):
+        for length in range(10, 61, 10):
+            truncated = {
+                t: RationalGF.from_polynomial(IntPolynomial.from_coefficients(gf.series(length)))
+                for t, gf in atoms.items()
+            }
+            assert nonnegative(important_part_denominator(truncated, width))
+
+
+@st.composite
+def _one_minus_f(draw):
+    """1 - f, f >= 0 with f(0) = 0 and f(1) >= 1: a root on (0, 1]."""
+    f = draw(st.lists(st.integers(0, 5), min_size=1, max_size=12).filter(any))
+    return IntPolynomial.from_coefficients([1] + [-c for c in f])
+
+
+@st.composite
+def _linear_powers(draw):
+    """A product of (1 - a t)^m with a >= 2 and m <= 3."""
+    p = IntPolynomial.one()
+    factors = st.tuples(st.integers(2, 60), st.integers(1, 3))
+    for a, m in draw(st.lists(factors, min_size=1, max_size=3)):
+        p = _product(p, *[_poly(1, -a)] * m)
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.one_of(_one_minus_f(), _linear_powers()),
+    tol=st.sampled_from([1.0, 1e-3, 2.0**-20, 1e-12, 1e-14]),
 )
-def test_winding_number_counts_roots_inside(poly, scale, radius, inside):
-    # The guard samples only the upper half circle and doubles its phase sum.
-    if radius is None:
-        radius = smallest_positive_root(poly).root * scale
-    assert _winding_number(poly, radius) == inside
+def test_bracket_is_certified_against_sympy(p, tol):
+    sympy = pytest.importorskip("sympy")
+    res = smallest_positive_root(p, tol)
+    lo, hi = Fraction(res.bracket[0]), Fraction(res.bracket[1])
+    poly = sympy.Poly(list(reversed(p.coefficients)), sympy.Symbol("t"))
+    lo_q, hi_q = (sympy.Rational(x.numerator, x.denominator) for x in (lo, hi))
+    if lo == hi:
+        # An exact dyadic root on the grid: the least root itself.
+        assert p(lo) == 0
+        assert poly.sqf_part().count_roots(0, lo_q) == 1
+        return
+    assert hi - lo == _grid_width(tol)
+    assert p(lo) > 0
+    assert poly.count_roots(0, lo_q) == 0
+    assert poly.count_roots(lo_q, hi_q) >= 1
 
 
 class TestConnectiveConstants:
@@ -160,9 +256,9 @@ class TestConnectiveConstants:
     def test_width3_denominator_is_loop_times_rootless_cofactor(self):
         # connective_constant_width3 isolates only the loop polynomial.  The
         # bridge denominator is loop * c, and c has no real root on
-        # [0, 53/100] while every point the root search evaluates lies in or
-        # below its first scan cell: the two polynomials have the same sign
-        # at each of them, so their brackets are equal at every tolerance.
+        # [0, 53/100], which holds the loop's least positive root.  The
+        # bracket depends only on the least positive root, so the two
+        # brackets are equal at every tolerance.
         assert connective_constant_width3(1.0).bracket[1] < 53 / 100
         sympy = pytest.importorskip("sympy")
         c = _poly(1, -5, 10, -12, 14, -17, 14, -6, 1)
