@@ -41,6 +41,11 @@ W4_REDUCED_LOOP = _poly_exact_div(
 )
 
 
+def _nonnegative_reciprocal(p):
+    """Whether the first 200 terms of the series of 1/p are non-negative."""
+    return min(RationalGF(IntPolynomial.one(), p).series(200)) >= 0
+
+
 def _grid_width(tol):
     """2^-s for the first scale s >= 10 with 2^-s <= tol: every bracket's grid."""
     return min(2.0**-10, 2.0 ** (math.frexp(tol)[1] - 1))
@@ -125,6 +130,16 @@ class TestSmallestPositiveRoot:
         with pytest.raises(ValueError):
             smallest_positive_root(_poly(2, -1))
 
+    def test_detects_smaller_modulus_complex_roots(self):
+        # (1 - 2t + 2t^2)(1 - t) has complex roots of modulus ~0.707 inside
+        # the circle through its only positive real root t = 1.  The search
+        # does not look for them: by Pringsheim they cannot occur when 1/p
+        # has non-negative coefficients, and the check every runtime
+        # denominator passes (below) finds a negative one here.
+        p = _poly(1, -2, 2) * _poly(1, -1)
+        assert smallest_positive_root(p).root == 1.0
+        assert not _nonnegative_reciprocal(p)
+
     @pytest.mark.parametrize(
         "p, root",
         [
@@ -182,16 +197,13 @@ def test_runtime_denominators_have_nonnegative_reciprocal_series():
     # coefficients), up to a cofactor with no root inside the least positive
     # root, so that root has the least modulus (Pringsheim).  The first 200
     # terms of each 1/p are checked.
-    def nonnegative(p):
-        return min(RationalGF(IntPolynomial.one(), p).series(200)) >= 0
-
-    assert nonnegative(W3_LOOP_POLYNOMIAL)
-    assert nonnegative(W4_LOWER_DENOMINATOR)
+    assert _nonnegative_reciprocal(W3_LOOP_POLYNOMIAL)
+    assert _nonnegative_reciprocal(W4_LOWER_DENOMINATOR)
     # The degree-44 loop denominator is W4_REDUCED_LOOP times
     # UPPER_ATOM_DENOMINATOR**2, whose roots 1, (-1 +/- sqrt 5) / 2 and
     # e^(+/- i pi/3) have modulus >= 0.618 > 0.4617.
     assert UPPER_ATOM_DENOMINATOR == _poly(1, -1) * _poly(1, -1, -1) * _poly(1, -1, 1)
-    assert nonnegative(W4_REDUCED_LOOP)
+    assert _nonnegative_reciprocal(W4_REDUCED_LOOP)
     assert smallest_positive_root(W4_LOOP_DENOMINATOR).root < 0.618
     # The truncated compositions whose roots the algebra benchmark isolates.
     for atoms, width in ((atoms_width3(), 3), (atoms_width4_upper(), 4)):
@@ -200,7 +212,7 @@ def test_runtime_denominators_have_nonnegative_reciprocal_series():
                 t: RationalGF.from_polynomial(IntPolynomial.from_coefficients(gf.series(length)))
                 for t, gf in atoms.items()
             }
-            assert nonnegative(important_part_denominator(truncated, width))
+            assert _nonnegative_reciprocal(important_part_denominator(truncated, width))
 
 
 @st.composite
