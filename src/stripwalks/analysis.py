@@ -6,9 +6,11 @@ Vincent-Collins-Akritas descent over the dyadic cells of (0, 1), left cell
 first.  A cell's polynomial is p mapped onto (0, 1); Descartes' rule of
 signs on its Moebius image counts the cell's roots: no sign variation
 proves the open cell root-free, one proves it holds exactly one simple
-root.  The isolating cell is then halved to the requested width with exact
-signs at the dyadic points a/2^k, each from the integer homogeneous
-evaluation sum c_i a^i 2^(k(d-i)), so brackets are rigorous.
+root.  The isolating cell is then narrowed to the requested width by
+quadratic interval refinement: secant guesses checked by exact values at
+dyadic points a/2^k, each the integer homogeneous evaluation
+sum c_i a^i 2^(k(d-i)), so brackets are rigorous and the number of
+evaluations grows like log log(1/tol), not log(1/tol).
 
 The roots isolated at run time are those of the published polynomials in
 :mod:`stripwalks.genfunc`: the three-row loop polynomial (the paper's
@@ -111,6 +113,55 @@ def _square_free_part(p: IntPolynomial) -> IntPolynomial:
     return q if q.constant_term > 0 else -q
 
 
+def _refine(p: IntPolynomial, k: int, a: int, scale: int) -> tuple[int, int, int]:
+    """(k, lo, hi): the isolating cell (a, a + 1) / 2^k narrowed to the cell of
+    the given scale that holds its root, or to the root if a dyadic point
+    between hits it (lo = hi).
+
+    Quadratic interval refinement (Abbott 2014) on exact values: p has one
+    simple root inside the cell, p > 0 at its left end and p <= 0 at its
+    right end, which may be a larger root.  A step splits the cell into 2^j
+    subcells, guesses the root's one from the secant through the cell's
+    ends, and evaluates that subcell's ends.  A hit keeps it and doubles j;
+    a miss halves j and bisects.  Each hit squares the secant's error, so
+    once the secant is accurate the cell narrows in O(log log(1 / tol))
+    evaluations instead of one per bit.
+    """
+    d = p.degree
+
+    def value(x: int, k: int) -> int:
+        # 2^(kd) p(x / 2^k), an integer with the sign of p there.
+        v = p(Fraction(x, 1 << k))
+        return v.numerator << (k * d - v.denominator.bit_length() + 1)
+
+    v_lo, v_hi, j = value(a, k), value(a + 1, k), 1
+    while k < scale:
+        j = min(j, scale - k)
+        last = (1 << j) - 1
+        # Integer secant: a float one loses the bits past 53 that large j needs.
+        m = min((v_lo << j) // (v_lo - v_hi), last)
+        x = (a << j) + m
+        v_x = v_lo << (d * j) if m == 0 else value(x, k + j)
+        v_y = v_hi << (d * j) if m == last else value(x + 1, k + j)
+        if v_x == 0:
+            return k + j, x, x
+        if v_y == 0 and m < last:
+            return k + j, x + 1, x + 1
+        if v_x > 0 >= v_y:
+            a, k, v_lo, v_hi, j = x, k + j, v_x, v_y, 2 * j
+            continue
+        # A miss: at j = 1 the fresh value is the midpoint's already.
+        v_mid = (v_y if m == 0 else v_x) if j == 1 else value(2 * a + 1, k + 1)
+        if v_mid == 0:
+            return k + 1, 2 * a + 1, 2 * a + 1
+        if v_mid > 0:
+            a, v_lo, v_hi = 2 * a + 1, v_mid, v_hi << d
+        else:
+            a, v_lo, v_hi = 2 * a, v_lo << d, v_mid
+        k, j = k + 1, max(j // 2, 1)
+    return k, a, a + 1
+
+
 def smallest_positive_root(p: IntPolynomial, tol: float = DEFAULT_TOL) -> RootResult:
     """Least t in (0, 1] with p(t) = 0, bracketed to tol with an exact certificate.
 
@@ -143,18 +194,8 @@ def smallest_positive_root(p: IntPolynomial, tol: float = DEFAULT_TOL) -> RootRe
         # The descent went below the grid: round out to it.  An exact root
         # stays exact if it is a grid point.
         lo, hi, k = lo >> (k - scale), -(-hi >> (k - scale)), scale
-    # p(lo / 2^k) > 0 and p changes sign once inside the cell: halving it
-    # keeps the half whose midpoint sign says where the root is.
-    while lo != hi and k < scale:
-        k += 1
-        mid = 2 * lo + 1
-        v = p(Fraction(mid, 1 << k))
-        if v > 0:
-            lo, hi = mid, mid + 1
-        elif v < 0:
-            lo, hi = mid - 1, mid
-        else:
-            lo = hi = mid
+    if lo != hi and k < scale:
+        k, lo, hi = _refine(p, k, lo, scale)
 
     root = (lo + hi) / (2 << k)
     bracket = (lo / (1 << k), hi / (1 << k))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from stripwalks import (
     CountTable,
+    RootResult,
     atoms_width3,
     compose_bridge_code,
     connective_constant_width3,
@@ -67,8 +68,8 @@ class TestSmallestPositiveRoot:
         assert res.mu == 1.0
 
     def test_exact_root_found_by_bisection(self):
-        # Descartes isolates the root in (0, 1); the eleventh halving lands
-        # on 1/2048 and collapses the bracket.
+        # Descartes isolates the root in (0, 1); the refinement's secant is
+        # exact on a line, lands on 1/2048 and collapses the bracket.
         res = smallest_positive_root(_poly(1, -2048))
         assert res.root == 1 / 2048
         assert res.bracket == (1 / 2048, 1 / 2048)
@@ -190,6 +191,48 @@ class TestSmallestPositiveRoot:
         # The degree-44 denominator's repeated roots lie above its least one.
         assert smallest_positive_root(p, tol) == smallest_positive_root(same_as, tol)
 
+    @pytest.mark.parametrize("tol", [1e-2, 1e-6, 1e-12, 1e-40, 1e-300, 5e-324])
+    @pytest.mark.parametrize(
+        "p",
+        [_poly(1, -3) * _poly(1, -2), _product(_poly(1, -3), _poly(1, -3), _poly(1, -2))],
+        ids=["simple", "double_root_first"],
+    )
+    def test_right_end_root_is_not_the_answer(self, p, tol):
+        # The isolating cell is (0, 1/2) and its right end is the larger
+        # root 1/2: p = 0 there marks the negative side, not the root.  Below
+        # 2^-53 the float ends round to the same double, so they are
+        # compared with 1/3 as floats.
+        lo, hi = smallest_positive_root(p, tol).bracket
+        assert lo <= 1 / 3 <= hi < 1 / 2
+        assert hi - lo <= _grid_width(tol)
+
+    @pytest.mark.parametrize(
+        "p, root",
+        [
+            # Secant steps land on the root from inside the isolating cell.
+            (_poly(1, -2048), 1 / 2048),
+            (_poly(1, -2048) * _poly(1, -3), 1 / 2048),
+            (_poly(1, -4096) * _poly(1, -1, -1), 1 / 4096),
+            # The descent lands on it (a cell's right end).
+            (_poly(1, -64) * _poly(1, -130, 4226), 1 / 64),
+        ],
+        ids=["line", "line_times_3", "line_times_fibonacci", "descent"],
+    )
+    def test_exact_grid_roots_at_fine_tolerance(self, p, root):
+        assert smallest_positive_root(p, 1e-40).bracket == (root, root)
+
+    @pytest.mark.parametrize("tol, most", [(1e-12, 25), (1e-300, 40)])
+    def test_refinement_converges_quadratically(self, monkeypatch, tol, most):
+        # Bisection makes one exact evaluation per bit: 39 at 1e-12 and 996
+        # at 1e-300 on the degree-44 denominator.
+        calls = []
+        evaluate = IntPolynomial.__call__
+        monkeypatch.setattr(
+            IntPolynomial, "__call__", lambda p, t: calls.append(t) or evaluate(p, t)
+        )
+        smallest_positive_root(W4_LOOP_DENOMINATOR, tol)
+        assert 0 < len(calls) <= most
+
 
 def test_runtime_denominators_have_nonnegative_reciprocal_series():
     # smallest_positive_root rules out no complex root: it relies on each
@@ -224,17 +267,17 @@ def _one_minus_f(draw):
 
 @st.composite
 def _linear_powers(draw):
-    """A product of (1 - a t)^m with a >= 2 and m <= 3."""
-    p = IntPolynomial.one()
-    factors = st.tuples(st.integers(2, 60), st.integers(1, 3))
-    for a, m in draw(st.lists(factors, min_size=1, max_size=3)):
-        p = _product(p, *[_poly(1, -a)] * m)
-    return p
+    """(p, q): a product p of (1 - a t)^m with a >= 2 and m <= 3, and the
+    factor q = 1 - a t of its least root."""
+    a_values = st.one_of(st.integers(2, 60), st.integers(1, 12).map(lambda e: 2**e))
+    factors = draw(st.lists(st.tuples(a_values, st.integers(1, 3)), min_size=1, max_size=3))
+    p = _product(*[_poly(1, -a) for a, m in factors for _ in range(m)])
+    return p, _poly(1, -max(a for a, _ in factors))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    p=st.one_of(_one_minus_f(), _linear_powers()),
+    p=st.one_of(_one_minus_f(), _linear_powers().map(lambda pq: pq[0])),
     tol=st.sampled_from([1.0, 1e-3, 2.0**-20, 1e-12, 1e-14]),
 )
 def test_bracket_is_certified_against_sympy(p, tol):
@@ -252,6 +295,36 @@ def test_bracket_is_certified_against_sympy(p, tol):
     assert p(lo) > 0
     assert poly.count_roots(0, lo_q) == 0
     assert poly.count_roots(lo_q, hi_q) >= 1
+
+
+def _bisection_reference(q, tol):
+    """The RootResult of plain bisection of (0, 1] on q, which must have one
+    simple root there and q(0) > 0: halve to the grid 2^-s of
+    smallest_positive_root, or stop at a midpoint that is the root."""
+    scale = 1 - math.frexp(_grid_width(tol))[1]
+    k, lo, hi = 0, 1, 1
+    if q(1) != 0:
+        lo = 0
+        while k < scale and lo != hi:
+            k, mid = k + 1, 2 * lo + 1
+            v = q(Fraction(mid, 1 << k))
+            lo, hi = (mid, mid) if v == 0 else (mid, mid + 1) if v > 0 else (mid - 1, mid)
+    root = (lo + hi) / (2 << k)
+    return RootResult(root, 1.0 / root, tol, (lo / (1 << k), hi / (1 << k)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pq=st.one_of(_one_minus_f().map(lambda p: (p, p)), _linear_powers()),
+    tol=st.sampled_from([1e-2, 1e-6, 1e-12, 1e-40, 5e-324]),
+)
+def test_refinement_matches_bisection(pq, tol):
+    # Quadratic refinement returns the same cell, or the same exact root, as
+    # halving (0, 1] one bit per evaluation on a q whose one root there is
+    # the least root of p.  1 - f has one sign variation, so its positive
+    # root is unique and simple, and q = p.
+    p, q = pq
+    assert smallest_positive_root(p, tol) == _bisection_reference(q, tol)
 
 
 class TestConnectiveConstants:

@@ -140,6 +140,18 @@ class TestMu:
         code, env = run_json(capsys, "mu", target, "--tol", tol)
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "target, sides", [("width3", ["width3"]), ("width4", ["lower", "upper"])]
+    )
+    def test_smallest_positive_tolerance_is_served(self, capsys, target, sides):
+        # 5e-324 is the least positive double: a 2^-1074 bracket.
+        code, env = run_json(capsys, "mu", target, "--tol", "5e-324")
+        assert code == 0
+        for side in sides:
+            res = env["results"][side]
+            assert res["tol"] == 5e-324
+            assert res["bracket"][0] <= res["root"] <= res["bracket"][1]
+
 
 class TestVerify:
     def test_zeilberger(self, capsys):
