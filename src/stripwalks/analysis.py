@@ -75,16 +75,20 @@ def _sign_variations(cs: list[int]) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _isolate(p: IntPolynomial, max_scale: int | None) -> tuple[int, int, int] | None:
-    """(k, lo, hi) such that the least root of p on (0, 1] is lo / 2^k = hi / 2^k,
-    or is the only root of p in the open cell (lo, hi) / 2^k with hi = lo + 1.
+def _isolate(p: IntPolynomial, max_scale: int | None) -> tuple[int, ...] | None:
+    """(k, lo, hi, v_lo, v_hi) such that the least root of p on (0, 1] is
+    lo / 2^k = hi / 2^k, or is the only root of p in the open cell
+    (lo, hi) / 2^k with hi = lo + 1; v_lo and v_hi are the exact scaled
+    values 2^(kd) p(lo / 2^k) and 2^(kd) p(hi / 2^k), which :func:`_refine`
+    starts from.
 
     Depth first over the dyadic cells, left child first.  A cell's list cs
     holds the coefficients of P(x) = 2^(kd) p((a + x) / 2^k) on the cell
     (a, a + 1) / 2^k; its roots in (0, 1) correspond to the positive roots of
     (x + 1)^d P(1 / (x + 1)), whose sign variations V bound their number and
     match its parity.  So V = 0 leaves only the right end, where P(1) is the
-    coefficient sum, and V = 1 isolates one simple root.  Returns None when a
+    coefficient sum, and V = 1 isolates one simple root.  P(0) = cs[0] and
+    P(1) = sum(cs) are then the cell's scaled end values.  Returns None when a
     cell at scale max_scale or finer still shows V >= 2: a repeated root does
     that in every cell around it.
     """
@@ -94,10 +98,10 @@ def _isolate(p: IntPolynomial, max_scale: int | None) -> tuple[int, int, int] | 
         k, a, cs = pending.pop()
         v = _sign_variations(_taylor_shift_1(cs[::-1]))
         if v == 1:
-            return k, a, a + 1
+            return k, a, a + 1, cs[0], sum(cs)
         if v == 0:
             if sum(cs) == 0:
-                return k, a + 1, a + 1
+                return k, a + 1, a + 1, 0, 0
             continue
         if max_scale is not None and k >= max_scale:
             return None
@@ -113,10 +117,14 @@ def _square_free_part(p: IntPolynomial) -> IntPolynomial:
     return q if q.constant_term > 0 else -q
 
 
-def _refine(p: IntPolynomial, k: int, a: int, scale: int) -> tuple[int, int, int]:
-    """(k, lo, hi): the isolating cell (a, a + 1) / 2^k narrowed to the cell of
-    the given scale that holds its root, or to the root if a dyadic point
-    between hits it (lo = hi).
+def _refine(
+    p: IntPolynomial, k: int, a: int, v_lo: int, v_hi: int, scale: int
+) -> tuple[int, int, int]:
+    """(k, lo, hi): the isolating cell (a, a + 1) / 2^k, k <= scale, narrowed
+    to the cell of the given scale that holds its root, or to the root if a
+    dyadic point between hits it (lo = hi).  v_lo and v_hi are the cell's
+    exact scaled end values as :func:`_isolate` returns them, so the
+    refinement evaluates p only inside the cell.
 
     Quadratic interval refinement (Abbott 2014) on exact values: p has one
     simple root inside the cell, p > 0 at its left end and p <= 0 at its
@@ -134,7 +142,7 @@ def _refine(p: IntPolynomial, k: int, a: int, scale: int) -> tuple[int, int, int
         v = p(Fraction(x, 1 << k))
         return v.numerator << (k * d - v.denominator.bit_length() + 1)
 
-    v_lo, v_hi, j = value(a, k), value(a + 1, k), 1
+    j = 1
     while k < scale:
         j = min(j, scale - k)
         last = (1 << j) - 1
@@ -189,13 +197,13 @@ def smallest_positive_root(p: IntPolynomial, tol: float = DEFAULT_TOL) -> RootRe
         # The gcd is costly on large denominators, so it is taken only here.
         p = _square_free_part(p)
         isolated = _isolate(p, None)
-    k, lo, hi = isolated
+    k, lo, hi, v_lo, v_hi = isolated
     if k > scale:
         # The descent went below the grid: round out to it.  An exact root
         # stays exact if it is a grid point.
         lo, hi, k = lo >> (k - scale), -(-hi >> (k - scale)), scale
-    if lo != hi and k < scale:
-        k, lo, hi = _refine(p, k, lo, scale)
+    elif lo != hi:
+        k, lo, hi = _refine(p, k, lo, v_lo, v_hi, scale)
 
     root = (lo + hi) / (2 << k)
     bracket = (lo / (1 << k), hi / (1 << k))

@@ -49,10 +49,11 @@ _DELTAS_LAST_FIRST = ((-1, 0), (0, -1), (0, 1), (1, 0))
 _EMPTY, _OPEN, _CLOSE, _SINGLE = 0, 1, 2, 3
 
 # Endpoint codes of a state: nothing placed; one endpoint that is not the
-# walk's start; the start alone; both placed, the second in an earlier
-# column; both placed, the second in the current column.  Half-space runs add
-# the second endpoint's row index to _BOTH_HERE, so a bridge's end row is
-# known when it completes.
+# walk's start; the start alone; both placed; both placed, the second in the
+# current column.  Only half-space runs tell the last two apart: they add the
+# second endpoint's row index to _BOTH_HERE, so a bridge's end row is known
+# when it completes, and turn it into _BOTH_EARLIER at the next column.  Saw
+# runs never ask where the second endpoint lies.
 _NO_END, _OTHER_END, _START, _BOTH_EARLIER, _BOTH_HERE = range(5)
 
 
@@ -110,6 +111,12 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
     polynomial, packed into one integer with ``bits`` bits per coefficient
     and truncated at n_max.
 
+    A state in column x has a crossing edge at each of the x column
+    boundaries to its left, so its polynomial has no coefficient below x.
+    Hence in the last column, x = n_max, the truncation sends every move
+    that adds an edge to 0, and every column runs the same cell step with
+    no guard against a right edge past the sweep.
+
     * ``"saw"``: a walk is translated so that its leftmost column is 0; the
       start must lie on row 0.  Columns run from 0 to n_max.
     * ``"half_space"``: column 0 holds only the origin, the start, and its
@@ -132,18 +139,17 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
 
     # placements[r][code]: the codes after one more endpoint on row index r.
     placements = []
+    both = (_BOTH_EARLIER,)
     for r in range(w):
         if half:
             placements.append({_START: (_BOTH_HERE + r,)})
         elif r == origin:
-            placements.append(
-                {_NO_END: (_OTHER_END, _START), _OTHER_END: (_BOTH_HERE,), _START: (_BOTH_HERE,)}
-            )
+            placements.append({_NO_END: (_OTHER_END, _START), _OTHER_END: both, _START: both})
         else:
-            placements.append({_NO_END: (_OTHER_END,), _START: (_BOTH_HERE,)})
+            placements.append({_NO_END: (_OTHER_END,), _START: both})
 
     # The single-point walk: length 0, span 0, ending on the origin row.
-    done = {(0, _BOTH_HERE + origin if half else _BOTH_HERE): 1}
+    done = {(0, _BOTH_HERE + origin if half else _BOTH_EARLIER): 1}
     if half:
         first = [_EMPTY] * (w + 1)
         first[origin + 1] = _SINGLE
@@ -152,7 +158,6 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
         states = {((_EMPTY,) * (w + 1), _NO_END): 1}
 
     for x in range(1 if half else 0, n_max + 1):
-        right = x < n_max
         for r in range(w):
             up = r < w - 1
             place = placements[r]
@@ -164,7 +169,7 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
                     # An empty cell, a new piece through it, or a new endpoint.
                     key = (labels, code)
                     new[key] = get(key, 0) + poly
-                    if right and up:
+                    if up:
                         p2 = (poly << 2 * bits) & mask
                         if p2:
                             key = (labels[:r] + (_OPEN, _CLOSE) + labels[r + 2 :], code)
@@ -173,9 +178,8 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
                     p1 = (poly << bits) & mask if codes else 0
                     if p1:
                         for c in codes:
-                            if right:
-                                key = (labels[:r] + (_SINGLE, _EMPTY) + labels[r + 2 :], c)
-                                new[key] = get(key, 0) + p1
+                            key = (labels[:r] + (_SINGLE, _EMPTY) + labels[r + 2 :], c)
+                            new[key] = get(key, 0) + p1
                             if up:
                                 key = (labels[:r] + (_EMPTY, _SINGLE) + labels[r + 2 :], c)
                                 new[key] = get(key, 0) + p1
@@ -184,9 +188,8 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
                     label = below or left
                     p1 = (poly << bits) & mask
                     if p1:
-                        if right:
-                            key = (labels[:r] + (label, _EMPTY) + labels[r + 2 :], code)
-                            new[key] = get(key, 0) + p1
+                        key = (labels[:r] + (label, _EMPTY) + labels[r + 2 :], code)
+                        new[key] = get(key, 0) + p1
                         if up:
                             key = (labels[:r] + (_EMPTY, label) + labels[r + 2 :], code)
                             new[key] = get(key, 0) + p1
@@ -221,7 +224,7 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
             crossing = labels[:w]
             if not any(crossing):
                 continue
-            if half and code >= _BOTH_HERE:
+            if code >= _BOTH_HERE:
                 if cut_free:
                     continue
                 code = _BOTH_EARLIER
@@ -234,7 +237,7 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
     coefficient = (1 << bits) - 1
     entries = []
     for (span, code), poly in done.items():
-        end = lo + code - _BOTH_HERE if half and code >= _BOTH_HERE else None
+        end = lo + code - _BOTH_HERE if code >= _BOTH_HERE else None
         counts = tuple((poly >> bits * k) & coefficient for k in range(n_max + 1))
         entries.append(((span, end), counts))
     return tuple(entries)

@@ -14,6 +14,7 @@ from stripwalks import (
     mu_bounds_width4,
     smallest_positive_root,
 )
+from stripwalks.analysis import _isolate
 from stripwalks.genfunc import (
     UPPER_ATOM_DENOMINATOR,
     W3_BRIDGE_DENOMINATOR,
@@ -215,8 +216,14 @@ class TestSmallestPositiveRoot:
             (_poly(1, -4096) * _poly(1, -1, -1), 1 / 4096),
             # The descent lands on it (a cell's right end).
             (_poly(1, -64) * _poly(1, -130, 4226), 1 / 64),
+            # A secant guess misses and the bisection midpoint is the root.
+            (_poly(1, -256) * _poly(1, 7), 1 / 256),
+            (_poly(1, -512) * _poly(1, 58, -58, -7), 1 / 512),
         ],
-        ids=["line", "line_times_3", "line_times_fibonacci", "descent"],
+        ids=[
+            "line", "line_times_3", "line_times_fibonacci", "descent",
+            "missed_secant", "missed_secant_cubic",
+        ],
     )
     def test_exact_grid_roots_at_fine_tolerance(self, p, root):
         assert smallest_positive_root(p, 1e-40).bracket == (root, root)
@@ -224,7 +231,11 @@ class TestSmallestPositiveRoot:
     @pytest.mark.parametrize("tol, most", [(1e-12, 25), (1e-300, 40)])
     def test_refinement_converges_quadratically(self, monkeypatch, tol, most):
         # Bisection makes one exact evaluation per bit: 39 at 1e-12 and 996
-        # at 1e-300 on the degree-44 denominator.
+        # at 1e-300 on the degree-44 denominator.  The isolating cell's end
+        # values come from the descent, so no call is made at either end.
+        scale = 1 - math.frexp(_grid_width(tol))[1]
+        k, lo, hi = _isolate(W4_LOOP_DENOMINATOR, scale)[:3]
+        ends = {Fraction(lo, 1 << k), Fraction(hi, 1 << k)}
         calls = []
         evaluate = IntPolynomial.__call__
         monkeypatch.setattr(
@@ -232,6 +243,7 @@ class TestSmallestPositiveRoot:
         )
         smallest_positive_root(W4_LOOP_DENOMINATOR, tol)
         assert 0 < len(calls) <= most
+        assert ends.isdisjoint(calls)
 
 
 def test_runtime_denominators_have_nonnegative_reciprocal_series():

@@ -126,6 +126,8 @@ class TestHWPolynomial:
 class TestZeilberger:
     def test_fibonacci_convention(self):
         assert [fibonacci(n) for n in range(1, 8)] == [1, 1, 2, 3, 5, 8, 13]
+        with pytest.raises(ValueError):
+            fibonacci(0)
 
     def test_values(self):
         assert zeilberger_count(2) == 6
@@ -203,6 +205,10 @@ class TestMultiplicativity:
         b = CountTable((1, 1, 1))
         report = verify_multiplicativity(c, b, 2)
         assert not report.passed
+        report = verify_multiplicativity(c, CountTable((1, 2, 3)), 2)
+        assert "b_1 * b_1 > b_2" in report.failures
+        with pytest.raises(ValueError):
+            verify_multiplicativity(c, b, 3)
 
 
 class TestHalfSpaceProposition:
@@ -238,6 +244,13 @@ class TestBridgeCorollary:
         report = verify_bridge_corollary(CountTable((1, 1, 100000050)), 1e4, 2)
         assert report.failures == ("b_2 > mu^2",)
         assert verify_bridge_corollary(CountTable((1, 1, 10**8)), 1e4, 2).passed
+
+    def test_lower_verdict_and_table_check(self):
+        # b_2 = 1 lies far below mu^1 / P(2) at mu = 10^4.
+        report = verify_bridge_corollary(CountTable((1, 1, 1)), 1e4, 2)
+        assert report.failures == ("b_2 < mu^1/P(2)",)
+        with pytest.raises(ValueError):
+            verify_bridge_corollary(CountTable((1, 1, 1)), 1e4, 3)
 
     def test_spot_values(self, bridges_w3_18):
         mu = connective_constant_width3().mu

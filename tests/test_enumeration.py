@@ -71,6 +71,8 @@ class TestCounts:
             count_saws(W3, -1)
         with pytest.raises(ValueError):
             count_bridges_by_span(W3, -1, 0)
+        with pytest.raises(ValueError):
+            count_bridges_by_span(W3, 4, -1)
 
     def test_bridges_subset_of_half_space(self, bridges_w3_18, half_space_w3_14):
         assert all(
@@ -223,6 +225,11 @@ class TestClassification:
         with pytest.raises(ValueError):
             classify_irreducible(f, StripGeometry(0, 1))
 
+    def test_rejects_factor_leaving_the_strip(self):
+        leaves = IrreducibleFactor(Walk.from_steps("RUR"), 1, 0)
+        with pytest.raises(ValueError, match="line 2 is not a row"):
+            classify_irreducible(leaves, W3)
+
     def test_mirror_symmetry_width3(self):
         # Bridge-ness, span and factor types are invariant under y -> -y.
         for walk in iter_walks(W3, 9, kind="bridge"):
@@ -251,6 +258,8 @@ class TestIrreducibleCounts:
             count_irreducible(W3, "OO", 6, 0)
         with pytest.raises(ValueError):
             count_irreducible(W3, "IO", 6, 1)
+        with pytest.raises(ValueError):
+            count_irreducible(W3, "XO", 5, 1)
 
     def test_rejects_off_strip_start_line(self):
         with pytest.raises(ValueError, match="not a row of the strip"):
@@ -420,6 +429,15 @@ class TestTransformWidth4:
             transform_irreducible_w4(
                 IrreducibleFactor(Walk.from_steps("RU"), 0, 0), W3
             )
+        # Neither simple nor of the complicated pattern.
+        straight = IrreducibleFactor(Walk.from_steps("RRR"), 2, 0)
+        assert not is_simple_factor(straight)
+        with pytest.raises(ValueError, match="complicated pattern"):
+            transform_irreducible_w4(straight, W4)
+
+    def test_simple_factor_has_a_vertical_step(self):
+        assert is_simple_factor(IrreducibleFactor(Walk.from_steps("RU"), 0, 0))
+        assert not is_simple_factor(IrreducibleFactor(Walk.from_steps("R"), 0, 0))
 
     def test_codomain_and_injectivity(self):
         # End-line offset of the transformed walk relative to its start,

@@ -153,6 +153,8 @@ class TestRationalGF:
         assert g.numerator.coefficients == (0, -1)
         with pytest.raises(ValueError):
             RationalGF(_poly(1), _poly(0, 1))
+        with pytest.raises(ValueError):
+            RationalGF(_poly(1), _poly(2, 1))
 
     def test_add_identity(self):
         f = RationalGF(_poly(0, 2), _poly(1, -1))
@@ -184,12 +186,18 @@ class TestRationalGF:
         assert lower_core.series(5) == (1, 2, 3, 4, 6, 10)
         lower_full = RationalGF(W4_LOWER_NUMERATOR, W4_LOWER_DENOMINATOR)
         assert lower_full.series(5) == (1, 1, 3, 6, 12, 24)
+        with pytest.raises(ValueError):
+            oo.series(-1)
 
     def test_equality_is_cross_multiplication(self):
         a = RationalGF(_poly(0, 1), _poly(1, -1))
         b = RationalGF(_poly(0, 1, -1), _poly(1, -2, 1))
         assert a == b
         assert a != RationalGF(_poly(0, 1), _poly(1, 1))
+        # No equality with other types, and no hash to go with it.
+        assert not RationalGF.one() == 1
+        with pytest.raises(TypeError):
+            hash(RationalGF.one())
 
     def test_reduced(self):
         a = RationalGF(_poly(0, 1, -1), _poly(1, -2, 1))
@@ -347,6 +355,8 @@ class TestWidth4Upper:
         atoms = atoms_width4_upper()
         for t in ("OO", "OI", "IO", "II"):
             assert upper_atom_from_pipeline(t) == atoms[t]
+        with pytest.raises(ValueError):
+            upper_atom_from_pipeline("XX")
 
     def test_oi_io_entries_identical(self):
         atoms = atoms_width4_upper()

@@ -65,6 +65,8 @@ class TestWalk:
             Walk(((1, 0), (2, 0)))
         with pytest.raises(ValueError):
             Walk(((0, 0), (2, 0)))
+        with pytest.raises(ValueError):
+            Walk(())
 
     @given(st.text(alphabet="RLUD", max_size=8))
     def test_step_string_roundtrip(self, steps):
@@ -121,6 +123,8 @@ class TestCountTable:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             CountTable((1, -1))
+        with pytest.raises(ValueError):
+            CountTable(())
 
     def test_csv(self):
         assert CountTable((1, 2)).to_csv() == "n,count\n0,1\n1,2\n"
