@@ -113,8 +113,7 @@ def _isolate(p: IntPolynomial, max_scale: int | None) -> tuple[int, ...] | None:
 def _square_free_part(p: IntPolynomial) -> IntPolynomial:
     """p / gcd(p, p'), with the sign of p at 0: the same roots, each simple."""
     derivative = IntPolynomial(tuple(i * c for i, c in enumerate(p.coefficients))[1:])
-    q = _poly_exact_div(p, _poly_gcd(p, derivative))
-    return q if q.constant_term > 0 else -q
+    return _poly_exact_div(p, _poly_gcd(p, derivative))
 
 
 def _refine(

@@ -401,7 +401,14 @@ class BridgeDecomposition:
 
 
 def _bridge_type(strip: StripGeometry, start_line: int, end_line: int) -> str:
-    """OO/OI/IO/II: O for an outer row of the strip, I for an inner one."""
+    """OO/OI/IO/II: O for an outer row of the strip, I for an inner one.
+
+    The rule holds on every width.  On 1 or 2 rows every row is outer, so
+    every factor is OO.  On 5 or more rows I names any of the w - 2 inner
+    rows, so a type no longer fixes, up to the strip's mirror symmetry, the
+    row where the next factor starts.  That is why the bridge code of
+    :mod:`genfunc` stays on 3 and 4 rows.
+    """
     outer = strip.outer_lines
     return ("O" if start_line in outer else "I") + ("O" if end_line in outer else "I")
 
@@ -411,8 +418,8 @@ def decompose_bridge(walk: Walk, strip: StripGeometry | None = None) -> BridgeDe
 
     Runs of unit right-step factors are merged into the next non-trivial
     factor as its tail; a maximal trailing run of right steps is returned
-    separately.  When ``strip`` is given (width 3 or 4), each factor is
-    classified by its start and end lines.
+    separately.  When ``strip`` is given, each factor is classified by its
+    start and end lines.
     """
     points = walk.points
     n = len(points) - 1
@@ -423,7 +430,6 @@ def decompose_bridge(walk: Walk, strip: StripGeometry | None = None) -> BridgeDe
     # A bridge: 0 < x_j <= x_n for every j >= 1.
     if low <= 0 or high > xs[n]:
         raise ValueError("decompose_bridge requires a bridge")
-    typed = strip is not None and strip.width in (3, 4)
     boundaries = (0,) + cuts + (n,)
     factors: list[IrreducibleFactor] = []
     pending_tail = 0
@@ -435,7 +441,7 @@ def decompose_bridge(walk: Walk, strip: StripGeometry | None = None) -> BridgeDe
         # A contiguous slice of a valid walk, translated to the origin.
         x0, start_line = points[seg_start]
         sub = _trusted_walk(tuple([(x - x0, y - start_line) for x, y in points[seg_start : b + 1]]))
-        bridge_type = _bridge_type(strip, start_line, points[b][1]) if typed else None
+        bridge_type = None if strip is None else _bridge_type(strip, start_line, points[b][1])
         factors.append(IrreducibleFactor(sub, start_line, pending_tail, bridge_type))
         pending_tail = 0
     return BridgeDecomposition(tuple(factors), pending_tail)
@@ -443,8 +449,6 @@ def decompose_bridge(walk: Walk, strip: StripGeometry | None = None) -> BridgeDe
 
 def classify_irreducible(factor: IrreducibleFactor, strip: StripGeometry) -> str:
     """Label an irreducible factor OO/OI/IO/II by its start and end lines."""
-    if strip.width not in (3, 4):
-        raise ValueError(f"classification requires width 3 or 4, got {strip.width}")
     start, end = factor.start_line, factor.end_line
     for line in (start, end):
         if not (strip.y_min <= line <= strip.y_max):
@@ -462,13 +466,14 @@ def count_irreducible(
     """Exact counts of irreducible bridges of one type starting on a given line.
 
     Counts include the merged tail unless ``tailless`` is set, in which case
-    only factors with no leading right-step run are counted.
+    only factors with no leading right-step run are counted.  Any strip is
+    served: the type is read off the start line and the end row by the
+    outer/inner rule of :func:`_bridge_type`, so on 5 or more rows an I type
+    sums over every inner end row.
     """
     _check_n_max(n_max)
     if bridge_type not in BRIDGE_TYPES:
         raise ValueError(f"unknown bridge type {bridge_type!r}")
-    if strip.width not in (3, 4):
-        raise ValueError(f"irreducible counting requires width 3 or 4, got {strip.width}")
     shifted = strip.shift_origin(start_line)  # rejects an off-strip line first
     starts_outer = start_line in strip.outer_lines
     if bridge_type.startswith("O") != starts_outer:

@@ -167,17 +167,18 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
 
 def _poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Greatest common divisor of a and b, not both zero, returned as a
-    primitive integer polynomial with a positive leading coefficient
-    (primitive PRS: each pseudo-remainder has its content divided out, so
-    coefficients stay integer and small).  Each caller passes one operand
-    with constant term 1: a denominator, or a polynomial to make square-free."""
+    primitive integer polynomial with a positive constant term (primitive
+    PRS: each pseudo-remainder has its content divided out, so coefficients
+    stay integer and small).  Each caller passes one operand with constant
+    term 1: a denominator, or a polynomial to make square-free.  The gcd
+    divides it, so its constant term is 1 and so is that of the quotient."""
     fa, fb = list(a.coefficients), list(b.coefficients)
     while fb:
         fa, fb = fb, _pseudo_remainder(fa, fb)
         if fb:
             fb = _primitive(fb)
     fa = _primitive(fa)
-    if fa[-1] < 0:
+    if fa[0] < 0:
         fa = [-c for c in fa]
     return IntPolynomial(tuple(fa))
 

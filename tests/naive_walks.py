@@ -100,7 +100,7 @@ def naive_decompose_bridge(walk: Walk, strip: StripGeometry | None = None) -> Br
         x0, y0 = seg[0]
         sub = Walk(tuple((x - x0, y - y0) for x, y in seg))
         bridge_type = None
-        if strip is not None and strip.width in (3, 4):
+        if strip is not None:
             end_line = y0 + sub.end[1]
             bridge_type = "".join(
                 "O" if line in strip.outer_lines else "I" for line in (y0, end_line)

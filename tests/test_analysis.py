@@ -208,25 +208,30 @@ class TestSmallestPositiveRoot:
         assert hi - lo <= _grid_width(tol)
 
     @pytest.mark.parametrize(
-        "p, root",
+        "p, root, tol",
         [
             # Secant steps land on the root from inside the isolating cell.
-            (_poly(1, -2048), 1 / 2048),
-            (_poly(1, -2048) * _poly(1, -3), 1 / 2048),
-            (_poly(1, -4096) * _poly(1, -1, -1), 1 / 4096),
+            (_poly(1, -2048), 1 / 2048, 1e-40),
+            (_poly(1, -2048) * _poly(1, -3), 1 / 2048, 1e-40),
+            (_poly(1, -4096) * _poly(1, -1, -1), 1 / 4096, 1e-40),
             # The descent lands on it (a cell's right end).
-            (_poly(1, -64) * _poly(1, -130, 4226), 1 / 64),
+            (_poly(1, -64) * _poly(1, -130, 4226), 1 / 64, 1e-40),
             # A secant guess misses and the bisection midpoint is the root.
-            (_poly(1, -256) * _poly(1, 7), 1 / 256),
-            (_poly(1, -512) * _poly(1, 58, -58, -7), 1 / 512),
+            (_poly(1, -256) * _poly(1, 7), 1 / 256, 1e-40),
+            (_poly(1, -512) * _poly(1, 58, -58, -7), 1 / 512, 1e-40),
+            # The right end of the secant's subcell is the root: with no
+            # exit there, the bracket stays one cell wide at these scales.
+            (_poly(1, -2) * _poly(1, -1, 2), 1 / 2, 1e-6),
+            (_poly(1, -2) * _poly(1, -1, 2), 1 / 2, 1e-12),
         ],
         ids=[
             "line", "line_times_3", "line_times_fibonacci", "descent",
             "missed_secant", "missed_secant_cubic",
+            "secant_right_end_1e-6", "secant_right_end_1e-12",
         ],
     )
-    def test_exact_grid_roots_at_fine_tolerance(self, p, root):
-        assert smallest_positive_root(p, 1e-40).bracket == (root, root)
+    def test_exact_grid_roots_at_fine_tolerance(self, p, root, tol):
+        assert smallest_positive_root(p, tol).bracket == (root, root)
 
     @pytest.mark.parametrize("tol, most", [(1e-12, 25), (1e-300, 40)])
     def test_refinement_converges_quadratically(self, monkeypatch, tol, most):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import stripwalks
-from stripwalks import StripGeometry, cli, count_half_space
+from stripwalks import StripGeometry, cli, count_half_space, count_irreducible
 from stripwalks.cli import MAX_N, MAX_SERIES, MAX_STRIP_WIDTH, main
 
 
@@ -48,6 +48,17 @@ class TestCount:
         )
         assert code == 0
         assert env["results"]["counts"][2] == "2"
+
+    def test_irreducible_on_two_rows(self, capsys):
+        # Both rows of a two-row strip are outer: the default OO type from
+        # the top row counts RD and its tailed forms R^k RD.
+        code, env = run_json(
+            capsys, "count", "--strip", "0,1", "--class", "irreducible", "--n", "5"
+        )
+        assert code == 0
+        expected = count_irreducible(StripGeometry(0, 1), "OO", 5, 1).counts
+        assert env["results"]["counts"] == [str(c) for c in expected]
+        assert expected == (0, 0, 1, 1, 1, 1)
 
     def test_negative_n_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -237,7 +248,6 @@ def _assert_input_error(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["count", "--strip", "0,1", "--class", "irreducible", "--n", "5"],
         ["count", "--class", "irreducible", "--type", "OO", "--start-line", "0"],
         ["count", "--class", "irreducible", "--type", "IO", "--start-line", "5"],
         ["mu", "width3", "--tol", "0"],

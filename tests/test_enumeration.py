@@ -220,10 +220,17 @@ class TestClassification:
         ii = IrreducibleFactor(Walk.from_steps("RU"), 0, 0)
         assert classify_irreducible(ii, W4) == "II"
 
-    def test_rejects_other_widths(self):
-        f = IrreducibleFactor(Walk.from_steps("RU"), 0, 0)
-        with pytest.raises(ValueError):
-            classify_irreducible(f, StripGeometry(0, 1))
+    def test_classify_examples_on_other_widths(self):
+        # Strips of one and two rows have no inner line, so every factor is
+        # OO.  On five rows I covers the three inner rows alike.
+        one, two, five = StripGeometry(0, 0), StripGeometry(0, 1), StripGeometry(-2, 2)
+        assert classify_irreducible(IrreducibleFactor(Walk.from_steps("RR"), 0, 0), one) == "OO"
+        assert classify_irreducible(IrreducibleFactor(Walk.from_steps("RU"), 0, 0), two) == "OO"
+        assert classify_irreducible(IrreducibleFactor(Walk.from_steps("RDR"), 1, 0), two) == "OO"
+        assert classify_irreducible(IrreducibleFactor(Walk.from_steps("RUU"), -2, 0), five) == "OI"
+        assert classify_irreducible(IrreducibleFactor(Walk.from_steps("RUU"), -1, 0), five) == "II"
+        assert classify_irreducible(IrreducibleFactor(Walk.from_steps("RU"), 1, 0), five) == "IO"
+        assert classify_irreducible(IrreducibleFactor(Walk.from_steps("RDDDD"), 2, 0), five) == "OO"
 
     def test_rejects_factor_leaving_the_strip(self):
         leaves = IrreducibleFactor(Walk.from_steps("RUR"), 1, 0)
@@ -267,7 +274,19 @@ class TestIrreducibleCounts:
 
     @pytest.mark.parametrize(
         "strip",
-        [W3, StripGeometry(0, 2), StripGeometry(-2, 0), W4, StripGeometry(-2, 1)],
+        [
+            W3,
+            StripGeometry(0, 2),
+            StripGeometry(-2, 0),
+            W4,
+            StripGeometry(-2, 1),
+            StripGeometry(0, 0),
+            StripGeometry(0, 1),
+            StripGeometry(-1, 0),
+            StripGeometry(-2, 2),
+            StripGeometry(-3, 1),
+            StripGeometry(-2, 3),
+        ],
     )
     def test_search_matches_dfs_oracle(self, strip):
         # Reference: every bridge from iter_walks, its cut points and the
