@@ -34,7 +34,7 @@ MAX_N = 24
 MAX_SERIES = 10000
 # Widest `--strip` for `count` and `verify`.  The transfer matrix's state
 # count and memory grow with the number of rows: `count_saws` at n=24 takes
-# 9-12 s and 91 MB on 10 rows, about 30 s and 200 MB on 11 (2-core Xeon).
+# 7-10 s and 180 MB on 10 rows, about 20 s and 430 MB on 11 (2-core Xeon).
 MAX_STRIP_WIDTH = 10
 
 
@@ -83,7 +83,11 @@ def _emit(command: str, parameters: dict, results: Any, passed: bool, t0: float)
 def _default_start(strip: StripGeometry, bridge_type: str) -> int:
     """Start line of a type's irreducible counts unless one is given: the top
     line for O types, the inner line below it for I types."""
-    return strip.y_max if bridge_type.startswith("O") else strip.y_max - 1
+    if bridge_type.startswith("O"):
+        return strip.y_max
+    if strip.width < 3:
+        raise ValueError(f"the {strip.width}-row strip has no inner line for type {bridge_type}")
+    return strip.y_max - 1
 
 
 def _root_report(polynomial: str, res: analysis.RootResult) -> dict:
@@ -117,10 +121,10 @@ def _cmd_count(args: argparse.Namespace, t0: float) -> int:
             build_parser().error(f"count --class {args.klass} takes no --type or --start-line")
         table = _COUNTS[args.klass](strip, args.n)
     else:
-        start = args.start_line
-        if start is None:
-            start = _default_start(strip, bridge_type)
         try:
+            start = args.start_line
+            if start is None:
+                start = _default_start(strip, bridge_type)
             table = enumeration.count_irreducible(strip, bridge_type, args.n, start)
         except ValueError as exc:
             build_parser().error(str(exc))

@@ -3,11 +3,15 @@
 Every count table comes from one cached frontier transfer matrix: the strip
 is swept column by column and cell by cell, and each state of the frontier
 carries a polynomial in the walk length.  For a fixed width the cost grows
-polynomially in the length instead of like mu^n.  One half-space run gives
-the half-space walks and the bridges by span; a second run that forbids
-cut points gives the irreducible factors.  ``iter_walks`` is the package's
-only depth-first search, an explicit-stack loop: it yields the walks
-themselves and is the oracle the tests compare the transfer matrix against.
+polynomially in the length instead of like mu^n.  The sweep interns each
+frontier state as a small int and caches its moves through each cell row and
+to the next column at its first visit, so the label work is done once per
+state and row, and each later column costs only the polynomial arithmetic.
+One half-space run gives the half-space walks and the bridges by span; a
+second run that forbids cut points gives the irreducible factors.
+``iter_walks`` is the package's only depth-first search, an explicit-stack
+loop: it yields the walks themselves and is the oracle the tests compare the
+transfer matrix against.
 On top of the counts this module implements the structural operations on
 bridges, each in one linear pass over the walk's x-coordinates:
 
@@ -91,6 +95,73 @@ def _alone(labels: tuple, r: int) -> bool:
     return not any(labels[:r]) and not any(labels[r + 2 :])
 
 
+def _cell(labels: tuple, code: int, r: int, place: dict) -> tuple[list, list]:
+    """The moves of one frontier state through the cell on row index r.
+
+    Returns the successor states as ((labels, code), edges added) pairs, and
+    the endpoint codes of the walks that complete in the cell.  ``place``
+    maps a code to the codes after one more endpoint on this row.  The
+    result depends on nothing but the arguments, so a sweep can work it out
+    once per state and row.
+    """
+    up = r + 2 < len(labels)
+    below, left = labels[r], labels[r + 1]
+    head, tail = labels[:r], labels[r + 2 :]
+    moves: list = []
+    ends: list = []
+    if not below and not left:
+        # An empty cell, a new piece through it, or a new endpoint.
+        moves.append(((labels, code), 0))
+        if up:
+            moves.append(((head + (_OPEN, _CLOSE) + tail, code), 2))
+        for c in place.get(code, ()):
+            moves.append(((head + (_SINGLE, _EMPTY) + tail, c), 1))
+            if up:
+                moves.append(((head + (_EMPTY, _SINGLE) + tail, c), 1))
+    elif not below or not left:
+        # One edge enters: go on right or up, or end the walk here.
+        label = below or left
+        moves.append(((head + (label, _EMPTY) + tail, code), 1))
+        if up:
+            moves.append(((head + (_EMPTY, label) + tail, code), 1))
+        for c in place.get(code, ()):
+            if label != _SINGLE:
+                i = _partner(labels, r if below else r + 1)
+                moves.append(((_merge(labels, r, i, _SINGLE), c), 0))
+            elif _alone(labels, r):
+                ends.append(c)
+    elif below == _SINGLE and left == _SINGLE:
+        if _alone(labels, r):
+            ends.append(code)
+    elif below != _OPEN or left != _CLOSE:  # else a closed loop
+        # Two edges enter: join their pieces.  The partner of one end takes
+        # over the label of the other end.
+        if below == _SINGLE or below == left == _OPEN:
+            merged = _merge(labels, r, _partner(labels, r + 1), below)
+        elif left == _SINGLE or below == left == _CLOSE:
+            merged = _merge(labels, r, _partner(labels, r), left)
+        else:
+            merged = head + (_EMPTY, _EMPTY) + tail
+        moves.append(((merged, code), 0))
+    return moves, ends
+
+
+def _next_column(labels: tuple, code: int, cut_free: bool) -> tuple | None:
+    """A state moved to the next column, or None if it leaves the sweep.
+
+    With no crossing edge the walk has either completed or not started, and
+    walks start in column 0.  A ``"cut_free"`` run also drops a walk whose
+    second endpoint lies in this column, as the walk goes on past it, and a
+    walk with one crossing edge, which is a cut.
+    """
+    crossing = labels[:-1]
+    if not any(crossing):
+        return None
+    if cut_free and (code >= _BOTH_HERE or len(crossing) - crossing.count(_EMPTY) == 1):
+        return None
+    return (_EMPTY,) + crossing, _BOTH_EARLIER if code >= _BOTH_HERE else code
+
+
 @lru_cache(maxsize=None)
 def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
     """Count walks of length <= n_max with a frontier transfer matrix.
@@ -116,6 +187,16 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
     Hence in the last column, x = n_max, the truncation sends every move
     that adds an edge to 0, and every column runs the same cell step with
     no guard against a right edge past the sweep.
+
+    The moves of a state do not depend on the column, and a sweep reaches
+    few states (at the column boundaries of the strip from -1 to 2, 23 in a
+    half-space run and 53 in a saw run), so the sweep interns each
+    (labels, code) as a small int and works out each state's moves once.
+    At a state's first visit to row r, :func:`_cell` gives its successors,
+    which are cached for that row grouped by the number of edges they add,
+    with the walks it completes; :func:`_next_column` is cached per state
+    in the same way.  A visit then shifts and masks the polynomial once per
+    group and adds it to each successor's.
 
     * ``"saw"``: a walk is translated so that its leftmost column is 0; the
       start must lie on row 0.  Columns run from 0 to n_max.
@@ -148,90 +229,67 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
         else:
             placements.append({_NO_END: (_OTHER_END,), _START: both})
 
+    # keys[i] is the state interned as i.  steps[r][i] holds state i's
+    # successors through the cell on row index r as (shift, ids) groups, in
+    # the order _cell gives them, and the codes of the walks it completes
+    # there; advance[i] holds its successor in the next column, or -1 if it
+    # leaves the sweep.
+    ids: dict = {}
+    keys: list = []
+
+    def intern(key: tuple) -> int:
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(keys)
+            keys.append(key)
+        return i
+
+    steps: list[dict] = [{} for _ in range(w)]
+    advance: dict = {}
+
     # The single-point walk: length 0, span 0, ending on the origin row.
     done = {(0, _BOTH_HERE + origin if half else _BOTH_EARLIER): 1}
     if half:
         first = [_EMPTY] * (w + 1)
         first[origin + 1] = _SINGLE
-        states = {(tuple(first), _START): 1 << bits}
+        states = {intern((tuple(first), _START)): 1 << bits}
     else:
-        states = {((_EMPTY,) * (w + 1), _NO_END): 1}
+        states = {intern(((_EMPTY,) * (w + 1), _NO_END)): 1}
 
     for x in range(1 if half else 0, n_max + 1):
-        for r in range(w):
-            up = r < w - 1
-            place = placements[r]
+        for r, place in enumerate(placements):
+            step = steps[r]
             new: dict = {}
             get = new.get
-            for (labels, code), poly in states.items():
-                below, left = labels[r], labels[r + 1]
-                if not below and not left:
-                    # An empty cell, a new piece through it, or a new endpoint.
-                    key = (labels, code)
-                    new[key] = get(key, 0) + poly
-                    if up:
-                        p2 = (poly << 2 * bits) & mask
-                        if p2:
-                            key = (labels[:r] + (_OPEN, _CLOSE) + labels[r + 2 :], code)
-                            new[key] = get(key, 0) + p2
-                    codes = place.get(code)
-                    p1 = (poly << bits) & mask if codes else 0
-                    if p1:
-                        for c in codes:
-                            key = (labels[:r] + (_SINGLE, _EMPTY) + labels[r + 2 :], c)
-                            new[key] = get(key, 0) + p1
-                            if up:
-                                key = (labels[:r] + (_EMPTY, _SINGLE) + labels[r + 2 :], c)
-                                new[key] = get(key, 0) + p1
-                elif not below or not left:
-                    # One edge enters: go on right or up, or end the walk here.
-                    label = below or left
-                    p1 = (poly << bits) & mask
-                    if p1:
-                        key = (labels[:r] + (label, _EMPTY) + labels[r + 2 :], code)
-                        new[key] = get(key, 0) + p1
-                        if up:
-                            key = (labels[:r] + (_EMPTY, label) + labels[r + 2 :], code)
-                            new[key] = get(key, 0) + p1
-                    for c in place.get(code, ()):
-                        if label != _SINGLE:
-                            i = _partner(labels, r if below else r + 1)
-                            key = (_merge(labels, r, i, _SINGLE), c)
-                            new[key] = get(key, 0) + poly
-                        elif _alone(labels, r):
-                            done[x, c] = done.get((x, c), 0) + poly
-                elif below == _SINGLE and left == _SINGLE:
-                    if _alone(labels, r):
-                        done[x, code] = done.get((x, code), 0) + poly
-                elif below != _OPEN or left != _CLOSE:  # else a closed loop
-                    # Two edges enter: join their pieces.  The partner of one
-                    # end takes over the label of the other end.
-                    if below == _SINGLE or below == left == _OPEN:
-                        merged = _merge(labels, r, _partner(labels, r + 1), below)
-                    elif left == _SINGLE or below == left == _CLOSE:
-                        merged = _merge(labels, r, _partner(labels, r), left)
-                    else:
-                        merged = labels[:r] + (_EMPTY, _EMPTY) + labels[r + 2 :]
-                    key = (merged, code)
-                    new[key] = get(key, 0) + poly
+            for i, poly in states.items():
+                moves = step.get(i)
+                if moves is None:
+                    succ, ends = _cell(*keys[i], r, place)
+                    by_shift: dict = {}
+                    for key, k in succ:
+                        by_shift.setdefault(k * bits, []).append(intern(key))
+                    # Tuples, not lists: a saw run on 10 rows to n = 24 caches
+                    # 339,390 entries.
+                    groups = tuple([(s, tuple(g)) for s, g in by_shift.items()])
+                    moves = step[i] = (groups, tuple(ends))
+                groups, ends = moves
+                for shift, group in groups:
+                    p = (poly << shift) & mask if shift else poly
+                    if p:
+                        for j in group:
+                            new[j] = get(j, 0) + p
+                for c in ends:
+                    done[x, c] = done.get((x, c), 0) + poly
             states = new
 
-        # Move the frontier to the next column.  With no crossing edge the
-        # walk has either completed or not started, and walks start in
-        # column 0.
         states_next: dict = {}
-        for (labels, code), poly in states.items():
-            crossing = labels[:w]
-            if not any(crossing):
-                continue
-            if code >= _BOTH_HERE:
-                if cut_free:
-                    continue
-                code = _BOTH_EARLIER
-            if cut_free and w - crossing.count(_EMPTY) == 1:
-                continue
-            key = ((_EMPTY,) + crossing, code)
-            states_next[key] = states_next.get(key, 0) + poly
+        for i, poly in states.items():
+            j = advance.get(i)
+            if j is None:
+                key = _next_column(*keys[i], cut_free)
+                j = advance[i] = -1 if key is None else intern(key)
+            if j >= 0:
+                states_next[j] = states_next.get(j, 0) + poly
         states = states_next
 
     coefficient = (1 << bits) - 1
@@ -628,14 +686,17 @@ def _split_complicated(steps: str, rows: list[int], y_min: int) -> tuple[str, st
 
 
 def is_simple_factor(factor: IrreducibleFactor) -> bool:
-    """True for factors that are a tail, one right step, then 1-3 verticals."""
-    steps = factor.walk.steps()
+    """True for factors that are a tail, one right step, then 1-3 verticals.
+
+    Read off the points: a self-avoiding walk that stays in one column is
+    monotone in y, so its vertical steps are all up or all down.
+    """
+    points = factor.walk.points
     k = factor.tail_length
-    body = steps[k:]
-    if len(body) < 2 or body[0] != "R":
+    if not 2 <= len(points) - 1 - k <= 4:
         return False
-    rest = body[1:]
-    return len(rest) <= 3 and (set(rest) == {"U"} or set(rest) == {"D"})
+    x, y = points[k]
+    return points[k + 1] == (x + 1, y) and all(p[0] == x + 1 for p in points[k + 2 :])
 
 
 def transform_irreducible_w4(factor: IrreducibleFactor, strip: StripGeometry) -> Walk:

@@ -60,6 +60,16 @@ class TestCount:
         assert env["results"]["counts"] == [str(c) for c in expected]
         assert expected == (0, 0, 1, 1, 1, 1)
 
+    @pytest.mark.parametrize("strip, bridge_type", [("0,0", "IO"), ("0,1", "II")])
+    def test_i_type_needs_an_inner_line(self, capsys, strip, bridge_type):
+        # With no --start-line the error names the missing inner line, not a
+        # start line the user never gave.
+        error = _assert_input_error(
+            capsys, ["count", "--strip", strip, "--class", "irreducible",
+                     "--type", bridge_type, "--n", "5"],
+        )
+        assert error.endswith(f"strip has no inner line for type {bridge_type}")
+
     def test_negative_n_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["count", "--n", "-1"])
@@ -243,6 +253,7 @@ def _assert_input_error(capsys, argv):
     errors = [line for line in err.splitlines() if "error" in line]
     assert len(errors) == 1 and errors[0].startswith("stripwalks: error: ")
     assert "Traceback" not in err
+    return errors[0]
 
 
 @pytest.mark.parametrize(

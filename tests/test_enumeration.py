@@ -1,4 +1,5 @@
 import collections
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from conftest import W2, W3, W4, W5, seq_add, seq_geometric, seq_mul, seq_one, s
 from stripwalks import (
     BRIDGE_TYPES,
     IrreducibleFactor,
+    RationalGF,
     StripGeometry,
     Walk,
     classify_irreducible,
@@ -23,8 +25,10 @@ from stripwalks import (
     is_half_space,
     iter_walks,
     transform_irreducible_w4,
+    zeilberger_count,
 )
 from stripwalks.enumeration import bridge_span_table, is_simple_factor
+from stripwalks.genfunc import W3_BRIDGE_DENOMINATOR, W3_BRIDGE_NUMERATOR
 
 COUNTS_BY_KIND = {
     "saw": count_saws,
@@ -39,6 +43,18 @@ def _lengths_from_iter_walks(strip, n_max, kind):
     for w in iter_walks(strip, n_max, kind=kind):
         counts[w.length] += 1
     return tuple(counts)
+
+
+class TestDeepTables:
+    """Tables over many columns, beyond the reach of the DFS oracle."""
+
+    def test_width3_bridges_match_the_published_gf(self):
+        gf = RationalGF(W3_BRIDGE_NUMERATOR, W3_BRIDGE_DENOMINATOR)
+        assert count_bridges(W3, 80).counts == gf.series(80)
+
+    def test_two_row_saws_match_the_closed_form(self):
+        counts = count_saws(StripGeometry(0, 1), 60).counts
+        assert counts[2:] == tuple(zeilberger_count(n) for n in range(2, 61))
 
 
 class TestCounts:
@@ -457,6 +473,30 @@ class TestTransformWidth4:
     def test_simple_factor_has_a_vertical_step(self):
         assert is_simple_factor(IrreducibleFactor(Walk.from_steps("RU"), 0, 0))
         assert not is_simple_factor(IrreducibleFactor(Walk.from_steps("R"), 0, 0))
+        # The right step comes first: a vertical then a right step ends in
+        # the next column too, but is not simple.
+        assert not is_simple_factor(IrreducibleFactor(Walk.from_steps("UR"), 0, 0))
+
+    @pytest.mark.parametrize(
+        "strip, start",
+        [(s, line) for s in (W3, W4) for line in range(s.y_min, s.y_max + 1)],
+        ids=lambda v: f"w{v.width}" if isinstance(v, StripGeometry) else f"line{v}",
+    )
+    def test_simple_factor_matches_its_definition(self, strip, start):
+        # The written definition: the body after the tail is R, then one to
+        # three steps all up or all down.  Each factor is checked with its
+        # tail and with the tail removed.
+        simple_body = re.compile(r"R(U{1,3}|D{1,3})")
+        seen = collections.Counter()
+        for walk in iter_walks(strip.shift_origin(start), 11, kind="bridge"):
+            for factor in decompose_bridge(walk).factors:
+                body = factor.walk.steps()[factor.tail_length :]
+                expected = simple_body.fullmatch(body) is not None
+                tailless = IrreducibleFactor(Walk.from_steps(body), factor.start_line, 0)
+                assert is_simple_factor(factor) == expected, factor
+                assert is_simple_factor(tailless) == expected, tailless
+                seen[expected, factor.tail_length > 0] += 1
+        assert len(seen) == 4
 
     def test_codomain_and_injectivity(self):
         # End-line offset of the transformed walk relative to its start,
