@@ -231,8 +231,14 @@ def verify_halfspace_proposition(strip: StripGeometry, n_max: int) -> Inequality
     return InequalityReport(tuple(failures), 3 * (n_max + 1))
 
 
-def verify_bridge_corollary(counts_b: CountTable, mu: float, n_max: int) -> InequalityReport:
-    """mu^(n-1)/P(n) <= b_n <= mu^n on the width-3 strip, for 2 <= n <= n_max."""
+def verify_bridge_corollary(
+    strip: StripGeometry, counts_b: CountTable, mu: float, n_max: int
+) -> InequalityReport:
+    """mu^(n-1)/P(n) <= b_n <= mu^n for 2 <= n <= n_max.
+
+    P is the sandwich polynomial of the strip's width, as in
+    :func:`verify_sandwich`.
+    """
     if n_max > counts_b.n_max:
         raise ValueError("bridge table does not cover n_max")
     m = Fraction(mu)
@@ -240,7 +246,7 @@ def verify_bridge_corollary(counts_b: CountTable, mu: float, n_max: int) -> Ineq
     for n in range(2, n_max + 1):
         b = counts_b[n]
         upper = m**n
-        lower = m ** (n - 1) / hw_polynomial(n, 3)
+        lower = m ** (n - 1) / hw_polynomial(n, strip.width)
         if b > upper:
             failures.append(f"b_{n} > mu^{n}")
         if b < lower:

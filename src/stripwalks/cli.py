@@ -34,7 +34,8 @@ MAX_N = 24
 MAX_SERIES = 10000
 # Widest `--strip` for `count` and `verify`.  The transfer matrix's state
 # count and memory grow with the number of rows: `count_saws` at n=24 takes
-# 7-10 s and 180 MB on 10 rows, about 20 s and 430 MB on 11 (2-core Xeon).
+# 8-10 s and 212 MB on 10 rows (`verify all` 14-17 s and 213 MB), about 26 s
+# and 526 MB on 11 (2-core Xeon).
 MAX_STRIP_WIDTH = 10
 
 

@@ -4,9 +4,10 @@ Every count table comes from one cached frontier transfer matrix: the strip
 is swept column by column and cell by cell, and each state of the frontier
 carries a polynomial in the walk length.  For a fixed width the cost grows
 polynomially in the length instead of like mu^n.  The sweep interns each
-frontier state as a small int and caches its moves through each cell row and
-to the next column at its first visit, so the label work is done once per
-state and row, and each later column costs only the polynomial arithmetic.
+frontier state as a small int and caches its moves through each cell row at
+its first visit; the top row's moves already land in the next column.  So the
+label work is done once per state and row, and each later column costs only
+the polynomial arithmetic.
 One half-space run gives the half-space walks and the bridges by span; a
 second run that forbids cut points gives the irreducible factors.
 ``iter_walks`` is the package's only depth-first search, an explicit-stack
@@ -194,9 +195,11 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
     (labels, code) as a small int and works out each state's moves once.
     At a state's first visit to row r, :func:`_cell` gives its successors,
     which are cached for that row grouped by the number of edges they add,
-    with the walks it completes; :func:`_next_column` is cached per state
-    in the same way.  A visit then shifts and masks the polynomial once per
-    group and adds it to each successor's.
+    with the walks it completes.  On the top row each successor is first
+    moved to the next column by :func:`_next_column`, and dropped if it
+    leaves the sweep, so a column is one cached pass per row.  A visit then
+    shifts and masks the polynomial once per group and adds it to each
+    successor's.
 
     * ``"saw"``: a walk is translated so that its leftmost column is 0; the
       start must lie on row 0.  Columns run from 0 to n_max.
@@ -232,8 +235,8 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
     # keys[i] is the state interned as i.  steps[r][i] holds state i's
     # successors through the cell on row index r as (shift, ids) groups, in
     # the order _cell gives them, and the codes of the walks it completes
-    # there; advance[i] holds its successor in the next column, or -1 if it
-    # leaves the sweep.
+    # there.  The top row's successors are already moved to the next column,
+    # minus those that leave the sweep.
     ids: dict = {}
     keys: list = []
 
@@ -245,7 +248,6 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
         return i
 
     steps: list[dict] = [{} for _ in range(w)]
-    advance: dict = {}
 
     # The single-point walk: length 0, span 0, ending on the origin row.
     done = {(0, _BOTH_HERE + origin if half else _BOTH_EARLIER): 1}
@@ -267,9 +269,13 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
                     succ, ends = _cell(*keys[i], r, place)
                     by_shift: dict = {}
                     for key, k in succ:
+                        if r == w - 1:
+                            key = _next_column(*key, cut_free)
+                            if key is None:
+                                continue
                         by_shift.setdefault(k * bits, []).append(intern(key))
                     # Tuples, not lists: a saw run on 10 rows to n = 24 caches
-                    # 339,390 entries.
+                    # 425,786 entries.
                     groups = tuple([(s, tuple(g)) for s, g in by_shift.items()])
                     moves = step[i] = (groups, tuple(ends))
                 groups, ends = moves
@@ -281,16 +287,6 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
                 for c in ends:
                     done[x, c] = done.get((x, c), 0) + poly
             states = new
-
-        states_next: dict = {}
-        for i, poly in states.items():
-            j = advance.get(i)
-            if j is None:
-                key = _next_column(*keys[i], cut_free)
-                j = advance[i] = -1 if key is None else intern(key)
-            if j >= 0:
-                states_next[j] = states_next.get(j, 0) + poly
-        states = states_next
 
     coefficient = (1 << bits) - 1
     entries = []

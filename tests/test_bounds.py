@@ -7,6 +7,7 @@ from stripwalks import (
     CountTable,
     StripGeometry,
     connective_constant_width3,
+    count_bridges,
     count_saws,
     hw_polynomial,
     mu_bounds_width4,
@@ -167,7 +168,7 @@ class TestSandwich:
 
     def test_perturbed_mu_fails_bridge_upper(self, bridges_w3_18):
         mu = connective_constant_width3().mu * 0.95
-        report = verify_bridge_corollary(bridges_w3_18, mu, 18)
+        report = verify_bridge_corollary(W3, bridges_w3_18, mu, 18)
         assert not report.passed
 
     def test_exact_lower_verdict(self):
@@ -235,22 +236,30 @@ class TestHalfSpaceProposition:
 class TestBridgeCorollary:
     def test_width3(self, bridges_w3_18):
         mu = connective_constant_width3().mu
-        report = verify_bridge_corollary(bridges_w3_18, mu, 18)
+        report = verify_bridge_corollary(W3, bridges_w3_18, mu, 18)
         assert report.passed
 
     def test_exact_upper_verdict(self):
         # b_2 = 100000050 lies 5e-7 (relative) above mu^2 = 10^8: the upper
         # check fails, with no slack; b_2 = mu^2 passes.
-        report = verify_bridge_corollary(CountTable((1, 1, 100000050)), 1e4, 2)
+        report = verify_bridge_corollary(W3, CountTable((1, 1, 100000050)), 1e4, 2)
         assert report.failures == ("b_2 > mu^2",)
-        assert verify_bridge_corollary(CountTable((1, 1, 10**8)), 1e4, 2).passed
+        assert verify_bridge_corollary(W3, CountTable((1, 1, 10**8)), 1e4, 2).passed
 
     def test_lower_verdict_and_table_check(self):
         # b_2 = 1 lies far below mu^1 / P(2) at mu = 10^4.
-        report = verify_bridge_corollary(CountTable((1, 1, 1)), 1e4, 2)
+        report = verify_bridge_corollary(W3, CountTable((1, 1, 1)), 1e4, 2)
         assert report.failures == ("b_2 < mu^1/P(2)",)
         with pytest.raises(ValueError):
-            verify_bridge_corollary(CountTable((1, 1, 1)), 1e4, 3)
+            verify_bridge_corollary(W3, CountTable((1, 1, 1)), 1e4, 3)
+
+    def test_uses_the_strips_width(self):
+        # On 4 rows b_2 = 3 and P_4(2) = 4800, so mu = 3000 gives a lower
+        # bound of 0.625; the 3-row P_3(2) = 507 would give 5.9 > b_2.
+        b = count_bridges(W4, 2)
+        assert (b[2], hw_polynomial(2, 4), hw_polynomial(2, 3)) == (3, 4800, 507)
+        assert verify_bridge_corollary(W4, b, 3000.0, 2).passed
+        assert not verify_bridge_corollary(W3, b, 3000.0, 2).passed
 
     def test_spot_values(self, bridges_w3_18):
         mu = connective_constant_width3().mu

@@ -27,7 +27,7 @@ from stripwalks import (
     transform_irreducible_w4,
     zeilberger_count,
 )
-from stripwalks.enumeration import bridge_span_table, is_simple_factor
+from stripwalks.enumeration import _transfer, bridge_span_table, is_simple_factor
 from stripwalks.genfunc import W3_BRIDGE_DENOMINATOR, W3_BRIDGE_NUMERATOR
 
 COUNTS_BY_KIND = {
@@ -130,6 +130,40 @@ class TestSpans:
         # Only the single-point walk has span 0.
         for w in iter_walks(W3, 6, kind="half_space"):
             assert (w.span() == 0) == (w.length == 0)
+
+
+class TestBridgeEntries:
+    """Each bridge entry of the sweep, by (span, end row), against the DFS.
+
+    3- and 4-row types merge end rows, and on 5 or more rows an I type sums
+    over the inner rows, so the type counts alone do not pin the end row.
+    """
+
+    @pytest.mark.parametrize(
+        "y_min, y_max",
+        [(0, 0), (0, 1), (-1, 0), (-1, 1), (0, 2), (-2, 0),
+         (-1, 2), (-2, 1), (-2, 2), (-3, 1), (-2, 3), (0, 5)],
+    )
+    def test_entries_match_iter_walks_by_end_row(self, y_min, y_max):
+        strip = StripGeometry(y_min, y_max)
+        n_max = 10
+        bridges = collections.Counter()
+        cut_free = collections.Counter()
+        for w in iter_walks(strip, n_max, kind="bridge"):
+            key = (w.span(), w.end[1], w.length)
+            bridges[key] += 1
+            if not cut_points(w):
+                cut_free[key] += 1
+        for mode, expected in (("half_space", bridges), ("cut_free", cut_free)):
+            got = collections.Counter()
+            for (span, end), counts in _transfer(strip, n_max, mode):
+                if end is None:
+                    assert mode == "half_space"
+                    continue
+                for n, c in enumerate(counts):
+                    if c:
+                        got[span, end, n] += c
+            assert got == expected, mode
 
 
 class TestIterWalks:
