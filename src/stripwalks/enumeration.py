@@ -11,8 +11,9 @@ the polynomial arithmetic.
 One half-space run gives the half-space walks and the bridges by span; a
 second run that forbids cut points gives the irreducible factors.
 ``iter_walks`` is the package's only depth-first search, an explicit-stack
-loop: it yields the walks themselves and is the oracle the tests compare the
-transfer matrix against.
+loop over a table of lattice points that each call builds once: it yields the
+walks themselves and is the oracle the tests compare the transfer matrix
+against.
 On top of the counts this module implements the structural operations on
 bridges, each in one linear pass over the walk's x-coordinates:
 
@@ -25,6 +26,13 @@ bridges, each in one linear pass over the walk's x-coordinates:
   the Hammersley-Welsh argument;
 * the injective transformation of width-4 irreducible factors into
   left-step-free walks on a two-row strip.
+
+Bridges share few distinct factors, so ``decompose_bridge`` builds each
+factor once.  A module-wide ``lru_cache`` bounded at 4096 factors (about
+4 MB) maps the untranslated segment, the tail length and the strip's outer
+lines (a plain int pair, or None) to the frozen factor.  The key holds no
+``StripGeometry``: its dataclass hash and equality run in Python on every
+lookup.
 """
 
 from __future__ import annotations
@@ -352,16 +360,27 @@ def iter_walks(strip: StripGeometry, n_max: int, kind: str = "saw") -> Iterator[
     if kind not in ("saw", "half_space", "bridge"):
         raise ValueError(f"unknown walk kind {kind!r}")
     bridges_only = kind == "bridge"
-    # Every point of a walk of length <= n_max has x >= -n_max.
+    # A walk of length <= n_max stays within n_max of the origin in x and y,
+    # and a half-space walk stays right of column 0 after its start.  The
+    # call makes each lattice point of that box on the strip once, with its
+    # neighbours in the box in pop order, so the walks share point objects
+    # and a move allocates no point.
     x_floor = 0 if kind != "saw" else -n_max - 1
-    y_lo, y_hi = strip.y_min, strip.y_max
+    rows = range(max(strip.y_min, -n_max), min(strip.y_max, n_max) + 1)
+    box = {(x, y): (x, y) for x in range(x_floor + 1, n_max + 1) for y in rows}
+    origin = box.get((0, 0), (0, 0))
+    near = {}
+    for p in (origin, *box):
+        x, y = p
+        around = [(x + dx, y + dy) for dx, dy in _DELTAS_LAST_FIRST]
+        near[p] = tuple([box[q] for q in around if q in box])
     path: list[tuple[int, int]] = []
     visited: set[tuple[int, int]] = set()
     # pending[d] holds the untried (point, max x) moves from path[d - 1], the
     # next one last; pending[0] holds the origin.  The points visited do not
     # change between entering a point and trying its moves, so the moves are
     # filtered once, on entry.
-    pending = [[((0, 0), 0)]]
+    pending = [[(origin, 0)]]
     while pending:
         moves = pending[-1]
         if not moves:
@@ -377,14 +396,7 @@ def iter_walks(strip: StripGeometry, n_max: int, kind: str = "saw") -> Iterator[
             path.pop()
             continue
         visited.add(p)
-        x, y = p
-        ahead = []
-        for dx, dy in _DELTAS_LAST_FIRST:
-            nx = x + dx
-            ny = y + dy
-            if y_lo <= ny <= y_hi and nx > x_floor and (nx, ny) not in visited:
-                ahead.append(((nx, ny), nx if nx > m else m))
-        pending.append(ahead)
+        pending.append([(q, q[0] if q[0] > m else m) for q in near[p] if q not in visited])
 
 
 # ---------------------------------------------------------------------------
@@ -454,17 +466,30 @@ class BridgeDecomposition:
         return "".join(f.walk.steps() for f in self.factors) + "R" * self.trailing_right_run
 
 
-def _bridge_type(strip: StripGeometry, start_line: int, end_line: int) -> str:
+def _bridge_type(outer: tuple[int, int], start_line: int, end_line: int) -> str:
     """OO/OI/IO/II: O for an outer row of the strip, I for an inner one.
 
-    The rule holds on every width.  On 1 or 2 rows every row is outer, so
-    every factor is OO.  On 5 or more rows I names any of the w - 2 inner
-    rows, so a type no longer fixes, up to the strip's mirror symmetry, the
-    row where the next factor starts.  That is why the bridge code of
-    :mod:`genfunc` stays on 3 and 4 rows.
+    ``outer`` is the strip's ``outer_lines``.  The rule holds on every width.
+    On 1 or 2 rows every row is outer, so every factor is OO.  On 5 or more
+    rows I names any of the w - 2 inner rows, so a type no longer fixes, up
+    to the strip's mirror symmetry, the row where the next factor starts.
+    That is why the bridge code of :mod:`genfunc` stays on 3 and 4 rows.
     """
-    outer = strip.outer_lines
     return ("O" if start_line in outer else "I") + ("O" if end_line in outer else "I")
+
+
+@lru_cache(maxsize=4096)
+def _factor(segment: tuple, tail: int, outer: tuple[int, int] | None) -> IrreducibleFactor:
+    """The factor on an untranslated segment of a bridge, built once.
+
+    ``segment`` is a contiguous slice of a valid walk, so its translate to
+    the origin is valid by construction.  ``outer`` is the strip's outer
+    lines, or None for an unclassified factor.
+    """
+    x0, start_line = segment[0]
+    walk = _trusted_walk(tuple([(x - x0, y - start_line) for x, y in segment]))
+    bridge_type = None if outer is None else _bridge_type(outer, start_line, segment[-1][1])
+    return IrreducibleFactor(walk, start_line, tail, bridge_type)
 
 
 def decompose_bridge(walk: Walk, strip: StripGeometry | None = None) -> BridgeDecomposition:
@@ -474,6 +499,15 @@ def decompose_bridge(walk: Walk, strip: StripGeometry | None = None) -> BridgeDe
     factor as its tail; a maximal trailing run of right steps is returned
     separately.  When ``strip`` is given, each factor is classified by its
     start and end lines.
+
+    A bridge has few distinct factors (the 3,389 bridges of the strip from
+    -1 to 1 up to length 12 have 10,838 factors on 277 distinct segments),
+    so each factor is built once and shared: the frozen factors come from a
+    cache bounded at 4096 entries (about 4 MB), keyed on the untranslated
+    segment, the tail length and the outer lines as a plain int pair.  The
+    key holds no ``StripGeometry``, whose dataclass hash and equality would
+    cost more Python calls than the factor saves.  The bridge check runs
+    before any lookup.
     """
     points = walk.points
     n = len(points) - 1
@@ -484,6 +518,7 @@ def decompose_bridge(walk: Walk, strip: StripGeometry | None = None) -> BridgeDe
     # A bridge: 0 < x_j <= x_n for every j >= 1.
     if low <= 0 or high > xs[n]:
         raise ValueError("decompose_bridge requires a bridge")
+    outer = None if strip is None else strip.outer_lines
     boundaries = (0,) + cuts + (n,)
     factors: list[IrreducibleFactor] = []
     pending_tail = 0
@@ -491,12 +526,7 @@ def decompose_bridge(walk: Walk, strip: StripGeometry | None = None) -> BridgeDe
         if b - a == 1:
             pending_tail += 1
             continue
-        seg_start = a - pending_tail
-        # A contiguous slice of a valid walk, translated to the origin.
-        x0, start_line = points[seg_start]
-        sub = _trusted_walk(tuple([(x - x0, y - start_line) for x, y in points[seg_start : b + 1]]))
-        bridge_type = None if strip is None else _bridge_type(strip, start_line, points[b][1])
-        factors.append(IrreducibleFactor(sub, start_line, pending_tail, bridge_type))
+        factors.append(_factor(points[a - pending_tail : b + 1], pending_tail, outer))
         pending_tail = 0
     return BridgeDecomposition(tuple(factors), pending_tail)
 
@@ -507,7 +537,7 @@ def classify_irreducible(factor: IrreducibleFactor, strip: StripGeometry) -> str
     for line in (start, end):
         if not (strip.y_min <= line <= strip.y_max):
             raise ValueError(f"line {line} is not a row of the strip")
-    return _bridge_type(strip, start, end)
+    return _bridge_type(strip.outer_lines, start, end)
 
 
 def count_irreducible(
@@ -540,7 +570,7 @@ def count_irreducible(
     # running sum of the cut-free counts at 2..n.
     counts = [0] * (n_max + 1)
     for (_, end), cut_free in _transfer(shifted, n_max, "cut_free"):
-        if _bridge_type(shifted, 0, end) == bridge_type:
+        if _bridge_type(shifted.outer_lines, 0, end) == bridge_type:
             per_length = cut_free[2:] if tailless else accumulate(cut_free[2:])
             for n, c in enumerate(per_length, 2):
                 counts[n] += c

@@ -15,8 +15,10 @@ are valid by construction and are built by the private ``_trusted_walk``
 without the check: the prefixes of the depth-first search in ``iter_walks``
 (unit steps from the origin, each point tested against the set of visited
 points) and the translated contiguous slices of an already valid walk (the
-factors of ``decompose_bridge``).  The test suite checks that rebuilding any
-of them with ``Walk(...)`` gives an equal walk.
+factors of ``decompose_bridge``).  Factors are interned: each is built once
+per distinct segment and shared between decompositions, which is safe since
+every type here is frozen.  The test suite checks that rebuilding any of them
+with ``Walk(...)`` gives an equal walk.
 
 Conventions used throughout the package:
 

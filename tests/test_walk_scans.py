@@ -1,10 +1,12 @@
 """The walk-level maps against their naive reference forms in ``naive_walks``.
 
-``iter_walks`` is an explicit-stack search, ``cut_points`` and
-``decompose_bridge`` share one right-to-left scan, ``hw_decompose`` one
-backward arg-max/arg-min pass, and the walks the search yields and the
-factors a decomposition returns skip validation because they are valid by
-construction.  These tests pin all of that to the naive forms walk by walk.
+``iter_walks`` is an explicit-stack search over a per-call table of lattice
+points, ``cut_points`` and ``decompose_bridge`` share one right-to-left scan,
+``hw_decompose`` one backward arg-max/arg-min pass, and the walks the search
+yields and the factors a decomposition returns skip validation because they
+are valid by construction.  ``decompose_bridge`` interns its factors in a
+cache shared by every call.  These tests pin all of that to the naive forms
+walk by walk.
 """
 
 import pytest
@@ -100,17 +102,74 @@ def test_random_walks_match_naive_forms(strip, data):
         assert hw_decompose(walk) == naive_hw_decompose(walk)
 
 
-@pytest.mark.parametrize("strip", [StripGeometry(0, 0), StripGeometry(-1, 1), StripGeometry(-1, 2)],
-                         ids=_strip_id)
+@st.composite
+def placed_bridges(draw):
+    """A random bridge on a random placement of 1-4 rows, and a wider strip.
+
+    The wider strip adds a row above or below, so it holds every segment of
+    the bridge but may type a row as inner that the first strip types outer.
+    """
+    width = draw(st.integers(1, 4))
+    lo = draw(st.integers(1 - width, 0))
+    strip = StripGeometry(lo, lo + width - 1)
+    wider = draw(st.sampled_from([StripGeometry(lo - 1, strip.y_max), StripGeometry(lo, strip.y_max + 1)]))
+    return strip, wider, _longest_bridge_prefix(draw(half_space_walks(strip)))
+
+
+def _left_of_end(walk, strip):
+    """The walk extended to end one column left of its end, or None.
+
+    The extension is L, UL or DL, whichever first stays on the strip and
+    self-avoiding, so the result is not a bridge but its early segments are
+    those of ``walk``.
+    """
+    x, y = walk.end
+    for tail in ([(x - 1, y)], [(x, y + 1), (x - 1, y + 1)], [(x, y - 1), (x - 1, y - 1)]):
+        if all(strip.y_min <= q[1] <= strip.y_max and q not in walk.points for q in tail):
+            return Walk(walk.points + tuple(tail))
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(placed=placed_bridges(), data=st.data())
+def test_factor_cache_keys_on_segment_tail_and_outer_lines(placed, data):
+    # Factors are shared between decompositions.  The same segment must come
+    # back typed by whichever strip is asked for, or untyped, in any order.
+    strip, wider, bridge = placed
+    for s in data.draw(st.permutations([strip, wider, None])):
+        assert decompose_bridge(bridge, s) == naive_decompose_bridge(bridge, s)
+    walk = _left_of_end(bridge, strip) if bridge.length else None
+    if walk is not None:
+        for s in (strip, wider, None):
+            with pytest.raises(ValueError, match="^decompose_bridge requires a bridge$"):
+                decompose_bridge(walk, s)
+
+
+@pytest.mark.parametrize("strip", STRIPS, ids=_strip_id)
 def test_unvalidated_walks_pass_validation(strip):
     # iter_walks and decompose_bridge build walks without Walk.__post_init__;
     # rebuilding each one through the validating constructor must agree.
+    # Factors are interned: one that two bridges share must still equal the
+    # naive form of each.
+    owner: dict = {}  # id of a factor -> (the factor, the first bridge with it)
+    shared = 0
     for kind in KINDS:
-        for walk in iter_walks(strip, 8, kind):
+        walks = list(iter_walks(strip, 8, kind))
+        assert walks == list(naive_iter_walks(strip, 8, kind)), kind
+        for walk in walks:
             assert Walk(walk.points) == walk
-            if kind == "bridge":
-                for factor in decompose_bridge(walk, strip).factors:
-                    assert Walk(factor.walk.points) == factor.walk
+            if kind != "bridge":
+                continue
+            naive = naive_decompose_bridge(walk, strip).factors
+            factors = decompose_bridge(walk, strip).factors
+            assert len(factors) == len(naive)
+            for factor, fresh in zip(factors, naive):
+                assert Walk(factor.walk.points) == factor.walk
+                assert factor == fresh
+                first = owner.setdefault(id(factor), (factor, walk))[1]
+                shared += first != walk
+    # One row has no factor: every bridge is R^n, its trailing run.
+    assert shared > 0 or strip.width == 1
 
 
 class TestErrorPaths:
