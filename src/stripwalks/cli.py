@@ -13,6 +13,7 @@ an input error, any optional flag that its target does not read.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -320,7 +321,10 @@ def _cmd_verify(args: argparse.Namespace, t0: float) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built at its first use rather than at
+    import, so importing the module stays cheap."""
     parser = argparse.ArgumentParser(
         prog="stripwalks",
         description="Exact strip-walk enumeration, generating functions, and bounds.",

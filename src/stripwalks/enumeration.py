@@ -30,7 +30,7 @@ bridges, each in one linear pass over the walk's x-coordinates:
 Bridges share few distinct factors, so ``decompose_bridge`` builds each
 factor once.  A module-wide ``lru_cache`` bounded at 4096 factors (about
 4 MB) maps the untranslated segment, the tail length and the strip's outer
-lines (a plain int pair, or None) to the frozen factor.  The key holds no
+lines (a plain int pair) to the frozen, classified factor.  The key holds no
 ``StripGeometry``: its dataclass hash and equality run in Python on every
 lookup.
 """
@@ -217,7 +217,11 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
     * ``"cut_free"``: the half-space run, minus every state with exactly one
       edge crossing the line after a column >= 1: that edge is a cut of the
       bridge.  Only bridges with no cut point complete.
+
+    Every count entry point calls this sweep, so it alone refuses a negative
+    ``n_max``.
     """
+    _check_n_max(n_max)
     half = mode != "saw"
     cut_free = mode == "cut_free"
     lo, hi = max(strip.y_min, -n_max), min(strip.y_max, n_max)
@@ -312,19 +316,16 @@ def _summed(tables) -> tuple[int, ...]:
 
 def count_saws(strip: StripGeometry, n_max: int) -> CountTable:
     """Exact number of n-step self-avoiding walks on the strip, n = 0..n_max."""
-    _check_n_max(n_max)
     return CountTable(_summed(c for _, c in _transfer(strip, n_max, "saw")))
 
 
 def count_half_space(strip: StripGeometry, n_max: int) -> CountTable:
     """Exact number of n-step half-space walks on the strip, n = 0..n_max."""
-    _check_n_max(n_max)
     return CountTable(_summed(c for _, c in _transfer(strip, n_max, "half_space")))
 
 
 def count_bridges(strip: StripGeometry, n_max: int) -> CountTable:
     """Exact number of n-step bridges on the strip, n = 0..n_max."""
-    _check_n_max(n_max)
     entries = _transfer(strip, n_max, "half_space")
     return CountTable(_summed(c for (_, end), c in entries if end is not None))
 
@@ -335,7 +336,6 @@ def bridge_span_table(strip: StripGeometry, n: int) -> dict[int, int]:
     Bridges start in column 0 and never return to it, so the span of a
     bridge is simply its maximal x-coordinate.
     """
-    _check_n_max(n)
     table: dict[int, int] = {}
     for (span, end), counts in _transfer(strip, n, "half_space"):
         if end is not None and counts[n]:
@@ -479,26 +479,26 @@ def _bridge_type(outer: tuple[int, int], start_line: int, end_line: int) -> str:
 
 
 @lru_cache(maxsize=4096)
-def _factor(segment: tuple, tail: int, outer: tuple[int, int] | None) -> IrreducibleFactor:
+def _factor(segment: tuple, tail: int, outer: tuple[int, int]) -> IrreducibleFactor:
     """The factor on an untranslated segment of a bridge, built once.
 
     ``segment`` is a contiguous slice of a valid walk, so its translate to
     the origin is valid by construction.  ``outer`` is the strip's outer
-    lines, or None for an unclassified factor.
+    lines, which type the factor.
     """
     x0, start_line = segment[0]
     walk = _trusted_walk(tuple([(x - x0, y - start_line) for x, y in segment]))
-    bridge_type = None if outer is None else _bridge_type(outer, start_line, segment[-1][1])
+    bridge_type = _bridge_type(outer, start_line, segment[-1][1])
     return IrreducibleFactor(walk, start_line, tail, bridge_type)
 
 
-def decompose_bridge(walk: Walk, strip: StripGeometry | None = None) -> BridgeDecomposition:
+def decompose_bridge(walk: Walk, strip: StripGeometry) -> BridgeDecomposition:
     """Split a bridge into irreducible factors and a trailing right-step run.
 
     Runs of unit right-step factors are merged into the next non-trivial
     factor as its tail; a maximal trailing run of right steps is returned
-    separately.  When ``strip`` is given, each factor is classified by its
-    start and end lines.
+    separately.  Each factor is classified by its start and end lines on
+    ``strip``.
 
     A bridge has few distinct factors (the 3,389 bridges of the strip from
     -1 to 1 up to length 12 have 10,838 factors on 277 distinct segments),
@@ -518,7 +518,7 @@ def decompose_bridge(walk: Walk, strip: StripGeometry | None = None) -> BridgeDe
     # A bridge: 0 < x_j <= x_n for every j >= 1.
     if low <= 0 or high > xs[n]:
         raise ValueError("decompose_bridge requires a bridge")
-    outer = None if strip is None else strip.outer_lines
+    outer = strip.outer_lines
     boundaries = (0,) + cuts + (n,)
     factors: list[IrreducibleFactor] = []
     pending_tail = 0
@@ -555,7 +555,6 @@ def count_irreducible(
     outer/inner rule of :func:`_bridge_type`, so on 5 or more rows an I type
     sums over every inner end row.
     """
-    _check_n_max(n_max)
     if bridge_type not in BRIDGE_TYPES:
         raise ValueError(f"unknown bridge type {bridge_type!r}")
     shifted = strip.shift_origin(start_line)  # rejects an off-strip line first

@@ -82,8 +82,9 @@ def naive_cut_points(walk: Walk) -> tuple[int, ...]:
     return tuple(cuts)
 
 
-def naive_decompose_bridge(walk: Walk, strip: StripGeometry | None = None) -> BridgeDecomposition:
-    """Irreducible factors with merged tails, from the naive cut points."""
+def naive_decompose_bridge(walk: Walk, strip: StripGeometry) -> BridgeDecomposition:
+    """Irreducible factors with merged tails, from the naive cut points,
+    typed by the strip's outer lines."""
     if not is_bridge(walk):
         raise ValueError("decompose_bridge requires a bridge")
     n = walk.length
@@ -99,12 +100,10 @@ def naive_decompose_bridge(walk: Walk, strip: StripGeometry | None = None) -> Br
         seg = walk.points[a - pending_tail : b + 1]
         x0, y0 = seg[0]
         sub = Walk(tuple((x - x0, y - y0) for x, y in seg))
-        bridge_type = None
-        if strip is not None:
-            end_line = y0 + sub.end[1]
-            bridge_type = "".join(
-                "O" if line in strip.outer_lines else "I" for line in (y0, end_line)
-            )
+        end_line = y0 + sub.end[1]
+        bridge_type = "".join(
+            "O" if line in strip.outer_lines else "I" for line in (y0, end_line)
+        )
         factors.append(IrreducibleFactor(sub, y0, pending_tail, bridge_type))
         pending_tail = 0
     return BridgeDecomposition(tuple(factors), pending_tail)

@@ -19,6 +19,7 @@ from stripwalks import (
     verify_sandwich,
     zeilberger_count,
 )
+from stripwalks import bounds
 from stripwalks.bounds import fibonacci
 
 
@@ -231,6 +232,23 @@ class TestHalfSpaceProposition:
 
     def test_computes_tables_when_missing(self):
         assert verify_halfspace_proposition(W3, 6).passed
+
+    def test_reports_each_violation(self, monkeypatch):
+        # The verifier builds its own tables, so only patched ones can break
+        # it.  On W3, b = (1, 1, 3) and pf_exact(n, 3) = 1 for n <= 2; h_2 =
+        # 100 exceeds both products, and pf_bound(1) = 0 breaks both checks
+        # that read it at n = 1.
+        monkeypatch.setattr(bounds, "count_half_space", lambda strip, n: CountTable((1, 1, 100)))
+        monkeypatch.setattr(bounds, "pf_bound", lambda a, k: 0 if a == 1 else pf_bound(a, k))
+        report = verify_halfspace_proposition(W3, 2)
+        assert not report.passed
+        assert report.checked == 9
+        assert report.failures == (
+            "h_1 > pf_bound(1) * b_1",
+            "pf_exact(1) > pf_bound(1)",
+            "h_2 > pf_exact(2) * b_2",
+            "h_2 > pf_bound(2) * b_2",
+        )
 
 
 class TestBridgeCorollary:

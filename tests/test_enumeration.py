@@ -37,6 +37,18 @@ COUNTS_BY_KIND = {
 }
 
 
+# iter_walks is a generator, so it is drained to reach its check.
+NEGATIVE_N = {
+    "count_saws": lambda: count_saws(W3, -1),
+    "count_half_space": lambda: count_half_space(W3, -1),
+    "count_bridges": lambda: count_bridges(W3, -1),
+    "bridge_span_table": lambda: bridge_span_table(W3, -1),
+    "count_bridges_by_span": lambda: count_bridges_by_span(W3, -1, 0),
+    "count_irreducible": lambda: count_irreducible(W3, "OO", -1, 1),
+    "iter_walks": lambda: list(iter_walks(W3, -1)),
+}
+
+
 def _lengths_from_iter_walks(strip, n_max, kind):
     """Per-length counts of one walk kind, grouped from the DFS oracle."""
     counts = [0] * (n_max + 1)
@@ -82,12 +94,14 @@ class TestCounts:
         assert count_saws(W3, 0).counts == (1,)
         assert count_bridges(W4, 1).counts == (1, 1)
 
-    def test_rejects_negative_n(self):
-        with pytest.raises(ValueError):
-            count_saws(W3, -1)
-        with pytest.raises(ValueError):
-            count_bridges_by_span(W3, -1, 0)
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("entry", NEGATIVE_N)
+    def test_rejects_negative_n(self, entry):
+        # Every public entry refuses n_max = -1 before it counts or yields.
+        with pytest.raises(ValueError, match="^n_max must be non-negative, got -1$"):
+            NEGATIVE_N[entry]()
+
+    def test_rejects_negative_span(self):
+        with pytest.raises(ValueError, match="^span must be non-negative, got -1$"):
             count_bridges_by_span(W3, 4, -1)
 
     def test_bridges_subset_of_half_space(self, bridges_w3_18, half_space_w3_14):
@@ -522,8 +536,9 @@ class TestTransformWidth4:
         # tail and with the tail removed.
         simple_body = re.compile(r"R(U{1,3}|D{1,3})")
         seen = collections.Counter()
-        for walk in iter_walks(strip.shift_origin(start), 11, kind="bridge"):
-            for factor in decompose_bridge(walk).factors:
+        shifted = strip.shift_origin(start)
+        for walk in iter_walks(shifted, 11, kind="bridge"):
+            for factor in decompose_bridge(walk, shifted).factors:
                 body = factor.walk.steps()[factor.tail_length :]
                 expected = simple_body.fullmatch(body) is not None
                 tailless = IrreducibleFactor(Walk.from_steps(body), factor.start_line, 0)

@@ -25,6 +25,7 @@ from stripwalks import (
     cut_points,
     decompose_bridge,
     hw_decompose,
+    hw_reflect,
     iter_walks,
 )
 
@@ -49,7 +50,6 @@ def test_maps_match_naive_forms_on_every_walk(strip):
             assert cut_points(walk) == naive_cut_points(walk)
             if kind == "bridge":
                 assert decompose_bridge(walk, strip) == naive_decompose_bridge(walk, strip)
-                assert decompose_bridge(walk) == naive_decompose_bridge(walk)
             if kind == "half_space" and walk.length:
                 assert hw_decompose(walk) == naive_hw_decompose(walk)
 
@@ -134,15 +134,44 @@ def _left_of_end(walk, strip):
 @given(placed=placed_bridges(), data=st.data())
 def test_factor_cache_keys_on_segment_tail_and_outer_lines(placed, data):
     # Factors are shared between decompositions.  The same segment must come
-    # back typed by whichever strip is asked for, or untyped, in any order.
+    # back typed by whichever strip is asked for, in either order.
     strip, wider, bridge = placed
-    for s in data.draw(st.permutations([strip, wider, None])):
+    for s in data.draw(st.permutations([strip, wider])):
         assert decompose_bridge(bridge, s) == naive_decompose_bridge(bridge, s)
     walk = _left_of_end(bridge, strip) if bridge.length else None
     if walk is not None:
-        for s in (strip, wider, None):
+        for s in (strip, wider):
             with pytest.raises(ValueError, match="^decompose_bridge requires a bridge$"):
                 decompose_bridge(walk, s)
+
+
+def _nested_zigzag(width):
+    """A half-space walk on the strip (0, width - 1) with one span per row.
+
+    It runs right along row 0, then up one row at a time, each row one
+    column shorter than the one below and run the other way, so its spans
+    are width, width - 1, ..., 1: the most a strip of that width allows.
+    """
+    steps = "R" * width
+    for r in range(1, width):
+        steps += "U" + ("L" if r % 2 else "R") * (width - r)
+    return Walk.from_steps(steps)
+
+
+@pytest.mark.parametrize("width", [3, 4, 5, 6])
+def test_span_decomposition_at_one_span_per_row(width):
+    # No walk the enumerating tests reach has more than 3 spans.
+    walk = _nested_zigzag(width)
+    assert {y for _, y in walk.points} == set(range(width))
+    if width == 4:
+        assert walk.steps() == "RRRRULLLURRUL"
+    d = hw_decompose(walk)
+    assert d == naive_hw_decompose(walk)
+    assert d.spans == tuple(range(width, 0, -1))
+    image = hw_reflect(walk, d)
+    di = hw_decompose(image)
+    assert di == naive_hw_decompose(image)
+    assert di.spans == (d.spans[0] + d.spans[1],) + d.spans[2:]
 
 
 @pytest.mark.parametrize("strip", STRIPS, ids=_strip_id)
@@ -194,13 +223,12 @@ class TestErrorPaths:
         xs = [x for x, _ in walk.points]
         assert all(0 < x <= xs[-2] for x in xs[1:-1])
         assert not all(0 < x <= xs[-1] for x in xs[1:])
-        with pytest.raises(ValueError, match="^decompose_bridge requires a bridge$"):
-            decompose_bridge(walk)
-        with pytest.raises(ValueError, match="^decompose_bridge requires a bridge$"):
-            decompose_bridge(walk, StripGeometry(-1, 2))
+        for strip in (StripGeometry(-1, 2), StripGeometry(-2, 3)):
+            with pytest.raises(ValueError, match="^decompose_bridge requires a bridge$"):
+                decompose_bridge(walk, strip)
 
     def test_decompose_bridge_length_zero(self):
-        for strip in (None, StripGeometry(-1, 1)):
+        for strip in (StripGeometry(0, 0), StripGeometry(-1, 1)):
             d = decompose_bridge(Walk(((0, 0),)), strip)
             assert d.factors == () and d.trailing_right_run == 0
         assert cut_points(Walk(((0, 0),))) == ()
