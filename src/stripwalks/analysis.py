@@ -8,9 +8,14 @@ signs on its Moebius image counts the cell's roots: no sign variation
 proves the open cell root-free, one proves it holds exactly one simple
 root.  The isolating cell is then narrowed to the requested width by
 quadratic interval refinement: secant guesses checked by exact values at
-dyadic points a/2^k, each the integer homogeneous evaluation
-sum c_i a^i 2^(k(d-i)), so brackets are rigorous and the number of
-evaluations grows like log log(1/tol), not log(1/tol).
+dyadic points a/2^k, each the integer polynomial sum c_i 2^(k(d-i)) t^i
+evaluated at t = a by shifts and integer Horner, with no fraction and no
+gcd, so brackets are rigorous and the number of evaluations grows like
+log log(1/tol), not log(1/tol).  The Taylor shifts of the descent are
+running sums.  A repeated least root shows two or more sign variations in
+every cell around it, so the first descent stops at depth 10 and the
+search restarts on the square-free part p / gcd(p, p'); a simple least
+root is isolated before that depth on every denominator isolated here.
 
 The roots isolated at run time are those of the published polynomials in
 :mod:`stripwalks.genfunc`: the three-row loop polynomial (the paper's
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 
 from .genfunc import (
     IntPolynomial,
@@ -62,12 +67,15 @@ class RootResult:
 
 
 def _taylor_shift_1(cs: list[int]) -> list[int]:
-    """Coefficients of P(x + 1), by additions only."""
-    out = list(cs)
-    for i in range(len(out) - 1):
-        for j in range(len(out) - 2, i - 1, -1):
-            out[j] += out[j + 1]
-    return out
+    """Coefficients of P(x + 1), by additions only.
+
+    Pass i replaces cs[i:] by its suffix sums, which on the reversed list
+    is one running sum over its first len(cs) - i entries.
+    """
+    r = cs[::-1]
+    for m in range(len(r), 1, -1):
+        r[:m] = accumulate(r[:m])
+    return r[::-1]
 
 
 def _sign_variations(cs: list[int]) -> int:
@@ -116,6 +124,13 @@ def _square_free_part(p: IntPolynomial) -> IntPolynomial:
     return _poly_exact_div(p, _poly_gcd(p, derivative))
 
 
+def _dyadic_value(p: IntPolynomial, x: int, k: int) -> int:
+    """2^(kd) p(x / 2^k), an integer with the sign of p there: the integer
+    polynomial sum c_i 2^(k(d-i)) t^i at t = x, shifts and Horner only."""
+    d = p.degree
+    return IntPolynomial(tuple(c << k * (d - i) for i, c in enumerate(p.coefficients)))(x)
+
+
 def _refine(
     p: IntPolynomial, k: int, a: int, v_lo: int, v_hi: int, scale: int
 ) -> tuple[int, int, int]:
@@ -135,12 +150,6 @@ def _refine(
     evaluations instead of one per bit.
     """
     d = p.degree
-
-    def value(x: int, k: int) -> int:
-        # 2^(kd) p(x / 2^k), an integer with the sign of p there.
-        v = p(Fraction(x, 1 << k))
-        return v.numerator << (k * d - v.denominator.bit_length() + 1)
-
     j = 1
     while k < scale:
         j = min(j, scale - k)
@@ -148,8 +157,8 @@ def _refine(
         # Integer secant: a float one loses the bits past 53 that large j needs.
         m = min((v_lo << j) // (v_lo - v_hi), last)
         x = (a << j) + m
-        v_x = v_lo << (d * j) if m == 0 else value(x, k + j)
-        v_y = v_hi << (d * j) if m == last else value(x + 1, k + j)
+        v_x = v_lo << (d * j) if m == 0 else _dyadic_value(p, x, k + j)
+        v_y = v_hi << (d * j) if m == last else _dyadic_value(p, x + 1, k + j)
         if v_x == 0:
             return k + j, x, x
         if v_y == 0 and m < last:
@@ -158,7 +167,7 @@ def _refine(
             a, k, v_lo, v_hi, j = x, k + j, v_x, v_y, 2 * j
             continue
         # A miss: at j = 1 the fresh value is the midpoint's already.
-        v_mid = (v_y if m == 0 else v_x) if j == 1 else value(2 * a + 1, k + 1)
+        v_mid = (v_y if m == 0 else v_x) if j == 1 else _dyadic_value(p, 2 * a + 1, k + 1)
         if v_mid == 0:
             return k + 1, 2 * a + 1, 2 * a + 1
         if v_mid > 0:
@@ -191,7 +200,10 @@ def smallest_positive_root(p: IntPolynomial, tol: float = DEFAULT_TOL) -> RootRe
     while 2.0**-scale > tol:
         scale += 1
 
-    isolated = _isolate(p, scale)
+    # A simple least root isolates within a few levels on every denominator
+    # here, while a repeated one fails every cell around it, so the first
+    # descent stops at _MIN_SCALE whatever the tolerance.
+    isolated = _isolate(p, _MIN_SCALE)
     if isolated is None:
         # The gcd is costly on large denominators, so it is taken only here.
         p = _square_free_part(p)

@@ -7,7 +7,8 @@ products simply multiply numerators and denominators -- and equality is tested
 by cross-multiplication.  This keeps the composed functions in the same
 unreduced shape as the published quotients they are checked against; an
 explicit :meth:`RationalGF.reduced` is available where a cancelled form is
-wanted.
+wanted.  Only :meth:`RationalGF.series` reduces on its own, internally, for
+long series: the coefficients are the same, and the recurrence is shorter.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Mapping
 
 from .lattice import BRIDGE_TYPES
@@ -199,6 +201,14 @@ def _poly_exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return IntPolynomial.from_coefficients(q)
 
 
+# RationalGF.series reduces first when n_max exceeds this many terms per
+# degree of the larger of numerator and denominator.  The primitive-PRS gcd
+# of the four-row composition (degrees 71/84, reduced 21/34) costs 3-4.5 ms,
+# about as much as 700 terms of its unreduced recurrence; atoms are already
+# reduced, so on short series the gcd is pure loss.
+_REDUCE_AFTER = 8
+
+
 @dataclass(frozen=True)
 class RationalGF:
     """A ratio of integer polynomials with denominator constant term 1.
@@ -268,18 +278,25 @@ class RationalGF:
         """The first n_max + 1 Taylor coefficients, exactly.
 
         Uses the linear recurrence a_n = num_n - sum_{k>=1} den_k a_{n-k}
-        induced by the denominator.
+        induced by the denominator.  Past ``_REDUCE_AFTER`` terms per degree
+        the recurrence runs on :meth:`reduced` instead: N/D and (N/g)/(D/g)
+        are the same power series because g(0) = 1, and the shorter
+        recurrence repays the gcd on long series.
         """
         if n_max < 0:
             raise ValueError("n_max must be non-negative")
-        den = self.denominator.coefficients
-        out: list[int] = []
+        gf = self
+        if n_max > _REDUCE_AFTER * max(self.numerator.degree, self.denominator.degree):
+            gf = self.reduced()
+        num, den = gf.numerator.coefficients, gf.denominator.coefficients
+        d = len(den) - 1
+        # -den_d, ..., -den_1 against a_{n-d}, ..., a_{n-1}; d leading zeros
+        # stand for the terms before a_0.
+        weights = [-c for c in reversed(den[1:])]
+        out = [0] * d
         for n in range(n_max + 1):
-            v = self.numerator.coefficient(n)
-            for k in range(1, min(n, len(den) - 1) + 1):
-                v -= den[k] * out[n - k]
-            out.append(v)
-        return tuple(out)
+            out.append((num[n] if n < len(num) else 0) + sum(map(mul, weights, out[n : n + d])))
+        return tuple(out[d:])
 
     def reduced(self) -> "RationalGF":
         """The same function with the numerator/denominator gcd cancelled.

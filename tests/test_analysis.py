@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stripwalks import (
     CountTable,
@@ -14,7 +14,8 @@ from stripwalks import (
     mu_bounds_width4,
     smallest_positive_root,
 )
-from stripwalks.analysis import _isolate
+from stripwalks import analysis
+from stripwalks.analysis import _dyadic_value, _isolate, _taylor_shift_1
 from stripwalks.genfunc import (
     UPPER_ATOM_DENOMINATOR,
     W3_BRIDGE_DENOMINATOR,
@@ -192,6 +193,23 @@ class TestSmallestPositiveRoot:
         # The degree-44 denominator's repeated roots lie above its least one.
         assert smallest_positive_root(p, tol) == smallest_positive_root(same_as, tol)
 
+    @pytest.mark.parametrize("power", [2, 3])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-300])
+    def test_repeated_root_restarts_after_ten_levels(self, monkeypatch, power, tol):
+        # The first descent gives up at depth 10 whatever the tolerance, so
+        # a repeated least root costs no Taylor shift per bit asked for:
+        # descending to the tolerance's scale made 95 shifts at 1e-12 and
+        # 2,499 at 1e-300 on the square.
+        p = _product(*[W3_LOOP_POLYNOMIAL] * power)
+        expected = smallest_positive_root(W3_LOOP_POLYNOMIAL, tol)
+        shifts = []
+        shift = analysis._taylor_shift_1
+        monkeypatch.setattr(
+            analysis, "_taylor_shift_1", lambda cs: shifts.append(cs) or shift(cs)
+        )
+        assert smallest_positive_root(p, tol) == expected
+        assert len(shifts) <= 30
+
     @pytest.mark.parametrize("tol", [1e-2, 1e-6, 1e-12, 1e-40, 1e-300, 5e-324])
     @pytest.mark.parametrize(
         "p",
@@ -237,18 +255,61 @@ class TestSmallestPositiveRoot:
     def test_refinement_converges_quadratically(self, monkeypatch, tol, most):
         # Bisection makes one exact evaluation per bit: 39 at 1e-12 and 996
         # at 1e-300 on the degree-44 denominator.  The isolating cell's end
-        # values come from the descent, so no call is made at either end.
+        # values come from the descent, so every point evaluated lies inside
+        # the cell.  Each call evaluates 2^(kd) p(t / 2^k) at an integer
+        # t = x; its constant term 2^(kd) gives k, so x / 2^k is the point.
+        p, d = W4_LOOP_DENOMINATOR, W4_LOOP_DENOMINATOR.degree
         scale = 1 - math.frexp(_grid_width(tol))[1]
-        k, lo, hi = _isolate(W4_LOOP_DENOMINATOR, scale)[:3]
-        ends = {Fraction(lo, 1 << k), Fraction(hi, 1 << k)}
+        k, lo, hi = _isolate(p, scale)[:3]
         calls = []
         evaluate = IntPolynomial.__call__
         monkeypatch.setattr(
-            IntPolynomial, "__call__", lambda p, t: calls.append(t) or evaluate(p, t)
+            IntPolynomial, "__call__", lambda q, t: calls.append((q, t)) or evaluate(q, t)
         )
-        smallest_positive_root(W4_LOOP_DENOMINATOR, tol)
+        smallest_positive_root(p, tol)
         assert 0 < len(calls) <= most
-        assert ends.isdisjoint(calls)
+        points = []
+        for q, x in calls:
+            j, rest = divmod(q.constant_term.bit_length() - 1, d)
+            assert rest == 0 and isinstance(x, int)
+            assert q.coefficients == tuple(c << j * (d - i) for i, c in enumerate(p.coefficients))
+            points.append(Fraction(x, 1 << j))
+        assert all(Fraction(lo, 1 << k) < x < Fraction(hi, 1 << k) for x in points)
+
+
+def _binomial_shift(cs):
+    """Coefficients of P(x + 1) by the binomial theorem."""
+    return [sum(c * math.comb(i, j) for i, c in enumerate(cs)) for j in range(len(cs))]
+
+
+@given(st.lists(st.integers(-10**6, 10**6), max_size=16))
+@example([])
+@example([7])
+@example(list(W4_LOOP_DENOMINATOR.coefficients))
+def test_taylor_shift_matches_binomial_expansion(cs):
+    before = list(cs)
+    assert _taylor_shift_1(cs) == _binomial_shift(cs)
+    assert cs == before
+
+
+@given(
+    p=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12)
+    .map(IntPolynomial.from_coefficients)
+    .filter(lambda p: not p.is_zero),
+    x=st.integers(0, 2**14),
+    k=st.integers(0, 14),
+)
+@example(W4_LOOP_DENOMINATOR, 0, 0)
+@example(W4_LOOP_DENOMINATOR, 0, 9)
+@example(W4_LOOP_DENOMINATOR, 6, 3)  # x / 2^k = 3/4 in lowest terms
+@example(W4_LOOP_DENOMINATOR, 1 << 12, 12)  # x / 2^k = 1
+@example(W3_LOOP_POLYNOMIAL, 946, 11)
+@example(_poly(5), 3, 2)
+def test_dyadic_value_is_the_scaled_value(p, x, k):
+    # Even x make x / 2^k reduce as a fraction; the value does not care.
+    v = _dyadic_value(p, x, k)
+    assert type(v) is int
+    assert v == 2 ** (k * p.degree) * p(Fraction(x, 2**k))
 
 
 def test_runtime_denominators_have_nonnegative_reciprocal_series():

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from stripwalks.genfunc import (
     W4_LOWER_DENOMINATOR,
     W4_LOWER_NUMERATOR,
     W4_LOOP_DENOMINATOR,
+    _REDUCE_AFTER,
     _poly,
     _poly_exact_div,
 )
@@ -68,6 +70,17 @@ def naive_horner(p: IntPolynomial, t) -> Fraction:
     for c in reversed(p.coefficients):
         acc = acc * t + c
     return acc
+
+
+def naive_series(gf: RationalGF, n_max: int) -> tuple[int, ...]:
+    """a_n = num_n - sum_{k=1}^{n} den_k a_{n-k}, term by term, on gf as given."""
+    num, den = gf.numerator, gf.denominator
+    out: list[int] = []
+    for n in range(n_max + 1):
+        out.append(
+            num.coefficient(n) - sum(den.coefficient(k) * out[n - k] for k in range(1, n + 1))
+        )
+    return tuple(out)
 
 
 def _ascending(sympy_poly) -> tuple[int, ...]:
@@ -188,6 +201,44 @@ class TestRationalGF:
         assert lower_full.series(5) == (1, 1, 3, 6, 12, 24)
         with pytest.raises(ValueError):
             oo.series(-1)
+
+    @given(polys, unit_constant_polys, unit_constant_polys, st.integers(-4, 4))
+    @example(_poly(0, 3), _poly(1, -1), _poly(1, 2, 1), 1)
+    @example(_poly(2, 4), _poly(1, 0, -4), _poly(1, 1), 0)
+    def test_series_matches_naive_recurrence(self, f, g, h, offset):
+        # g is a planted common factor; n_max lands on both sides of the
+        # length past which series runs on the reduced quotient.
+        gf = RationalGF(f * g, h * g)
+        n_max = max(_REDUCE_AFTER * max(gf.numerator.degree, gf.denominator.degree) + offset, 0)
+        assert gf.series(n_max) == naive_series(gf, n_max)
+
+    @pytest.mark.parametrize(
+        "gf, n_max",
+        [
+            (RationalGF(_poly(3, 1), _poly(1, -2, 1)), 0),
+            (RationalGF(IntPolynomial.zero(), _poly(1, -1, 1)), 0),
+            (RationalGF(IntPolynomial.zero(), _poly(1, -1, 1)), 40),
+            (RationalGF(IntPolynomial.zero(), IntPolynomial.one()), 5),
+            (RationalGF.from_polynomial(_poly(1, -2, 0, 4)), 2),
+            (RationalGF.from_polynomial(_poly(1, -2, 0, 4)), 30),
+            (RationalGF.one(), 0),
+        ],
+        ids=["n0", "zero_n0", "zero_long", "zero_over_one", "poly_short", "poly_long", "one"],
+    )
+    def test_series_edge_cases(self, gf, n_max):
+        assert gf.series(n_max) == naive_series(gf, n_max)
+
+    def test_series_reduces_only_past_the_cut_off(self, monkeypatch):
+        # Degrees 2/2 put the cut-off at 2 * _REDUCE_AFTER terms.
+        gf = RationalGF(_poly(0, 1, -1), _poly(1, -2, 1))
+        cut = 2 * _REDUCE_AFTER
+        calls = []
+        reduced = RationalGF.reduced
+        monkeypatch.setattr(RationalGF, "reduced", lambda self: calls.append(self) or reduced(self))
+        assert gf.series(cut) == (0,) + (1,) * cut
+        assert not calls
+        assert gf.series(cut + 1) == (0,) + (1,) * (cut + 1)
+        assert calls == [gf]
 
     def test_equality_is_cross_multiplication(self):
         a = RationalGF(_poly(0, 1), _poly(1, -1))
@@ -439,3 +490,29 @@ class TestWidth4Upper:
     def test_series_is_upper_bound(self):
         series = compose_bridge_code(atoms_width4_upper(), 4).series(30)
         assert all(s >= b for s, b in zip(series, count_bridges(W4, 30).counts))
+
+
+# sha256 of the comma-separated decimal series of each composition, from the
+# term-by-term recurrence on the unreduced quotient.  At 673 terms the
+# four-row compositions are just past their cut-off (8 x degree 84 and 15).
+COMPOSED_SERIES_DIGESTS = {
+    ("w3", 600): "a164085ff99290806d0422810ebcd5ec20c41ce84f7d81dae5a80f51bff11aca",
+    ("w3", 673): "48d2575d380df57445aed9caba2ea91b5f0c60f1bbc55a44ec1d99495c819955",
+    ("w3", 1500): "7e4dd7b5ebc8e440c78600053c4525903b1d1e2315b52ab66902b4340ac23657",
+    ("lower", 600): "23c78a976133709d7fd9e4f05620699f17c82d4ba3d29ff78490ccd441c8e479",
+    ("lower", 673): "591305b8f03276743eef1d2336735a283070650dff75565d9d83e9d0b8b5dd1c",
+    ("lower", 1500): "8dc13ccbb1feee66036944b095997a4219f0c8573a4d997934a299581540667d",
+    ("upper", 600): "7adca309dee3b99e22dbcb036220e5350acf087759e254799cb135bc3cd43c05",
+    ("upper", 673): "5fc7a920b6195699aab9d92d6f7c45033986d54f92c26966f13051d66b22e763",
+    ("upper", 1500): "e69d8ca0aa489d2d291ef9e829e74ae49c72e3db295e53e8637714263b8e9daf",
+}
+
+
+@pytest.mark.parametrize("name, n", list(COMPOSED_SERIES_DIGESTS), ids=lambda v: str(v))
+def test_long_composed_series_are_unchanged(name, n):
+    atoms, width = {
+        "w3": (atoms_width3, 3), "lower": (atoms_width4_lower, 4), "upper": (atoms_width4_upper, 4)
+    }[name]
+    series = compose_bridge_code(atoms(), width).series(n)
+    digest = hashlib.sha256(",".join(map(str, series)).encode()).hexdigest()
+    assert digest == COMPOSED_SERIES_DIGESTS[name, n]
