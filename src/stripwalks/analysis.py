@@ -12,10 +12,9 @@ dyadic points a/2^k, each the integer polynomial sum c_i 2^(k(d-i)) t^i
 evaluated at t = a by shifts and integer Horner, with no fraction and no
 gcd, so brackets are rigorous and the number of evaluations grows like
 log log(1/tol), not log(1/tol).  The Taylor shifts of the descent are
-running sums.  A repeated least root shows two or more sign variations in
-every cell around it, so the first descent stops at depth 10 and the
-search restarts on the square-free part p / gcd(p, p'); a simple least
-root is isolated before that depth on every denominator isolated here.
+running sums.  A repeated root shows two or more sign variations in every
+cell around it, so the descent and the refinement run on the square-free
+part p / gcd(p, p'), which has the same roots, each simple.
 
 The roots isolated at run time are those of the published polynomials in
 :mod:`stripwalks.genfunc`: the three-row loop polynomial (the paper's
@@ -43,7 +42,6 @@ from .genfunc import (
     W3_LOOP_POLYNOMIAL,
     W4_LOOP_DENOMINATOR,
     W4_LOWER_DENOMINATOR,
-    _poly_exact_div,
     _poly_gcd,
 )
 from .lattice import CountTable
@@ -83,7 +81,7 @@ def _sign_variations(cs: list[int]) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _isolate(p: IntPolynomial, max_scale: int | None) -> tuple[int, ...] | None:
+def _isolate(p: IntPolynomial) -> tuple[int, int, int, int, int]:
     """(k, lo, hi, v_lo, v_hi) such that the least root of p on (0, 1] is
     lo / 2^k = hi / 2^k, or is the only root of p in the open cell
     (lo, hi) / 2^k with hi = lo + 1; v_lo and v_hi are the exact scaled
@@ -96,9 +94,9 @@ def _isolate(p: IntPolynomial, max_scale: int | None) -> tuple[int, ...] | None:
     (x + 1)^d P(1 / (x + 1)), whose sign variations V bound their number and
     match its parity.  So V = 0 leaves only the right end, where P(1) is the
     coefficient sum, and V = 1 isolates one simple root.  P(0) = cs[0] and
-    P(1) = sum(cs) are then the cell's scaled end values.  Returns None when a
-    cell at scale max_scale or finer still shows V >= 2: a repeated root does
-    that in every cell around it.
+    P(1) = sum(cs) are then the cell's scaled end values.  p must be
+    square-free: a repeated root shows V >= 2 in every cell around it, and
+    the descent would not end.
     """
     d = p.degree
     pending = [(0, 0, list(p.coefficients))]
@@ -111,8 +109,6 @@ def _isolate(p: IntPolynomial, max_scale: int | None) -> tuple[int, ...] | None:
             if sum(cs) == 0:
                 return k, a + 1, a + 1, 0, 0
             continue
-        if max_scale is not None and k >= max_scale:
-            return None
         left = [c << (d - i) for i, c in enumerate(cs)]  # 2^d P(x / 2)
         pending += [(k + 1, 2 * a + 1, _taylor_shift_1(left)), (k + 1, 2 * a, left)]
     raise ValueError("no root on (0, 1]; cannot bracket a root")
@@ -121,7 +117,7 @@ def _isolate(p: IntPolynomial, max_scale: int | None) -> tuple[int, ...] | None:
 def _square_free_part(p: IntPolynomial) -> IntPolynomial:
     """p / gcd(p, p'), with the sign of p at 0: the same roots, each simple."""
     derivative = IntPolynomial(tuple(i * c for i, c in enumerate(p.coefficients))[1:])
-    return _poly_exact_div(p, _poly_gcd(p, derivative))
+    return _poly_gcd(p, derivative)[1]
 
 
 def _dyadic_value(p: IntPolynomial, x: int, k: int) -> int:
@@ -183,7 +179,8 @@ def smallest_positive_root(p: IntPolynomial, tol: float = DEFAULT_TOL) -> RootRe
 
     The bracket is the cell [lo, lo + 1] / 2^s of the first scale s >= 10
     with 2^-s <= tol that holds the root, or the root itself if it is a
-    point of that grid.  The certificate is exact: Descartes' rule finds no
+    point of that grid.  The certificate is exact: on the square-free part
+    of p, which has the roots of p, each simple, Descartes' rule finds no
     root in each dyadic cell left of the isolating one and exactly one in
     that one, so p has no root on (0, lo / 2^s).  Roots of any multiplicity
     are found, and other roots may share the bracket.  Only real roots are
@@ -200,15 +197,8 @@ def smallest_positive_root(p: IntPolynomial, tol: float = DEFAULT_TOL) -> RootRe
     while 2.0**-scale > tol:
         scale += 1
 
-    # A simple least root isolates within a few levels on every denominator
-    # here, while a repeated one fails every cell around it, so the first
-    # descent stops at _MIN_SCALE whatever the tolerance.
-    isolated = _isolate(p, _MIN_SCALE)
-    if isolated is None:
-        # The gcd is costly on large denominators, so it is taken only here.
-        p = _square_free_part(p)
-        isolated = _isolate(p, None)
-    k, lo, hi, v_lo, v_hi = isolated
+    p = _square_free_part(p)
+    k, lo, hi, v_lo, v_hi = _isolate(p)
     if k > scale:
         # The descent went below the grid: round out to it.  An exact root
         # stays exact if it is a grid point.

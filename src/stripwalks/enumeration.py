@@ -484,8 +484,12 @@ def _factor(segment: tuple, tail: int, outer: tuple[int, int]) -> IrreducibleFac
 
     ``segment`` is a contiguous slice of a valid walk, so its translate to
     the origin is valid by construction.  ``outer`` is the strip's outer
-    lines, which type the factor.
+    lines, which type the factor and bound its rows: a segment that leaves
+    the strip is refused, as :func:`classify_irreducible` refuses its lines.
     """
+    for _, y in segment:
+        if not outer[0] <= y <= outer[1]:
+            raise ValueError(f"line {y} is not a row of the strip")
     x0, start_line = segment[0]
     walk = _trusted_walk(tuple([(x - x0, y - start_line) for x, y in segment]))
     bridge_type = _bridge_type(outer, start_line, segment[-1][1])
@@ -498,7 +502,7 @@ def decompose_bridge(walk: Walk, strip: StripGeometry) -> BridgeDecomposition:
     Runs of unit right-step factors are merged into the next non-trivial
     factor as its tail; a maximal trailing run of right steps is returned
     separately.  Each factor is classified by its start and end lines on
-    ``strip``.
+    ``strip``; a factor with a row off ``strip`` raises ValueError.
 
     A bridge has few distinct factors (the 3,389 bridges of the strip from
     -1 to 1 up to length 12 have 10,838 factors on 277 distinct segments),

@@ -7,8 +7,9 @@ products simply multiply numerators and denominators -- and equality is tested
 by cross-multiplication.  This keeps the composed functions in the same
 unreduced shape as the published quotients they are checked against; an
 explicit :meth:`RationalGF.reduced` is available where a cancelled form is
-wanted.  Only :meth:`RationalGF.series` reduces on its own, internally, for
-long series: the coefficients are the same, and the recurrence is shorter.
+wanted.  Only :meth:`RationalGF.series` reduces on its own, internally: the
+coefficients are the same, and the recurrence is shorter.  The gcd behind
+both is the heuristic integer gcd of :func:`_poly_gcd`.
 """
 
 from __future__ import annotations
@@ -143,46 +144,63 @@ def _poly(*coeffs: int) -> IntPolynomial:
     return IntPolynomial.from_coefficients(coeffs)
 
 
-# --- gcd reduction by integer primitive PRS --------------------------------
+# --- gcd reduction by the heuristic integer gcd ----------------------------
 
 
-def _primitive(cs: list[int]) -> list[int]:
-    """Divide out the content (gcd of the coefficients) of a non-zero list."""
-    content = gcd(*cs)
-    return [c // content for c in cs]
+def _value_at(cs: tuple[int, ...], xi: int) -> int:
+    """The polynomial with coefficients cs at the integer xi, by Horner.  Not
+    IntPolynomial.__call__: the bench tracer counts those calls as root
+    refinement evaluations."""
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * xi + c
+    return acc
 
 
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """A remainder of lc(b)^k * a by b over the integers, trailing zeros cut."""
-    r = a[:]
-    lead = b[-1]
-    while len(r) >= len(b):
-        top = r[-1]
-        shift = len(r) - len(b)
-        r = [lead * c for c in r]
-        for i, cb in enumerate(b):
-            r[shift + i] -= top * cb
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+def _poly_gcd(
+    a: IntPolynomial, b: IntPolynomial
+) -> tuple[IntPolynomial, IntPolynomial, IntPolynomial]:
+    """(g, a / g, b / g) for the greatest common divisor g of a and b, not
+    both zero, as a primitive integer polynomial with a positive constant
+    term; the exact quotients come from the final check.  Each caller
+    passes one operand with constant term 1: a denominator, or a polynomial
+    to make square-free.  The gcd divides it, so its constant term is 1 and
+    so is that of the quotient.
 
+    Heuristic integer gcd (Char, Geddes and Gonnet, J. Symbolic Comput. 7,
+    1989; Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 7.7):
+    with xi = 2 min(|a|, |b|) + 2 over the non-zero operands' largest
+    coefficients, the balanced base-xi digits of gcd(a(xi), b(xi)) are read
+    back as a polynomial, and its primitive part is the gcd if it divides
+    both a and b; otherwise xi grows and the step repeats.
 
-def _poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Greatest common divisor of a and b, not both zero, returned as a
-    primitive integer polynomial with a positive constant term (primitive
-    PRS: each pseudo-remainder has its content divided out, so coefficients
-    stay integer and small).  Each caller passes one operand with constant
-    term 1: a denominator, or a polynomial to make square-free.  The gcd
-    divides it, so its constant term is 1 and so is that of the quotient."""
-    fa, fb = list(a.coefficients), list(b.coefficients)
-    while fb:
-        fa, fb = fb, _pseudo_remainder(fa, fb)
-        if fb:
-            fb = _primitive(fb)
-    fa = _primitive(fa)
-    if fa[0] < 0:
-        fa = [-c for c in fa]
-    return IntPolynomial(tuple(fa))
+    Correct: by Cauchy's bound every root of the smaller operand has modulus
+    below xi / 2, so each non-constant integer factor q of it has
+    |q(xi)| > xi / 2, more than the content of the digits, none of which
+    exceeds xi / 2.  If the primitive candidate c divides both operands,
+    their gcd is c q with q(xi) dividing that content, so q is constant and
+    c is the gcd.
+    Terminates: with a = g A and b = g B, gcd(a(xi), b(xi)) is |g(xi)| times
+    a divisor of a bound that does not depend on xi -- the resultant of the
+    cofactors A and B, or a constant cofactor -- so a large enough xi reads
+    g back exactly.
+    """
+    fa, fb = a.coefficients, b.coefficients
+    xi = 2 * min(max(map(abs, f)) for f in (fa, fb) if f) + 2
+    while True:
+        g = gcd(_value_at(fa, xi), _value_at(fb, xi))
+        digits = []
+        while g:
+            g, d = divmod(g, xi)
+            if 2 * d > xi:
+                g, d = g + 1, d - xi
+            digits.append(d)
+        content = -gcd(*digits) if digits[0] < 0 else gcd(*digits)
+        candidate = IntPolynomial(tuple(c // content for c in digits))
+        try:
+            return candidate, _poly_exact_div(a, candidate), _poly_exact_div(b, candidate)
+        except ValueError:
+            xi = xi * 73794 // 27011  # the growth rule of Char, Geddes and Gonnet
 
 
 def _poly_exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -199,14 +217,6 @@ def _poly_exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     if any(r):
         raise ValueError("polynomial division is not exact")
     return IntPolynomial.from_coefficients(q)
-
-
-# RationalGF.series reduces first when n_max exceeds this many terms per
-# degree of the larger of numerator and denominator.  The primitive-PRS gcd
-# of the four-row composition (degrees 71/84, reduced 21/34) costs 3-4.5 ms,
-# about as much as 700 terms of its unreduced recurrence; atoms are already
-# reduced, so on short series the gcd is pure loss.
-_REDUCE_AFTER = 8
 
 
 @dataclass(frozen=True)
@@ -278,16 +288,13 @@ class RationalGF:
         """The first n_max + 1 Taylor coefficients, exactly.
 
         Uses the linear recurrence a_n = num_n - sum_{k>=1} den_k a_{n-k}
-        induced by the denominator.  Past ``_REDUCE_AFTER`` terms per degree
-        the recurrence runs on :meth:`reduced` instead: N/D and (N/g)/(D/g)
-        are the same power series because g(0) = 1, and the shorter
-        recurrence repays the gcd on long series.
+        induced by the denominator of :meth:`reduced`: N/D and (N/g)/(D/g)
+        are the same power series because g(0) = 1, and the recurrence is
+        shorter.
         """
         if n_max < 0:
             raise ValueError("n_max must be non-negative")
-        gf = self
-        if n_max > _REDUCE_AFTER * max(self.numerator.degree, self.denominator.degree):
-            gf = self.reduced()
+        gf = self.reduced()
         num, den = gf.numerator.coefficients, gf.denominator.coefficients
         d = len(den) - 1
         # -den_d, ..., -den_1 against a_{n-d}, ..., a_{n-1}; d leading zeros
@@ -304,10 +311,8 @@ class RationalGF:
         A zero numerator has the denominator's primitive part as its gcd, so
         it comes out as 0 / 1; a constant gcd is 1 and leaves both as they are.
         """
-        g = _poly_gcd(self.numerator, self.denominator)
-        return RationalGF(
-            _poly_exact_div(self.numerator, g), _poly_exact_div(self.denominator, g)
-        )
+        _, numerator, denominator = _poly_gcd(self.numerator, self.denominator)
+        return RationalGF(numerator, denominator)
 
     def pretty(self) -> str:
         return f"({self.numerator.pretty()}) / ({self.denominator.pretty()})"

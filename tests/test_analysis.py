@@ -15,7 +15,7 @@ from stripwalks import (
     smallest_positive_root,
 )
 from stripwalks import analysis
-from stripwalks.analysis import _dyadic_value, _isolate, _taylor_shift_1
+from stripwalks.analysis import _dyadic_value, _isolate, _square_free_part, _taylor_shift_1
 from stripwalks.genfunc import (
     UPPER_ATOM_DENOMINATOR,
     W3_BRIDGE_DENOMINATOR,
@@ -47,6 +47,14 @@ W4_REDUCED_LOOP = _poly_exact_div(
 def _nonnegative_reciprocal(p):
     """Whether the first 200 terms of the series of 1/p are non-negative."""
     return min(RationalGF(IntPolynomial.one(), p).series(200)) >= 0
+
+
+def _truncated_atoms(atoms, length):
+    """The atoms' series cut after t^length, as polynomials."""
+    return {
+        t: RationalGF.from_polynomial(IntPolynomial.from_coefficients(gf.series(length)))
+        for t, gf in atoms.items()
+    }
 
 
 def _grid_width(tol):
@@ -188,18 +196,19 @@ class TestSmallestPositiveRoot:
     )
     @pytest.mark.parametrize("tol", [1.0, 1e-6, 1e-14])
     def test_terminates_on_repeated_roots(self, p, same_as, tol):
-        # A repeated root keeps two sign variations in every cell around it;
-        # the descent restarts once on the square-free part and ends there.
-        # The degree-44 denominator's repeated roots lie above its least one.
+        # A repeated root keeps two sign variations in every cell around it,
+        # so the descent runs on the square-free part, which has the same
+        # roots.  The degree-44 denominator's repeated roots lie above its
+        # least one.
         assert smallest_positive_root(p, tol) == smallest_positive_root(same_as, tol)
 
     @pytest.mark.parametrize("power", [2, 3])
     @pytest.mark.parametrize("tol", [1e-12, 1e-300])
-    def test_repeated_root_restarts_after_ten_levels(self, monkeypatch, power, tol):
-        # The first descent gives up at depth 10 whatever the tolerance, so
-        # a repeated least root costs no Taylor shift per bit asked for:
-        # descending to the tolerance's scale made 95 shifts at 1e-12 and
-        # 2,499 at 1e-300 on the square.
+    def test_repeated_root_costs_no_shift_per_bit(self, monkeypatch, power, tol):
+        # The descent runs on the square-free part, so a repeated least root
+        # costs no Taylor shift per bit asked for: descending the square
+        # itself to the tolerance's scale made 95 shifts at 1e-12 and 2,499
+        # at 1e-300.
         p = _product(*[W3_LOOP_POLYNOMIAL] * power)
         expected = smallest_positive_root(W3_LOOP_POLYNOMIAL, tol)
         shifts = []
@@ -209,6 +218,13 @@ class TestSmallestPositiveRoot:
         )
         assert smallest_positive_root(p, tol) == expected
         assert len(shifts) <= 30
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-300])
+    def test_repeated_least_root_of_high_degree(self, tol):
+        # The square of the four-row denominator truncated at L = 60, degree
+        # 240: its square-free part is the unsquared denominator.
+        p = important_part_denominator(_truncated_atoms(atoms_width4_upper(), 60), 4)
+        assert smallest_positive_root(p * p, tol) == smallest_positive_root(p, tol)
 
     @pytest.mark.parametrize("tol", [1e-2, 1e-6, 1e-12, 1e-40, 1e-300, 5e-324])
     @pytest.mark.parametrize(
@@ -256,17 +272,18 @@ class TestSmallestPositiveRoot:
         # Bisection makes one exact evaluation per bit: 39 at 1e-12 and 996
         # at 1e-300 on the degree-44 denominator.  The isolating cell's end
         # values come from the descent, so every point evaluated lies inside
-        # the cell.  Each call evaluates 2^(kd) p(t / 2^k) at an integer
-        # t = x; its constant term 2^(kd) gives k, so x / 2^k is the point.
-        p, d = W4_LOOP_DENOMINATOR, W4_LOOP_DENOMINATOR.degree
-        scale = 1 - math.frexp(_grid_width(tol))[1]
-        k, lo, hi = _isolate(p, scale)[:3]
+        # the cell.  The refinement runs on the square-free part p, of degree
+        # 39.  Each call evaluates 2^(kd) p(t / 2^k) at an integer t = x;
+        # its constant term 2^(kd) gives k, so x / 2^k is the point.
+        p = _square_free_part(W4_LOOP_DENOMINATOR)
+        d = p.degree
+        k, lo, hi = _isolate(p)[:3]
         calls = []
         evaluate = IntPolynomial.__call__
         monkeypatch.setattr(
             IntPolynomial, "__call__", lambda q, t: calls.append((q, t)) or evaluate(q, t)
         )
-        smallest_positive_root(p, tol)
+        smallest_positive_root(W4_LOOP_DENOMINATOR, tol)
         assert 0 < len(calls) <= most
         points = []
         for q, x in calls:
@@ -329,10 +346,7 @@ def test_runtime_denominators_have_nonnegative_reciprocal_series():
     # The truncated compositions whose roots the algebra benchmark isolates.
     for atoms, width in ((atoms_width3(), 3), (atoms_width4_upper(), 4)):
         for length in range(10, 61, 10):
-            truncated = {
-                t: RationalGF.from_polynomial(IntPolynomial.from_coefficients(gf.series(length)))
-                for t, gf in atoms.items()
-            }
+            truncated = _truncated_atoms(atoms, length)
             assert _nonnegative_reciprocal(important_part_denominator(truncated, width))
 
 

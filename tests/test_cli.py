@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import stripwalks
-from stripwalks import StripGeometry, cli, count_half_space, count_irreducible
+from stripwalks import StripGeometry, cli, count_half_space, count_irreducible, genfunc
 from stripwalks.cli import MAX_N, MAX_SERIES, MAX_STRIP_WIDTH, main
 
 
@@ -228,6 +228,39 @@ class TestVerify:
         assert code == 0
         assert env["results"]["tables"]["failures"] == []
 
+    @pytest.mark.parametrize(
+        "atoms, bridge_type, perturb, failures",
+        [
+            ("atoms_width3", "OI", lambda gf: gf + gf, [
+                "width3 atom OI series != enumerated counts",
+                "width3 composed bridge function != displayed quotient",
+            ]),
+            ("atoms_width4_lower", "II", lambda gf: gf * genfunc.RationalGF.from_polynomial(
+                genfunc._poly(100)), ["width4 lower atom II exceeds exact counts"]),
+            ("atoms_width4_upper", "OO", lambda gf: genfunc.RationalGF.zero(), [
+                "width4 upper atom OO below exact counts",
+                "width4 upper atom OO != pipeline form",
+                "width4 loop denominator != displayed coefficients",
+            ]),
+        ],
+        ids=["width3", "width4_lower", "width4_upper"],
+    )
+    def test_tables_reports_a_perturbed_atom(
+        self, capsys, monkeypatch, atoms, bridge_type, perturb, failures
+    ):
+        original = getattr(genfunc, atoms)
+
+        def perturbed():
+            out = original()
+            out[bridge_type] = perturb(out[bridge_type])
+            return out
+
+        monkeypatch.setattr(genfunc, atoms, perturbed)
+        code, env = run_json(capsys, "verify", "tables", "--n", "10")
+        assert code == 1
+        assert env["pass"] is False
+        assert env["results"]["tables"]["failures"] == failures
+
     def test_all_passes(self, capsys):
         code, env = run_json(capsys, "verify", "all", "--n", "8")
         assert code == 0
@@ -368,10 +401,11 @@ def test_module_entry_point():
 
 
 def test_closed_pipe_exits_quietly():
-    # As `... gf bridge3 --series 2000 | head -1`: about 1 MB of output into a
-    # pipe whose reader leaves after the first line.
+    # As `... gf bridge3 --series 2000 | head -c 1`: about 590 KB of output,
+    # more than a pipe buffer holds, into a pipe whose reader leaves after
+    # the first byte.
     proc = _module_cli("gf", "bridge3", "--series", "2000")
-    assert proc.stdout.readline() == b"{\n"
+    assert proc.stdout.read(1) == b"{"
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

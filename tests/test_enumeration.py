@@ -253,6 +253,13 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             decompose_bridge(Walk.from_steps("UR"), W3)
 
+    @pytest.mark.parametrize("steps", ["RUUR", "RUURDDDR"])
+    def test_rejects_factor_off_the_strip(self, steps):
+        # RUU ends on line 2; RUURDDD starts and ends on the strip and
+        # passes line 2 inside.
+        with pytest.raises(ValueError, match="^line 2 is not a row of the strip$"):
+            decompose_bridge(Walk.from_steps(steps), W3)
+
     def test_cut_points_example(self):
         assert cut_points(Walk.from_steps("RUR")) == (2,)
         assert cut_points(Walk.from_steps("RRR")) == (1, 2)
