@@ -34,7 +34,6 @@ suite checks this on the first terms of each 1/p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .genfunc import (
@@ -44,20 +43,24 @@ from .genfunc import (
     W4_LOWER_DENOMINATOR,
     _poly_gcd,
 )
-from .lattice import CountTable
+from .lattice import CountTable, _Frozen, _set_field
 
 DEFAULT_TOL = 1e-12
 _MIN_SCALE = 10
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(_Frozen):
     """A bracketed root of a polynomial and the derived growth constant."""
 
-    root: float
-    mu: float
-    tolerance: float
-    bracket: tuple[float, float]
+    __slots__ = ("root", "mu", "tolerance", "bracket")
+
+    def __init__(
+        self, root: float, mu: float, tolerance: float, bracket: tuple[float, float]
+    ) -> None:
+        _set_field(self, "root", root)
+        _set_field(self, "mu", mu)
+        _set_field(self, "tolerance", tolerance)
+        _set_field(self, "bracket", bracket)
 
     def round6(self) -> tuple[float, float]:
         """(root, mu) rounded half-even to the conventional 6 decimals."""

@@ -19,11 +19,10 @@ strip up to n = 24 lies within 3 % of its bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .enumeration import count_bridges, count_half_space
-from .lattice import CountTable, StripGeometry
+from .lattice import CountTable, StripGeometry, _Frozen, _set_field
 
 
 def _check_partition_args(a: int, k_max: int) -> None:
@@ -117,25 +116,33 @@ def _float_or_inf(x: Fraction) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class SandwichRow:
-    n: int
-    count: int
-    lower: float
-    upper: float
-    lower_ok: bool
-    upper_ok: bool
+class SandwichRow(_Frozen):
+    """The count at one length, its two bounds as floats, and both verdicts."""
+
+    __slots__ = ("n", "count", "lower", "upper", "lower_ok", "upper_ok")
+
+    def __init__(
+        self, n: int, count: int, lower: float, upper: float, lower_ok: bool, upper_ok: bool
+    ) -> None:
+        _set_field(self, "n", n)
+        _set_field(self, "count", count)
+        _set_field(self, "lower", lower)
+        _set_field(self, "upper", upper)
+        _set_field(self, "lower_ok", lower_ok)
+        _set_field(self, "upper_ok", upper_ok)
 
     @property
     def ok(self) -> bool:
         return self.lower_ok and self.upper_ok
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(_Frozen):
     """Per-length verdicts for mu_lower^n <= c_n <= mu_upper^(n+1) P(n)."""
 
-    rows: tuple[SandwichRow, ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[SandwichRow, ...]) -> None:
+        _set_field(self, "rows", rows)
 
     @property
     def passed(self) -> bool:
@@ -169,12 +176,14 @@ def verify_sandwich(
     return SandwichReport(tuple(rows))
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(_Frozen):
     """A flat list of named inequality checks with a global verdict."""
 
-    failures: tuple[str, ...]
-    checked: int
+    __slots__ = ("failures", "checked")
+
+    def __init__(self, failures: tuple[str, ...], checked: int) -> None:
+        _set_field(self, "failures", failures)
+        _set_field(self, "checked", checked)
 
     @property
     def passed(self) -> bool:

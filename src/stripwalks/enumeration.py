@@ -29,15 +29,14 @@ bridges, each in one linear pass over the walk's x-coordinates:
 
 Bridges share few distinct factors, so ``decompose_bridge`` builds each
 factor once.  A module-wide ``lru_cache`` bounded at 4096 factors (about
-4 MB) maps the untranslated segment, the tail length and the strip's outer
+3 MB) maps the untranslated segment, the tail length and the strip's outer
 lines (a plain int pair) to the frozen, classified factor.  The key holds no
-``StripGeometry``: its dataclass hash and equality run in Python on every
-lookup.
+``StripGeometry``: its field-wise hash and equality run in Python on every
+lookup, while a key of tuples and ints is hashed and compared in C.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
@@ -48,6 +47,8 @@ from .lattice import (
     CountTable,
     StripGeometry,
     Walk,
+    _Frozen,
+    _set_field,
     _trusted_walk,
 )
 
@@ -436,8 +437,7 @@ def cut_points(walk: Walk) -> tuple[int, ...]:
     return _scan_cuts([p[0] for p in walk.points])[0]
 
 
-@dataclass(frozen=True)
-class IrreducibleFactor:
+class IrreducibleFactor(_Frozen):
     """One irreducible factor of a bridge, translated to start at the origin.
 
     ``start_line`` is the row of the strip on which the factor started before
@@ -445,22 +445,31 @@ class IrreducibleFactor:
     merged into the factor.
     """
 
-    walk: Walk
-    start_line: int
-    tail_length: int
-    bridge_type: str | None = None
+    __slots__ = ("walk", "start_line", "tail_length", "bridge_type")
+
+    def __init__(
+        self, walk: Walk, start_line: int, tail_length: int, bridge_type: str | None = None
+    ) -> None:
+        _set_field(self, "walk", walk)
+        _set_field(self, "start_line", start_line)
+        _set_field(self, "tail_length", tail_length)
+        _set_field(self, "bridge_type", bridge_type)
 
     @property
     def end_line(self) -> int:
         return self.start_line + self.walk.end[1]
 
 
-@dataclass(frozen=True)
-class BridgeDecomposition:
+class BridgeDecomposition(_Frozen):
     """Irreducible factors of a bridge plus the trailing run of right steps."""
 
-    factors: tuple[IrreducibleFactor, ...]
-    trailing_right_run: int
+    __slots__ = ("factors", "trailing_right_run")
+
+    def __init__(
+        self, factors: tuple[IrreducibleFactor, ...], trailing_right_run: int
+    ) -> None:
+        _set_field(self, "factors", factors)
+        _set_field(self, "trailing_right_run", trailing_right_run)
 
     def reassemble_steps(self) -> str:
         return "".join(f.walk.steps() for f in self.factors) + "R" * self.trailing_right_run
@@ -507,11 +516,11 @@ def decompose_bridge(walk: Walk, strip: StripGeometry) -> BridgeDecomposition:
     A bridge has few distinct factors (the 3,389 bridges of the strip from
     -1 to 1 up to length 12 have 10,838 factors on 277 distinct segments),
     so each factor is built once and shared: the frozen factors come from a
-    cache bounded at 4096 entries (about 4 MB), keyed on the untranslated
+    cache bounded at 4096 entries (about 3 MB), keyed on the untranslated
     segment, the tail length and the outer lines as a plain int pair.  The
-    key holds no ``StripGeometry``, whose dataclass hash and equality would
-    cost more Python calls than the factor saves.  The bridge check runs
-    before any lookup.
+    key holds no ``StripGeometry``, whose field-wise hash and equality run
+    in Python and would cost more than the factor saves.  The bridge check
+    runs before any lookup.
     """
     points = walk.points
     n = len(points) - 1
@@ -585,8 +594,7 @@ def count_irreducible(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HWDecomposition:
+class HWDecomposition(_Frozen):
     """Span decomposition (A_1..A_k, n_1..n_k) of a half-space walk.
 
     ``hw_decompose`` builds only records in which the spans are positive and
@@ -603,8 +611,11 @@ class HWDecomposition:
     horizontal edges across that gap.
     """
 
-    spans: tuple[int, ...]
-    cut_indices: tuple[int, ...]
+    __slots__ = ("spans", "cut_indices")
+
+    def __init__(self, spans: tuple[int, ...], cut_indices: tuple[int, ...]) -> None:
+        _set_field(self, "spans", spans)
+        _set_field(self, "cut_indices", cut_indices)
 
     @property
     def k(self) -> int:

@@ -14,28 +14,27 @@ both is the heuristic integer gcd of :func:`_poly_gcd`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Iterable, Mapping
 
-from .lattice import BRIDGE_TYPES
+from .lattice import BRIDGE_TYPES, _Frozen, _set_field
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(_Frozen):
     """A polynomial in t with exact integer coefficients, ascending powers.
 
     Normal form has no trailing zero coefficient; the zero polynomial is the
     empty coefficient tuple and has degree -1.
     """
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self) -> None:
-        if self.coefficients and self.coefficients[-1] == 0:
+    def __init__(self, coefficients: tuple[int, ...]) -> None:
+        if coefficients and coefficients[-1] == 0:
             raise ValueError("coefficients must be in normal form (no trailing zeros)")
+        _set_field(self, "coefficients", coefficients)
 
     @classmethod
     def from_coefficients(cls, coeffs: Iterable[int]) -> "IntPolynomial":
@@ -219,8 +218,7 @@ def _poly_exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return IntPolynomial.from_coefficients(q)
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(_Frozen):
     """A ratio of integer polynomials with denominator constant term 1.
 
     The constant term of the denominator is normalized to +1 at construction
@@ -228,18 +226,18 @@ class RationalGF:
     series here is an ordinary power series).
     """
 
-    numerator: IntPolynomial
-    denominator: IntPolynomial
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self) -> None:
-        c = self.denominator.constant_term
+    def __init__(self, numerator: IntPolynomial, denominator: IntPolynomial) -> None:
+        c = denominator.constant_term
         if c == 0:
             raise ValueError("denominator constant term must be non-zero")
         if c < 0:
-            object.__setattr__(self, "numerator", -self.numerator)
-            object.__setattr__(self, "denominator", -self.denominator)
-        if self.denominator.constant_term != 1:
+            numerator, denominator = -numerator, -denominator
+        if denominator.constant_term != 1:
             raise ValueError("denominator constant term must be +1 or -1")
+        _set_field(self, "numerator", numerator)
+        _set_field(self, "denominator", denominator)
 
     @classmethod
     def from_polynomial(cls, p: IntPolynomial) -> "RationalGF":

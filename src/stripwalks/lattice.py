@@ -5,9 +5,20 @@ every classification predicate in the package -- bridge-ness, half-space-ness,
 span, decomposition cuts -- reads coordinates directly.  All types here are
 immutable value types and safe to share between threads.
 
-Which walks are validated: ``Walk(...)`` and ``Walk.from_steps`` check that
-the points start at the origin, move by unit steps and never repeat, so every
-walk built from outside data, and every image of a map the paper defines
+The value types of the whole package derive from the private base
+``_Frozen``: each lists its fields in ``__slots__`` and sets them once, with
+``_set_field``, in its own ``__init__``, which also holds its checks.  The
+base gives field-wise equality and hashing, the ``Name(field=value, ...)``
+repr, an ``AttributeError`` on assignment and deletion, and a ``__reduce__``
+that calls the class again on the field values, so copies and pickles are
+built and checked like any other instance.  The base is a few plain methods
+rather than ``dataclasses``, whose import (it pulls in ``inspect``, ``ast``
+and ``dis``) and code generation took most of ``import stripwalks``.
+
+Which walks are validated: ``Walk(...)`` and ``Walk.from_steps`` run the
+checks of ``Walk.__post_init__``, which ``Walk.__init__`` calls: the points
+start at the origin, move by unit steps and never repeat.  So every walk
+built from outside data, and every image of a map the paper defines
 (``hw_reflect`` and the width-4 transformation), passes that check.  The
 transformation's mirror step swaps U and D in the factor's step string and
 builds no walk; only the image is built, and validated.  Two kinds of walk
@@ -32,8 +43,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 Point = tuple[int, int]
 
@@ -51,21 +61,60 @@ _DELTA_STEPS = {v: k for k, v in STEP_DELTAS.items()}
 BRIDGE_TYPES = ("OO", "OI", "IO", "II")
 
 
-@dataclass(frozen=True)
-class StripGeometry:
-    """The lattice strip Z x {y_min .. y_max}.
+_new_instance = object.__new__
+_set_field = object.__setattr__
 
-    The origin row 0 must belong to the strip because all walks start there.
+
+class _Frozen:
+    """Base of the package's immutable value types; see the module docstring.
+
+    A subclass names its fields, in order, in ``__slots__``.
     """
 
-    y_min: int
-    y_max: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.y_min <= 0 <= self.y_max):
-            raise ValueError(
-                f"strip [{self.y_min}, {self.y_max}] must contain the origin row 0"
-            )
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (self.__class__, self._values())
+
+
+class StripGeometry(_Frozen):
+    """The lattice strip Z x {y_min .. y_max}.
+
+    The rows are integers, and the origin row 0 must belong to the strip
+    because all walks start there.
+    """
+
+    __slots__ = ("y_min", "y_max")
+
+    def __init__(self, y_min: int, y_max: int) -> None:
+        for name, y in (("y_min", y_min), ("y_max", y_max)):
+            if not isinstance(y, int):
+                raise TypeError(f"strip row {name}={y!r} is not an integer")
+        if not (y_min <= 0 <= y_max):
+            raise ValueError(f"strip [{y_min}, {y_max}] must contain the origin row 0")
+        _set_field(self, "y_min", y_min)
+        _set_field(self, "y_max", y_max)
 
     @property
     def width(self) -> int:
@@ -91,13 +140,21 @@ class StripGeometry:
         return self.y_min + self.y_max - y
 
 
-@dataclass(frozen=True)
-class Walk:
-    """A self-avoiding walk on the square lattice, starting at the origin."""
+class Walk(_Frozen):
+    """A self-avoiding walk on the square lattice, starting at the origin.
 
-    points: tuple[Point, ...]
+    ``points`` is stored as a tuple, whatever iterable it was given as.
+    """
+
+    __slots__ = ("points",)
+
+    def __init__(self, points: Iterable[Point]) -> None:
+        _set_field(self, "points", tuple(points))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """The walk checks, kept as their own method so that a wrapper set on
+        it sees every validated walk."""
         pts = self.points
         if not pts:
             raise ValueError("a walk has at least one point")
@@ -123,7 +180,7 @@ class Walk:
                 raise ValueError(f"unknown step letter {s!r} at position {i}") from None
             x, y = x + dx, y + dy
             pts.append((x, y))
-        return cls(tuple(pts))
+        return cls(pts)
 
     def steps(self) -> str:
         """The canonical step-string encoding of the walk."""
@@ -148,12 +205,8 @@ class Walk:
         return max(xs) - min(xs)
 
 
-_new_instance = object.__new__
-_set_field = object.__setattr__
-
-
 def _trusted_walk(points: tuple[Point, ...]) -> Walk:
-    """A ``Walk`` on ``points`` without the checks of ``Walk.__post_init__``.
+    """A ``Walk`` on ``points`` without ``Walk.__init__`` and its checks.
 
     Only for point sequences that are self-avoiding unit-step walks from the
     origin by construction; see the module docstring for the two callers.
@@ -178,17 +231,21 @@ def is_half_space(walk: Walk) -> bool:
     return all(p[0] > 0 for p in walk.points[1:])
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Exact counts indexed by walk length, for 0 <= n <= n_max."""
+class CountTable(_Frozen):
+    """Exact counts indexed by walk length, for 0 <= n <= n_max.
 
-    counts: tuple[int, ...]
+    ``counts`` is stored as a tuple, whatever iterable it was given as.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.counts:
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: Iterable[int]) -> None:
+        counts = tuple(counts)
+        if not counts:
             raise ValueError("a count table covers at least length 0")
-        if any(c < 0 for c in self.counts):
+        if any(c < 0 for c in counts):
             raise ValueError("counts are non-negative")
+        _set_field(self, "counts", counts)
 
     @property
     def n_max(self) -> int:
