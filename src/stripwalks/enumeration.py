@@ -33,6 +33,16 @@ factor once.  A module-wide ``lru_cache`` bounded at 4096 factors (about
 lines (a plain int pair) to the frozen, classified factor.  The key holds no
 ``StripGeometry``: its field-wise hash and equality run in Python on every
 lookup, while a key of tuples and ints is hashed and compared in C.
+
+Where a bridge's factors lie, and its span decomposition as a half-space
+walk, depend only on its x-sequence, and walks share few x-sequences.  So
+two more caches, keyed on the x-sequence alone, hold the bridge check with
+the factor slices (``_cut_plan``) and the frozen span decomposition of every
+walk with k >= 2 (``_span_plan``); the common k = 1 record is built at once.
+Each is bounded at 512 entries, about 0.2 MB when full.  Unbounded,
+they made the benchmark's structure requests no faster and grew a round by
+1.5 MB, which its peak RSS would show.  No cache keeps an exception, and the
+checks run before any lookup.
 """
 
 from __future__ import annotations
@@ -48,6 +58,7 @@ from .lattice import (
     StripGeometry,
     Walk,
     _Frozen,
+    _new_instance,
     _set_field,
     _trusted_walk,
 )
@@ -405,7 +416,7 @@ def iter_walks(strip: StripGeometry, n_max: int, kind: str = "saw") -> Iterator[
 # ---------------------------------------------------------------------------
 
 
-def _scan_cuts(xs: list[int]) -> tuple[tuple[int, ...], int, int]:
+def _scan_cuts(xs: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
     """Cut indices of a walk's x-coordinates, min(x_1..x_n) and max(x_0..x_n).
 
     One right-to-left scan that keeps the suffix minimum and reads the prefix
@@ -434,7 +445,7 @@ def cut_points(walk: Walk) -> tuple[int, ...]:
     both bridges after translation, i.e. x_j is a running maximum and the
     suffix never returns to column x_j or further left.
     """
-    return _scan_cuts([p[0] for p in walk.points])[0]
+    return _scan_cuts(next(zip(*walk.points)))[0]
 
 
 class IrreducibleFactor(_Frozen):
@@ -505,6 +516,38 @@ def _factor(segment: tuple, tail: int, outer: tuple[int, int]) -> IrreducibleFac
     return IrreducibleFactor(walk, start_line, tail, bridge_type)
 
 
+@lru_cache(maxsize=512)
+def _cut_plan(*xs: int) -> tuple[int, ...]:
+    """(start, stop, tail) of each factor of a bridge, then its trailing run.
+
+    ``xs`` is the x-sequence of a walk of length >= 1.  Bridge-ness and the
+    cuts depend on nothing else, so bridges that differ only in their rows,
+    on any strip, share one plan.  A walk that is not a bridge raises
+    ValueError, which the cache does not keep.
+
+    Callers unpack the x-sequence, so the cache keys on that tuple itself
+    rather than on a 1-tuple around it, and the plan is one flat tuple
+    rather than one per factor.  Together they take a full cache of 512
+    plans from about 0.3 MB to 0.2 MB.
+    """
+    n = len(xs) - 1
+    cuts, low, high = _scan_cuts(xs)
+    # A bridge: 0 < x_j <= x_n for every j >= 1.
+    if low <= 0 or high > xs[n]:
+        raise ValueError("decompose_bridge requires a bridge")
+    boundaries = (0,) + cuts + (n,)
+    plan: list[int] = []
+    pending_tail = 0
+    for a, b in zip(boundaries, boundaries[1:]):
+        if b - a == 1:
+            pending_tail += 1
+            continue
+        plan += (a - pending_tail, b + 1, pending_tail)
+        pending_tail = 0
+    plan.append(pending_tail)
+    return tuple(plan)
+
+
 def decompose_bridge(walk: Walk, strip: StripGeometry) -> BridgeDecomposition:
     """Split a bridge into irreducible factors and a trailing right-step run.
 
@@ -513,35 +556,30 @@ def decompose_bridge(walk: Walk, strip: StripGeometry) -> BridgeDecomposition:
     separately.  Each factor is classified by its start and end lines on
     ``strip``; a factor with a row off ``strip`` raises ValueError.
 
-    A bridge has few distinct factors (the 3,389 bridges of the strip from
-    -1 to 1 up to length 12 have 10,838 factors on 277 distinct segments),
-    so each factor is built once and shared: the frozen factors come from a
+    Two bounded caches share the work between bridges.  Where the factors
+    lie depends only on the x-sequence, and bridges share few of those (the
+    7,143 non-empty bridges of the benchmark's 3- and 4-row requests have
+    2,055), so the bridge check and the factor slices come from a cache of
+    512 plans (about 0.2 MB when full) keyed on the x-sequence alone, which
+    3- and 4-row requests share.  A bridge has few distinct factors too (the
+    3,389 bridges of the strip from -1 to 1 up to length 12 have 10,838
+    factors on 277 distinct segments), so the frozen factors come from a
     cache bounded at 4096 entries (about 3 MB), keyed on the untranslated
-    segment, the tail length and the outer lines as a plain int pair.  The
-    key holds no ``StripGeometry``, whose field-wise hash and equality run
-    in Python and would cost more than the factor saves.  The bridge check
-    runs before any lookup.
+    segment, the tail length and the outer lines as a plain int pair.  Neither key holds a ``StripGeometry``, whose field-wise hash and
+    equality run in Python and would cost more than the lookup saves.  The
+    bridge check runs before any factor lookup.
     """
     points = walk.points
-    n = len(points) - 1
-    if n == 0:
+    if len(points) == 1:
         return BridgeDecomposition((), 0)
-    xs = [p[0] for p in points]
-    cuts, low, high = _scan_cuts(xs)
-    # A bridge: 0 < x_j <= x_n for every j >= 1.
-    if low <= 0 or high > xs[n]:
-        raise ValueError("decompose_bridge requires a bridge")
+    plan = _cut_plan(*next(zip(*points)))
     outer = strip.outer_lines
-    boundaries = (0,) + cuts + (n,)
-    factors: list[IrreducibleFactor] = []
-    pending_tail = 0
-    for a, b in zip(boundaries, boundaries[1:]):
-        if b - a == 1:
-            pending_tail += 1
-            continue
-        factors.append(_factor(points[a - pending_tail : b + 1], pending_tail, outer))
-        pending_tail = 0
-    return BridgeDecomposition(tuple(factors), pending_tail)
+    triples = iter(plan)  # zip stops at the trailing run, the odd one out
+    factors = [_factor(points[a:b], tail, outer) for a, b, tail in zip(triples, triples, triples)]
+    dec = _new_instance(BridgeDecomposition)
+    _set_field(dec, "factors", tuple(factors))
+    _set_field(dec, "trailing_right_run", plan[-1])
+    return dec
 
 
 def classify_irreducible(factor: IrreducibleFactor, strip: StripGeometry) -> str:
@@ -627,15 +665,41 @@ def hw_decompose(walk: Walk) -> HWDecomposition:
 
     Starting from n_0 = 0, n_i is the last index of a maximum (i odd) or of a
     minimum (i even) of x over [n_{i-1}, n], and A_i = |x_{n_i} - x_{n_{i-1}}|;
-    the recursion stops at the first n_i equal to the walk length.  One
-    backward pass records, for every j, the last index of a maximum and of a
-    minimum of x_j..x_n, so each span costs O(1).
+    the recursion stops at the first n_i equal to the walk length.
+
+    The record depends only on the x-sequence.  A walk whose last maximum is
+    its end has k = 1, spans (x_n,) and cuts (n,), and gets its record at
+    once; that is 7,143 of the 9,925 half-space walks of the benchmark's 3-
+    and 4-row requests.  The other 2,782 have 1,163 distinct x-sequences and
+    share frozen records from a cache of 512 (about 0.2 MB when full) keyed
+    on the x-sequence, whose miss path is :func:`_span_plan`.  The checks
+    run before any lookup, so a refused walk leaves no entry.
     """
     points = walk.points
     n = len(points) - 1
     if n < 1:
         raise ValueError("span decomposition requires length >= 1")
-    xs = [p[0] for p in points]
+    xs = next(zip(*points))
+    rest = xs[1:]
+    if min(rest) <= 0:
+        raise ValueError("span decomposition requires a half-space walk")
+    if max(rest) > xs[n]:
+        return _span_plan(*xs)
+    dec = _new_instance(HWDecomposition)
+    _set_field(dec, "spans", (xs[n],))
+    _set_field(dec, "cut_indices", (n,))
+    return dec
+
+
+@lru_cache(maxsize=512)
+def _span_plan(*xs: int) -> HWDecomposition:
+    """The span decomposition of a half-space walk with x-sequence xs.
+
+    Called with xs unpacked, as :func:`_cut_plan` is.  One backward pass
+    records, for every j, the last index of a maximum and of a minimum of
+    x_j..x_n, so each span costs O(1).
+    """
+    n = len(xs) - 1
     # arg_max[j], arg_min[j]: the last index of a maximum, of a minimum, of
     # x_j..x_n.
     arg_max = [n] * (n + 1)
@@ -650,9 +714,6 @@ def hw_decompose(walk: Walk) -> HWDecomposition:
             lo, bottom = j, x
         arg_max[j] = hi
         arg_min[j] = lo
-    # min(x_1..x_n), the last point included.
-    if xs[arg_min[1]] <= 0:
-        raise ValueError("span decomposition requires a half-space walk")
     # The cuts alternate: a maximum, then a minimum, then a maximum, ...
     cut = arg_max[0]
     cuts = [cut]
@@ -664,7 +725,10 @@ def hw_decompose(walk: Walk) -> HWDecomposition:
         cuts.append(nxt)
         cut = nxt
         this, other = other, this
-    return HWDecomposition(tuple(spans), tuple(cuts))
+    dec = _new_instance(HWDecomposition)
+    _set_field(dec, "spans", tuple(spans))
+    _set_field(dec, "cut_indices", tuple(cuts))
+    return dec
 
 
 def hw_reflect(walk: Walk, decomposition: HWDecomposition) -> Walk:

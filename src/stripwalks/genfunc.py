@@ -26,12 +26,14 @@ class IntPolynomial(_Frozen):
     """A polynomial in t with exact integer coefficients, ascending powers.
 
     Normal form has no trailing zero coefficient; the zero polynomial is the
-    empty coefficient tuple and has degree -1.
+    empty coefficient tuple and has degree -1.  ``coefficients`` is stored as
+    a tuple, whatever iterable it was given as.
     """
 
     __slots__ = ("coefficients",)
 
-    def __init__(self, coefficients: tuple[int, ...]) -> None:
+    def __init__(self, coefficients: Iterable[int]) -> None:
+        coefficients = tuple(coefficients)
         if coefficients and coefficients[-1] == 0:
             raise ValueError("coefficients must be in normal form (no trailing zeros)")
         _set_field(self, "coefficients", coefficients)

@@ -160,11 +160,11 @@ class Walk(_Frozen):
             raise ValueError("a walk has at least one point")
         if pts[0] != (0, 0):
             raise ValueError(f"walks start at (0, 0), got {pts[0]}")
-        for i in range(1, len(pts)):
-            dx = pts[i][0] - pts[i - 1][0]
-            dy = pts[i][1] - pts[i - 1][1]
-            if abs(dx) + abs(dy) != 1:
+        px, py = 0, 0
+        for i, (x, y) in enumerate(pts[1:], 1):
+            if abs(x - px) + abs(y - py) != 1:
                 raise ValueError(f"step {i} from {pts[i-1]} to {pts[i]} is not a unit step")
+            px, py = x, y
         if len(set(pts)) != len(pts):
             raise ValueError("walk visits a point twice")
 

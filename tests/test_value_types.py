@@ -176,6 +176,17 @@ def test_list_built_walks_and_tables_are_tuple_built():
     assert Walk(pts).points is pts
 
 
+def test_list_built_polynomials_are_tuple_built():
+    from_list, from_tuple = IntPolynomial([1, 2]), IntPolynomial((1, 2))
+    assert isinstance(from_list.coefficients, tuple)
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    coefficients = (3, 0, 1)
+    assert IntPolynomial(coefficients).coefficients is coefficients
+    normal_form = r"^coefficients must be in normal form \(no trailing zeros\)$"
+    with pytest.raises(ValueError, match=normal_form):
+        IntPolynomial([1, 0])
+
+
 @pytest.mark.parametrize("rows", [(-1.5, 1), (-1, 1.0), ("-1", 1), (None, 2)])
 def test_strip_rows_must_be_integers(rows):
     bad = next(y for y in rows if not isinstance(y, int))

@@ -5,8 +5,10 @@ points, ``cut_points`` and ``decompose_bridge`` share one right-to-left scan,
 ``hw_decompose`` one backward arg-max/arg-min pass, and the walks the search
 yields and the factors a decomposition returns skip validation because they
 are valid by construction.  ``decompose_bridge`` interns its factors in a
-cache shared by every call.  These tests pin all of that to the naive forms
-walk by walk.
+cache shared by every call, and takes its cuts from a bounded cache keyed on
+the walk's x-sequence; ``hw_decompose`` shares its records through another.
+These tests pin all of that to the naive forms walk by walk, with cold caches
+and after eviction.
 """
 
 import pytest
@@ -24,10 +26,12 @@ from stripwalks import (
     Walk,
     cut_points,
     decompose_bridge,
+    enumeration,
     hw_decompose,
     hw_reflect,
     iter_walks,
 )
+from stripwalks.enumeration import _cut_plan, _factor, _span_plan
 
 KINDS = ("saw", "half_space", "bridge")
 
@@ -199,6 +203,132 @@ def test_unvalidated_walks_pass_validation(strip):
                 shared += first != walk
     # One row has no factor: every bridge is R^n, its trailing run.
     assert shared > 0 or strip.width == 1
+
+
+def _structure_caches():
+    """Every module-level ``lru_cache`` of ``enumeration`` but the count sweep."""
+    return {
+        name: f
+        for name, f in vars(enumeration).items()
+        if hasattr(f, "cache_info") and name != "_transfer"
+    }
+
+
+def _check_structure_maps(strip, n_max):
+    """Both maps against their naive forms on every half-space walk.
+
+    Returns the distinct x-sequences of the bridges and of the half-space
+    walks with k >= 2, the walks whose records come from the plan caches.
+    """
+    bridge_xs, span_xs = set(), set()
+    for walk in iter_walks(strip, n_max, "half_space"):
+        if not walk.length:
+            continue
+        xs = tuple(x for x, _ in walk.points)
+        d = hw_decompose(walk)
+        assert d == naive_hw_decompose(walk)
+        if d.k > 1:
+            span_xs.add(xs)
+        else:
+            bridge_xs.add(xs)
+            assert decompose_bridge(walk, strip) == naive_decompose_bridge(walk, strip)
+    return bridge_xs, span_xs
+
+
+def test_cold_and_evicted_caches_match_naive_forms():
+    for cache in (_cut_plan, _span_plan, _factor):
+        cache.cache_clear()
+    for strip in STRIPS:
+        _check_structure_maps(strip, 9)
+    # More distinct x-sequences than either plan cache holds: both evict.
+    bridge_xs, span_xs = _check_structure_maps(StripGeometry(-1, 2), 12)
+    for cache, distinct in ((_cut_plan, bridge_xs), (_span_plan, span_xs)):
+        maxsize = cache.cache_info().maxsize
+        assert len(distinct) > maxsize
+        assert cache.cache_info().currsize == maxsize
+    for strip in STRIPS:
+        _check_structure_maps(strip, 9)
+    for name, cache in _structure_caches().items():
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize, name
+
+
+def test_structure_caches_are_bounded():
+    # A round's own memory growth can hide under the benchmark harness's
+    # peak RSS, so an unbounded cache here would go unseen there.
+    caches = _structure_caches()
+    assert {"_cut_plan", "_span_plan", "_factor"} <= set(caches)
+    for name, cache in caches.items():
+        assert cache.cache_parameters()["maxsize"] is not None, name
+
+
+HALF_SPACE_ONLY = "span decomposition requires a half-space walk"
+
+
+def test_refused_walks_stay_refused_and_leave_no_entry():
+    # Exceptions are not cached: each refused call raises again, adds no
+    # plan, and later valid calls still give the naive records.
+    strip = StripGeometry(-1, 2)
+    not_bridges = [Walk.from_steps(s) for s in ("RUL", "RRUUL", "RURDDL", "RRUULLD")]
+    not_half_space = [Walk.from_steps(s) for s in ("RUL", "RRULL", "RRUULLL", "L", "URDD")]
+    valid = Walk.from_steps("RURRDRRU")
+    for cache in (_cut_plan, _span_plan):
+        cache.cache_clear()
+    for _ in range(2):
+        held = _cut_plan.cache_info().currsize, _span_plan.cache_info().currsize
+        for walk in not_bridges:
+            with pytest.raises(ValueError, match="^decompose_bridge requires a bridge$"):
+                decompose_bridge(walk, strip)
+        for walk in not_half_space:
+            with pytest.raises(ValueError, match=f"^{HALF_SPACE_ONLY}$"):
+                hw_decompose(walk)
+        assert (_cut_plan.cache_info().currsize, _span_plan.cache_info().currsize) == held
+        assert decompose_bridge(valid, strip) == naive_decompose_bridge(valid, strip)
+        assert hw_decompose(valid) == naive_hw_decompose(valid)
+        for walk in not_bridges[:2]:
+            prefix = Walk(walk.points[:-1])
+            assert decompose_bridge(prefix, strip) == naive_decompose_bridge(prefix, strip)
+            assert hw_decompose(prefix) == naive_hw_decompose(prefix)
+
+
+@pytest.mark.parametrize(
+    "steps", ["R", "RRUR", "RURRDRRU", "RRULURR", "RRRULLURRR", "RRRRULLLURRUL"]
+)
+def test_records_are_frozen_and_naive(steps):
+    # k = 1 records are built per call; the others are shared from the
+    # span cache, and must be just as frozen.
+    walk = Walk.from_steps(steps)
+    d = hw_decompose(walk)
+    assert d == naive_hw_decompose(walk)
+    assert type(d.spans) is tuple and type(d.cut_indices) is tuple
+    with pytest.raises(AttributeError, match="^cannot assign to field 'spans'$"):
+        d.spans = ()
+    again = hw_decompose(Walk(walk.points))
+    assert again == d and hash(again) == hash(d)
+    assert (again is d) == (d.k > 1)
+    if d.k == 1:
+        strip = StripGeometry(-1, 2)
+        b = decompose_bridge(walk, strip)
+        assert b == naive_decompose_bridge(walk, strip)
+        assert type(b.factors) is tuple
+        with pytest.raises(AttributeError, match="^cannot assign to field 'factors'$"):
+            b.factors = ()
+
+
+def test_plan_is_shared_across_strips_but_factors_are_typed_per_strip():
+    # R U R R D D R R on the strip (-1, 1) ends on row -1; the factors start
+    # on rows 0 and 1, which the wider strip (-1, 2) types differently.
+    bridge = Walk.from_steps("RURRDDRR")
+    narrow, wide = StripGeometry(-1, 1), StripGeometry(-1, 2)
+    _cut_plan.cache_clear()
+    first = decompose_bridge(bridge, narrow)
+    second = decompose_bridge(bridge, wide)
+    info = _cut_plan.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert first == naive_decompose_bridge(bridge, narrow)
+    assert second == naive_decompose_bridge(bridge, wide)
+    assert [f.bridge_type for f in first.factors] != [f.bridge_type for f in second.factors]
+    assert decompose_bridge(bridge, narrow) == first
 
 
 class TestErrorPaths:
