@@ -9,17 +9,17 @@ of w rows a half-space walk has at most w spans, so the partition bound
 P_w(n) = (n + 1) pf_bound(n + 1, w)^2 hold on every width; only the growth
 constants the sandwich is checked against are known for 3 and 4 rows alone.
 
-Each count is compared with the exact power of the ``Fraction`` of the
-growth constant it is given, with no slack: a verdict says whether the
-inequality holds for that constant.  With the constants of :mod:`analysis`,
-bracketed to 1e-12, and with mu = 2.3, no count on the three- or four-row
-strip up to n = 24 lies within 3 % of its bound.
+A growth constant mu, given as a float, an int or a ``Fraction``, is the
+exact ratio num/den of ``mu.as_integer_ratio()``, and each count is compared
+with its bound by cross-multiplying integers, with no slack: a verdict says
+whether the inequality holds for that constant.  With the constants of
+:mod:`analysis`, bracketed to 1e-12, and with mu = 2.3, no count on the
+three- or four-row strip up to n = 24 lies within 3 % of its bound.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .enumeration import count_bridges, count_half_space
 from .lattice import CountTable, StripGeometry, _Frozen, _set_field
@@ -107,11 +107,12 @@ def zeilberger_count(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _float_or_inf(x: Fraction) -> float:
-    """A positive bound as a float for the report, ``math.inf`` beyond the
-    float range; the verdicts compare the exact values."""
+def _float_or_inf(num: int, den: int) -> float:
+    """The positive bound num/den as a correctly rounded float for the
+    report, ``math.inf`` beyond the float range; the verdicts compare the
+    exact values."""
     try:
-        return float(x)
+        return num / den
     except OverflowError:
         return math.inf
 
@@ -161,18 +162,20 @@ def verify_sandwich(
     uses its lower end and the upper check its upper end.  A known constant,
     such as width 3's, is the bracket [mu, mu].
     """
-    lo = Fraction(mu_lower)
-    hi = Fraction(mu_upper)
+    lo_num, lo_den = mu_lower.as_integer_ratio()
+    hi_num, hi_den = mu_upper.as_integer_ratio()
     rows = []
     for n in range(1, counts.n_max + 1):
         c = counts[n]
-        lower = lo**n
-        upper = hi ** (n + 1) * hw_polynomial(n, strip.width)
-        lower_ok = c >= lower
-        upper_ok = c <= upper
-        rows.append(
-            SandwichRow(n, c, _float_or_inf(lower), _float_or_inf(upper), lower_ok, upper_ok)
-        )
+        lower_num = lo_num**n
+        lower_den = lo_den**n
+        upper_num = hi_num ** (n + 1) * hw_polynomial(n, strip.width)
+        upper_den = hi_den ** (n + 1)
+        lower_ok = c * lower_den >= lower_num
+        upper_ok = c * upper_den <= upper_num
+        lower = _float_or_inf(lower_num, lower_den)
+        upper = _float_or_inf(upper_num, upper_den)
+        rows.append(SandwichRow(n, c, lower, upper, lower_ok, upper_ok))
     return SandwichReport(tuple(rows))
 
 
@@ -250,14 +253,12 @@ def verify_bridge_corollary(
     """
     if n_max > counts_b.n_max:
         raise ValueError("bridge table does not cover n_max")
-    m = Fraction(mu)
+    num, den = mu.as_integer_ratio()
     failures = []
     for n in range(2, n_max + 1):
         b = counts_b[n]
-        upper = m**n
-        lower = m ** (n - 1) / hw_polynomial(n, strip.width)
-        if b > upper:
+        if b * den**n > num**n:
             failures.append(f"b_{n} > mu^{n}")
-        if b < lower:
+        if b * den ** (n - 1) * hw_polynomial(n, strip.width) < num ** (n - 1):
             failures.append(f"b_{n} < mu^{n-1}/P({n})")
     return InequalityReport(tuple(failures), 2 * max(n_max - 1, 0))

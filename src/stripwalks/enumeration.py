@@ -27,22 +27,28 @@ bridges, each in one linear pass over the walk's x-coordinates:
 * the injective transformation of width-4 irreducible factors into
   left-step-free walks on a two-row strip.
 
-Bridges share few distinct factors, so ``decompose_bridge`` builds each
-factor once.  A module-wide ``lru_cache`` bounded at 4096 factors (about
-3 MB) maps the untranslated segment, the tail length and the strip's outer
-lines (a plain int pair) to the frozen, classified factor.  The key holds no
-``StripGeometry``: its field-wise hash and equality run in Python on every
-lookup, while a key of tuples and ints is hashed and compared in C.
+Bridges share few distinct factors (the 3,389 bridges of the strip from -1
+to 1 up to length 12 have 10,838 factors on 277 distinct segments), so
+``decompose_bridge`` builds each factor once.  A module-wide ``lru_cache``
+bounded at 4096 factors (about 3 MB) maps the untranslated segment, the tail
+length and the strip's outer lines (a plain int pair) to the frozen,
+classified factor.  The key holds no ``StripGeometry``: its field-wise hash
+and equality run in Python on every lookup, while a key of tuples and ints
+is hashed and compared in C.
 
 Where a bridge's factors lie, and its span decomposition as a half-space
-walk, depend only on its x-sequence, and walks share few x-sequences.  So
-two more caches, keyed on the x-sequence alone, hold the bridge check with
-the factor slices (``_cut_plan``) and the frozen span decomposition of every
-walk with k >= 2 (``_span_plan``); the common k = 1 record is built at once.
-Each is bounded at 512 entries, about 0.2 MB when full.  Unbounded,
-they made the benchmark's structure requests no faster and grew a round by
-1.5 MB, which its peak RSS would show.  No cache keeps an exception, and the
-checks run before any lookup.
+walk, depend only on its x-sequence, and walks share few x-sequences.  Of
+the 9,925 half-space walks of the benchmark's 3- and 4-row requests, the
+7,143 bridges have 2,055 x-sequences and the other 2,782 walks have 1,163.
+So two more caches, keyed on the x-sequence alone, hold the bridge check
+with the factor slices (``_cut_plan``) and the frozen span decomposition of
+every walk with k >= 2 (``_span_plan``); the k = 1 record of a bridge is
+built at once.  Each is bounded at 512 entries, about 0.2 MB when full; a
+flat plan keyed on the unpacked x-sequence, rather than one tuple per
+factor keyed on a 1-tuple, takes a full ``_cut_plan`` from about 0.3 MB to
+that.  Unbounded, they made the benchmark's structure requests no faster
+and grew a round by 1.5 MB, which its peak RSS would show.  No cache keeps
+an exception, and the checks run before any lookup.
 """
 
 from __future__ import annotations
@@ -527,8 +533,7 @@ def _cut_plan(*xs: int) -> tuple[int, ...]:
 
     Callers unpack the x-sequence, so the cache keys on that tuple itself
     rather than on a 1-tuple around it, and the plan is one flat tuple
-    rather than one per factor.  Together they take a full cache of 512
-    plans from about 0.3 MB to 0.2 MB.
+    rather than one per factor.
     """
     n = len(xs) - 1
     cuts, low, high = _scan_cuts(xs)
@@ -556,18 +561,11 @@ def decompose_bridge(walk: Walk, strip: StripGeometry) -> BridgeDecomposition:
     separately.  Each factor is classified by its start and end lines on
     ``strip``; a factor with a row off ``strip`` raises ValueError.
 
-    Two bounded caches share the work between bridges.  Where the factors
-    lie depends only on the x-sequence, and bridges share few of those (the
-    7,143 non-empty bridges of the benchmark's 3- and 4-row requests have
-    2,055), so the bridge check and the factor slices come from a cache of
-    512 plans (about 0.2 MB when full) keyed on the x-sequence alone, which
-    3- and 4-row requests share.  A bridge has few distinct factors too (the
-    3,389 bridges of the strip from -1 to 1 up to length 12 have 10,838
-    factors on 277 distinct segments), so the frozen factors come from a
-    cache bounded at 4096 entries (about 3 MB), keyed on the untranslated
-    segment, the tail length and the outer lines as a plain int pair.  Neither key holds a ``StripGeometry``, whose field-wise hash and
-    equality run in Python and would cost more than the lookup saves.  The
-    bridge check runs before any factor lookup.
+    The bridge check and the factor slices come from :func:`_cut_plan`,
+    cached on the x-sequence alone, and the frozen factors from
+    :func:`_factor`, cached on the untranslated segment, the tail length and
+    the outer lines; the module docstring gives the sizes.  The bridge check
+    runs before any factor lookup.
     """
     points = walk.points
     if len(points) == 1:
@@ -669,11 +667,9 @@ def hw_decompose(walk: Walk) -> HWDecomposition:
 
     The record depends only on the x-sequence.  A walk whose last maximum is
     its end has k = 1, spans (x_n,) and cuts (n,), and gets its record at
-    once; that is 7,143 of the 9,925 half-space walks of the benchmark's 3-
-    and 4-row requests.  The other 2,782 have 1,163 distinct x-sequences and
-    share frozen records from a cache of 512 (about 0.2 MB when full) keyed
-    on the x-sequence, whose miss path is :func:`_span_plan`.  The checks
-    run before any lookup, so a refused walk leaves no entry.
+    once.  The others share frozen records from a bounded cache keyed on the
+    x-sequence, whose miss path is :func:`_span_plan`.  The checks run
+    before any lookup, so a refused walk leaves no entry.
     """
     points = walk.points
     n = len(points) - 1

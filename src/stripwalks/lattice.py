@@ -161,10 +161,17 @@ class Walk(_Frozen):
         if pts[0] != (0, 0):
             raise ValueError(f"walks start at (0, 0), got {pts[0]}")
         px, py = 0, 0
-        for i, (x, y) in enumerate(pts[1:], 1):
-            if abs(x - px) + abs(y - py) != 1:
-                raise ValueError(f"step {i} from {pts[i-1]} to {pts[i]} is not a unit step")
-            px, py = x, y
+        try:
+            for i, (x, y) in enumerate(pts[1:], 1):
+                if abs(x - px) + abs(y - py) != 1:
+                    break
+                px, py = x, y
+            else:
+                i = 0
+        except (TypeError, ValueError):
+            raise ValueError(f"point {i} is {pts[i]!r}, not an (x, y) pair of integers") from None
+        if i:
+            raise ValueError(f"step {i} from {pts[i-1]} to {pts[i]} is not a unit step")
         if len(set(pts)) != len(pts):
             raise ValueError("walk visits a point twice")
 

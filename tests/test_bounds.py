@@ -1,6 +1,9 @@
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import W2, W3, W4
 from stripwalks import (
@@ -20,7 +23,7 @@ from stripwalks import (
     zeilberger_count,
 )
 from stripwalks import bounds
-from stripwalks.bounds import fibonacci
+from stripwalks.bounds import InequalityReport, SandwichReport, SandwichRow, fibonacci
 
 
 def brute_force_partitions(a, k_max):
@@ -186,6 +189,105 @@ class TestSandwich:
         assert row.n == 3
         assert row.count == saws_w3_16[3]
         assert row.lower <= row.count <= row.upper
+
+
+def _fraction_float(x: Fraction) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def fraction_sandwich(strip, counts, mu_lower, mu_upper) -> SandwichReport:
+    """verify_sandwich's report, computed with exact ``Fraction`` powers."""
+    lo, hi = Fraction(mu_lower), Fraction(mu_upper)
+    rows = []
+    for n in range(1, counts.n_max + 1):
+        c = counts[n]
+        lower = lo**n
+        upper = hi ** (n + 1) * hw_polynomial(n, strip.width)
+        floats = _fraction_float(lower), _fraction_float(upper)
+        rows.append(SandwichRow(n, c, *floats, c >= lower, c <= upper))
+    return SandwichReport(tuple(rows))
+
+
+def fraction_corollary(strip, counts_b, mu, n_max) -> InequalityReport:
+    """verify_bridge_corollary's report, computed with exact ``Fraction`` powers."""
+    m = Fraction(mu)
+    failures = []
+    for n in range(2, n_max + 1):
+        if counts_b[n] > m**n:
+            failures.append(f"b_{n} > mu^{n}")
+        if counts_b[n] < m ** (n - 1) / hw_polynomial(n, strip.width):
+            failures.append(f"b_{n} < mu^{n-1}/P({n})")
+    return InequalityReport(tuple(failures), 2 * max(n_max - 1, 0))
+
+
+growth_constants = st.one_of(
+    st.floats(1e-3, 1e3),
+    st.integers(1, 1000),
+    st.fractions(Fraction(1, 1000), Fraction(1000), max_denominator=10**6),
+)
+strips = st.integers(0, 5).map(lambda y_max: StripGeometry(0, y_max))
+
+
+@st.composite
+def near_bounds(draw):
+    """A strip, a growth constant mu and a table whose every count is the
+    floor or ceiling of one of the bounds mu^n, mu^(n+1) P(n) and
+    mu^(n-1) / P(n), or one off it."""
+    strip, mu = draw(strips), draw(growth_constants)
+    m = Fraction(mu)
+    counts = [1]
+    for n in range(1, draw(st.integers(2, 24)) + 1):
+        p = hw_polynomial(n, strip.width)
+        bound = draw(st.sampled_from([m**n, m ** (n + 1) * p, m ** (n - 1) / p]))
+        rounded = draw(st.sampled_from([math.floor, math.ceil]))(bound)
+        counts.append(max(0, rounded + draw(st.sampled_from([-1, 0, 1]))))
+    return strip, mu, CountTable(tuple(counts))
+
+
+class TestIntegerVerdicts:
+    """The integer cross-multiplied verdicts and report floats equal those of
+    exact ``Fraction`` arithmetic, field for field."""
+
+    @given(
+        strips,
+        st.lists(st.integers(0, 10**30), min_size=2, max_size=25).map(CountTable),
+        growth_constants,
+        growth_constants,
+    )
+    def test_drawn_tables(self, strip, counts, mu_lower, mu_upper):
+        got = verify_sandwich(strip, counts, mu_lower, mu_upper)
+        assert got == fraction_sandwich(strip, counts, mu_lower, mu_upper)
+        for mu in (mu_lower, mu_upper):
+            got = verify_bridge_corollary(strip, counts, mu, counts.n_max)
+            assert got == fraction_corollary(strip, counts, mu, counts.n_max)
+
+    @given(near_bounds())
+    @example((W3, 10000005.0, CountTable((1, 10**7, 10**14))))
+    @example((W3, 1e7, CountTable((1, 10**7, 10**14))))
+    @example((W3, 0.5, CountTable((1, 1, 0, 0))))
+    # mu / P_3(2) = 1 = b_2: the corollary's lower bound is met exactly.
+    @example((W3, 507, CountTable((1, 1, 1))))
+    @example((W4, 1e-20, CountTable(tuple(10**7 * n for n in range(25)))))
+    @example((W3, 2e12, CountTable(tuple(10**7 * n for n in range(25)))))
+    @example((W4, 3, CountTable(tuple(10**7 * n for n in range(25)))))
+    @example((W3, Fraction(23, 10), CountTable(tuple(10**7 * n for n in range(25)))))
+    def test_counts_at_the_bounds(self, drawn):
+        strip, mu, counts = drawn
+        assert verify_sandwich(strip, counts, mu, mu) == fraction_sandwich(strip, counts, mu, mu)
+        got = verify_bridge_corollary(strip, counts, mu, counts.n_max)
+        assert got == fraction_corollary(strip, counts, mu, counts.n_max)
+
+    def test_underflow_and_overflow_rows(self):
+        counts = CountTable(tuple(range(25)))
+        # 1e-20^n is below the least subnormal from n = 17 on.
+        lower = [r.lower for r in verify_sandwich(W3, counts, 1e-20, 1e-20).rows]
+        assert lower[15] > 0.0 and lower[16:] == [0.0] * 8
+        # 2e12^25 P_3(24) is about 3.6e314: the upper bound overflows at n = 24 only.
+        upper = [r.upper for r in verify_sandwich(W3, counts, 2e12, 2e12).rows]
+        assert math.isfinite(upper[22]) and upper[23] == math.inf
 
 
 class TestMultiplicativity:

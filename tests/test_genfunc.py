@@ -136,6 +136,27 @@ class TestIntPolynomial:
         assert type(value) is int
         assert value == naive_horner(p, k)
 
+    @pytest.mark.parametrize("t", [3, -2, Fraction(-5, 2), Fraction(4), 0.5 - 2j, 3 + 0j])
+    @pytest.mark.parametrize("p", [IntPolynomial.zero(), _poly(-4), _poly(1, -1, 0, -2)])
+    def test_call_result_has_the_type_of_t(self, p, t):
+        value = p(t)
+        assert type(value) is type(t)
+        assert value == naive_horner(p, t)
+
+    @given(
+        wide_polys,
+        st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+    )
+    @example(IntPolynomial.zero(), 2 - 1j)
+    @example(W4_LOOP_DENOMINATOR, 0.473 + 0.25j)
+    def test_evaluate_complex_matches_complex_horner(self, p, z):
+        acc = 0j
+        for c in reversed(p.coefficients):
+            acc = acc * z + c
+        value = p.evaluate_complex(z)
+        assert type(value) is complex
+        assert value == acc
+
     def test_pretty(self):
         assert _poly(1, -1, 0, -2, -1).pretty() == "1 - t - 2t^3 - t^4"
         assert IntPolynomial.zero().pretty() == "0"

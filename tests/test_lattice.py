@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -67,6 +69,19 @@ class TestWalk:
             Walk(((0, 0), (2, 0)))
         with pytest.raises(ValueError):
             Walk(())
+
+    @pytest.mark.parametrize("point", [(2, 0, 5), (2,), 5])
+    def test_rejects_a_point_that_is_not_a_pair(self, point):
+        message = f"point 2 is {point!r}, not an (x, y) pair of integers"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Walk(((0, 0), (1, 0), point, (3, 0)))
+
+    def test_step_and_revisit_messages(self):
+        step = r"^step 2 from \(1, 0\) to \(3, 0\) is not a unit step$"
+        with pytest.raises(ValueError, match=step):
+            Walk(((0, 0), (1, 0), (3, 0)))
+        with pytest.raises(ValueError, match="^walk visits a point twice$"):
+            Walk(((0, 0), (1, 0), (0, 0)))
 
     @given(st.text(alphabet="RLUD", max_size=8))
     def test_step_string_roundtrip(self, steps):

@@ -3,7 +3,7 @@
 Each type compares and hashes field-wise, prints as
 ``Name(field=value, ...)``, refuses assignment and deletion, and survives
 ``copy``, ``deepcopy`` and ``pickle``.  Importing the package does not load
-``dataclasses`` or ``inspect``.
+``dataclasses`` or ``inspect``, nor ``fractions`` and what it imports.
 """
 
 import copy
@@ -194,14 +194,16 @@ def test_strip_rows_must_be_integers(rows):
         StripGeometry(*rows)
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
+def test_import_loads_no_dataclasses_inspect_or_fractions():
+    # fractions would pull in decimal and numbers with it.
     src = str(Path(stripwalks.__file__).resolve().parents[1])
     code = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "before = set(sys.modules)\n"
         "import stripwalks, stripwalks.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        "forbidden = {'dataclasses', 'inspect', 'fractions', 'decimal', 'numbers'}\n"
+        "print(sorted(forbidden & (set(sys.modules) - before)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
