@@ -43,7 +43,7 @@ from .genfunc import (
     W4_LOWER_DENOMINATOR,
     _poly_gcd,
 )
-from .lattice import CountTable, _Frozen, _set_field
+from .lattice import CountTable, _Frozen
 
 DEFAULT_TOL = 1e-12
 _MIN_SCALE = 10
@@ -53,14 +53,6 @@ class RootResult(_Frozen):
     """A bracketed root of a polynomial and the derived growth constant."""
 
     __slots__ = ("root", "mu", "tolerance", "bracket")
-
-    def __init__(
-        self, root: float, mu: float, tolerance: float, bracket: tuple[float, float]
-    ) -> None:
-        _set_field(self, "root", root)
-        _set_field(self, "mu", mu)
-        _set_field(self, "tolerance", tolerance)
-        _set_field(self, "bracket", bracket)
 
     def round6(self) -> tuple[float, float]:
         """(root, mu) rounded half-even to the conventional 6 decimals."""

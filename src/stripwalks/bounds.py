@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .enumeration import count_bridges, count_half_space
-from .lattice import CountTable, StripGeometry, _Frozen, _set_field
+from .lattice import CountTable, StripGeometry, _Frozen
 
 
 def _check_partition_args(a: int, k_max: int) -> None:
@@ -122,16 +122,6 @@ class SandwichRow(_Frozen):
 
     __slots__ = ("n", "count", "lower", "upper", "lower_ok", "upper_ok")
 
-    def __init__(
-        self, n: int, count: int, lower: float, upper: float, lower_ok: bool, upper_ok: bool
-    ) -> None:
-        _set_field(self, "n", n)
-        _set_field(self, "count", count)
-        _set_field(self, "lower", lower)
-        _set_field(self, "upper", upper)
-        _set_field(self, "lower_ok", lower_ok)
-        _set_field(self, "upper_ok", upper_ok)
-
     @property
     def ok(self) -> bool:
         return self.lower_ok and self.upper_ok
@@ -141,9 +131,6 @@ class SandwichReport(_Frozen):
     """Per-length verdicts for mu_lower^n <= c_n <= mu_upper^(n+1) P(n)."""
 
     __slots__ = ("rows",)
-
-    def __init__(self, rows: tuple[SandwichRow, ...]) -> None:
-        _set_field(self, "rows", rows)
 
     @property
     def passed(self) -> bool:
@@ -183,10 +170,6 @@ class InequalityReport(_Frozen):
     """A flat list of named inequality checks with a global verdict."""
 
     __slots__ = ("failures", "checked")
-
-    def __init__(self, failures: tuple[str, ...], checked: int) -> None:
-        _set_field(self, "failures", failures)
-        _set_field(self, "checked", checked)
 
     @property
     def passed(self) -> bool:

@@ -35,8 +35,8 @@ MAX_N = 24
 MAX_SERIES = 10000
 # Widest `--strip` for `count` and `verify`.  The transfer matrix's state
 # count and memory grow with the number of rows: `count_saws` at n=24 takes
-# 8-10 s and 212 MB on 10 rows (`verify all` 14-17 s and 213 MB), about 26 s
-# and 526 MB on 11 (2-core Xeon).
+# 5.7-6.1 s and 166 MB on 10 rows (`verify all` 11-14 s and 175 MB), and
+# 18-20 s and 400 MB on 11 (2-core Xeon, Python 3.11).
 MAX_STRIP_WIDTH = 10
 
 
@@ -409,7 +409,3 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return 1
     return code
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -482,12 +482,6 @@ class BridgeDecomposition(_Frozen):
 
     __slots__ = ("factors", "trailing_right_run")
 
-    def __init__(
-        self, factors: tuple[IrreducibleFactor, ...], trailing_right_run: int
-    ) -> None:
-        _set_field(self, "factors", factors)
-        _set_field(self, "trailing_right_run", trailing_right_run)
-
     def reassemble_steps(self) -> str:
         return "".join(f.walk.steps() for f in self.factors) + "R" * self.trailing_right_run
 
@@ -648,10 +642,6 @@ class HWDecomposition(_Frozen):
     """
 
     __slots__ = ("spans", "cut_indices")
-
-    def __init__(self, spans: tuple[int, ...], cut_indices: tuple[int, ...]) -> None:
-        _set_field(self, "spans", spans)
-        _set_field(self, "cut_indices", cut_indices)
 
     @property
     def k(self) -> int:

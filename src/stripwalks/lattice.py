@@ -6,30 +6,43 @@ span, decomposition cuts -- reads coordinates directly.  All types here are
 immutable value types and safe to share between threads.
 
 The value types of the whole package derive from the private base
-``_Frozen``: each lists its fields in ``__slots__`` and sets them once, with
-``_set_field``, in its own ``__init__``, which also holds its checks.  The
-base gives field-wise equality and hashing, the ``Name(field=value, ...)``
-repr, an ``AttributeError`` on assignment and deletion, and a ``__reduce__``
-that calls the class again on the field values, so copies and pickles are
-built and checked like any other instance.  The base is a few plain methods
-rather than ``dataclasses``, whose import (it pulls in ``inspect``, ``ast``
-and ``dis``) and code generation took most of ``import stripwalks``.
+``_Frozen``.  Each lists its fields in ``__slots__``, in order, and is built
+in one of three ways:
+
+* a plain record, which checks nothing, uses the base constructor: one value
+  per field, in order, and a one-line ``TypeError`` for any other number;
+* a checked type (``StripGeometry``, ``Walk``, ``CountTable``,
+  ``IntPolynomial``, ``RationalGF``), and ``IrreducibleFactor`` for the
+  default of its ``bridge_type``, has its own ``__init__``, which sets each
+  field once with ``_set_field``;
+* the three hot builds, ``decompose_bridge``, ``hw_decompose`` and
+  ``_span_plan``, and ``_trusted_walk`` below call no ``__init__``: they
+  take ``_new_instance`` and set the fields with ``_set_field``.
+
+The base gives field-wise equality and hashing, the ``Name(field=value,
+...)`` repr, an ``AttributeError`` on assignment and deletion, and a
+``__reduce__`` that calls the class again on the field values, so copies and
+pickles are built and checked like any other instance.  The base is a few
+plain methods rather than ``dataclasses``, whose import (it pulls in
+``inspect``, ``ast`` and ``dis``) and code generation took most of
+``import stripwalks``.
 
 Which walks are validated: ``Walk(...)`` and ``Walk.from_steps`` run the
 checks of ``Walk.__post_init__``, which ``Walk.__init__`` calls: the points
-start at the origin, move by unit steps and never repeat.  So every walk
-built from outside data, and every image of a map the paper defines
-(``hw_reflect`` and the width-4 transformation), passes that check.  The
-transformation's mirror step swaps U and D in the factor's step string and
-builds no walk; only the image is built, and validated.  Two kinds of walk
-are valid by construction and are built by the private ``_trusted_walk``
-without the check: the prefixes of the depth-first search in ``iter_walks``
-(unit steps from the origin, each point tested against the set of visited
-points) and the translated contiguous slices of an already valid walk (the
-factors of ``decompose_bridge``).  Factors are interned: each is built once
-per distinct segment and shared between decompositions, which is safe since
-every type here is frozen.  The test suite checks that rebuilding any of them
-with ``Walk(...)`` gives an equal walk.
+are tuples of two ``int`` (not ``bool``), start at the origin, move by unit
+steps and never repeat.  So every walk built from outside data, and every
+image of a map the paper defines (``hw_reflect`` and the width-4
+transformation), passes that check.  The transformation's mirror step swaps
+U and D in the factor's step string and builds no walk; only the image is
+built, and validated.  Two kinds of walk are valid by construction and are
+built by the private ``_trusted_walk`` without the check: the prefixes of the
+depth-first search in ``iter_walks`` (unit steps from the origin, each point
+tested against the set of visited points) and the translated contiguous
+slices of an already valid walk (the factors of ``decompose_bridge``).
+Factors are interned: each is built once per distinct segment and shared
+between decompositions, which is safe since every type here is frozen.  The
+test suite checks that rebuilding any of them with ``Walk(...)`` gives an
+equal walk.
 
 Conventions used throughout the package:
 
@@ -73,6 +86,14 @@ class _Frozen:
 
     __slots__ = ()
 
+    def __init__(self, *values: object) -> None:
+        """Set the fields named in ``__slots__`` to ``values``, in order."""
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} values, not {len(values)}")
+        for name, value in zip(names, values):
+            _set_field(self, name, value)
+
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
 
@@ -101,15 +122,15 @@ class _Frozen:
 class StripGeometry(_Frozen):
     """The lattice strip Z x {y_min .. y_max}.
 
-    The rows are integers, and the origin row 0 must belong to the strip
-    because all walks start there.
+    The rows are integers (not ``bool``), and the origin row 0 must belong to
+    the strip because all walks start there.
     """
 
     __slots__ = ("y_min", "y_max")
 
     def __init__(self, y_min: int, y_max: int) -> None:
         for name, y in (("y_min", y_min), ("y_max", y_max)):
-            if not isinstance(y, int):
+            if type(y) is not int:
                 raise TypeError(f"strip row {name}={y!r} is not an integer")
         if not (y_min <= 0 <= y_max):
             raise ValueError(f"strip [{y_min}, {y_max}] must contain the origin row 0")
@@ -160,9 +181,14 @@ class Walk(_Frozen):
             raise ValueError("a walk has at least one point")
         if pts[0] != (0, 0):
             raise ValueError(f"walks start at (0, 0), got {pts[0]}")
-        px, py = 0, 0
+        # (0, -1) is one unit step from the origin, so point 0 passes the step
+        # test and is checked as a pair of integers like every other point.
+        px, py = 0, -1
         try:
-            for i, (x, y) in enumerate(pts[1:], 1):
+            for i, p in enumerate(pts):
+                x, y = p
+                if type(p) is not tuple or type(x) is not int or type(y) is not int:
+                    raise TypeError
                 if abs(x - px) + abs(y - py) != 1:
                     break
                 px, py = x, y

@@ -70,11 +70,17 @@ class TestWalk:
         with pytest.raises(ValueError):
             Walk(())
 
-    @pytest.mark.parametrize("point", [(2, 0, 5), (2,), 5])
+    @pytest.mark.parametrize("point", [(2, 0, 5), (2,), 5, (2.0, 0), (2, True), [2, 0]])
     def test_rejects_a_point_that_is_not_a_pair(self, point):
         message = f"point 2 is {point!r}, not an (x, y) pair of integers"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Walk(((0, 0), (1, 0), point, (3, 0)))
+
+    @pytest.mark.parametrize("point", [(0.0, 0), (0, False)])
+    def test_rejects_a_first_point_that_is_not_a_pair_of_ints(self, point):
+        message = f"point 0 is {point!r}, not an (x, y) pair of integers"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Walk((point, (1, 0)))
 
     def test_step_and_revisit_messages(self):
         step = r"^step 2 from \(1, 0\) to \(3, 0\) is not a unit step$"

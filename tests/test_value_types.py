@@ -1,9 +1,12 @@
-"""The package's value types: one frozen, slotted contract for all twelve.
+"""The package's value types: one frozen, slotted contract for every
+subclass of ``lattice._Frozen``.
 
 Each type compares and hashes field-wise, prints as
 ``Name(field=value, ...)``, refuses assignment and deletion, and survives
-``copy``, ``deepcopy`` and ``pickle``.  Importing the package does not load
-``dataclasses`` or ``inspect``, nor ``fractions`` and what it imports.
+``copy``, ``deepcopy`` and ``pickle``.  The plain records, which have no
+``__init__`` of their own, take exactly one value per field.  Importing the
+package does not load ``dataclasses`` or ``inspect``, nor ``fractions`` and
+what it imports.
 """
 
 import copy
@@ -28,6 +31,7 @@ from stripwalks import (
     decompose_bridge,
 )
 from stripwalks.bounds import InequalityReport, SandwichReport, SandwichRow
+from stripwalks.lattice import _Frozen
 
 
 def _walk():
@@ -88,7 +92,27 @@ IDS = [text.split("(")[0] for _, text in INSTANCES]
 
 
 def test_every_value_type_is_covered():
-    assert len({build().__class__ for build, _ in INSTANCES}) == 12
+    assert {build().__class__ for build, _ in INSTANCES} == set(_Frozen.__subclasses__())
+
+
+PLAIN_RECORDS = [
+    BridgeDecomposition,
+    HWDecomposition,
+    RootResult,
+    SandwichRow,
+    SandwichReport,
+    InequalityReport,
+]
+
+
+@pytest.mark.parametrize("cls", PLAIN_RECORDS, ids=lambda cls: cls.__name__)
+def test_plain_records_take_one_value_per_field(cls):
+    assert "__init__" not in cls.__dict__
+    n = len(cls.__slots__)
+    for count in (n - 1, n + 1):
+        with pytest.raises(TypeError) as info:
+            cls(*range(count))
+        assert str(info.value) == f"{cls.__name__} takes {n} values, not {count}"
 
 
 @pytest.mark.parametrize("build, text", INSTANCES, ids=IDS)
@@ -187,9 +211,11 @@ def test_list_built_polynomials_are_tuple_built():
         IntPolynomial([1, 0])
 
 
-@pytest.mark.parametrize("rows", [(-1.5, 1), (-1, 1.0), ("-1", 1), (None, 2)])
+@pytest.mark.parametrize(
+    "rows", [(-1.5, 1), (-1, 1.0), ("-1", 1), (None, 2), (0, True), (False, 1)]
+)
 def test_strip_rows_must_be_integers(rows):
-    bad = next(y for y in rows if not isinstance(y, int))
+    bad = next(y for y in rows if type(y) is not int)
     with pytest.raises(TypeError, match=f"={bad!r} is not an integer"):
         StripGeometry(*rows)
 
