@@ -6,8 +6,8 @@ the rational generating functions of bridges on the width-3 and width-4 strips
 from an irreducible-bridge alphabet, extracts connective constants from
 denominator roots, and verifies the classical sandwich bounds relating walk
 counts to powers of the connective constant.  All combinatorial arithmetic is
-exact (unbounded integers / rationals); floating point appears only in the
-final root estimates.
+exact, on unbounded integers, and rationals are integer ratios; floating point
+appears only in the final root estimates and in report rendering.
 """
 
 from .lattice import (

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .enumeration import count_bridges, count_half_space
+from .enumeration import _check_n_max, count_bridges, count_half_space
 from .lattice import CountTable, StripGeometry, _Frozen
 
 
@@ -184,6 +184,7 @@ def verify_multiplicativity(
     Checks c_{n+m} <= c_n c_m and b_n b_m <= b_{n+m} for every split with
     n + m <= n_max.
     """
+    _check_n_max(n_max)
     if n_max > counts_c.n_max or n_max > counts_b.n_max:
         raise ValueError("count tables do not cover n_max")
     failures = []
@@ -234,6 +235,7 @@ def verify_bridge_corollary(
     P is the sandwich polynomial of the strip's width, as in
     :func:`verify_sandwich`.
     """
+    _check_n_max(n_max)
     if n_max > counts_b.n_max:
         raise ValueError("bridge table does not cover n_max")
     num, den = mu.as_integer_ratio()

@@ -15,7 +15,7 @@ loop over a table of lattice points that each call builds once: it yields the
 walks themselves and is the oracle the tests compare the transfer matrix
 against.
 On top of the counts this module implements the structural operations on
-bridges, each in one linear pass over the walk's x-coordinates:
+bridges, each by linear scans over the walk's x-coordinates:
 
 * decomposition of a bridge into irreducible factors (with the convention
   that a run of leading unit right-steps is absorbed into the following
@@ -36,19 +36,19 @@ classified factor.  The key holds no ``StripGeometry``: its field-wise hash
 and equality run in Python on every lookup, while a key of tuples and ints
 is hashed and compared in C.
 
-Where a bridge's factors lie, and its span decomposition as a half-space
-walk, depend only on its x-sequence, and walks share few x-sequences.  Of
-the 9,925 half-space walks of the benchmark's 3- and 4-row requests, the
-7,143 bridges have 2,055 x-sequences and the other 2,782 walks have 1,163.
-So two more caches, keyed on the x-sequence alone, hold the bridge check
-with the factor slices (``_cut_plan``) and the frozen span decomposition of
-every walk with k >= 2 (``_span_plan``); the k = 1 record of a bridge is
-built at once.  Each is bounded at 512 entries, about 0.2 MB when full; a
-flat plan keyed on the unpacked x-sequence, rather than one tuple per
-factor keyed on a 1-tuple, takes a full ``_cut_plan`` from about 0.3 MB to
-that.  Unbounded, they made the benchmark's structure requests no faster
-and grew a round by 1.5 MB, which its peak RSS would show.  No cache keeps
-an exception, and the checks run before any lookup.
+Where a bridge's factors lie depends only on its x-sequence, and bridges
+share few x-sequences: the 7,143 bridges of the benchmark's 3- and 4-row
+requests have 2,055.  So a second cache, keyed on the x-sequence alone,
+holds the bridge check with the factor slices (``_cut_plan``).  It is
+bounded at 512 entries, about 0.2 MB when full; a flat plan keyed on the
+unpacked x-sequence, rather than one tuple per factor keyed on a 1-tuple,
+takes a full cache from about 0.3 MB to that.  Unbounded, it made the
+benchmark's structure requests no faster and grew a round's memory, which
+its peak RSS would show.  No cache keeps an exception, and the checks run
+before any lookup.  The span decomposition of a half-space walk has no
+cache: its cuts come from ``max``, ``min`` and ``index`` on the reversed
+x-sequence, which run in C, and a cache keyed on the x-sequence made it no
+faster.
 """
 
 from __future__ import annotations
@@ -655,11 +655,11 @@ def hw_decompose(walk: Walk) -> HWDecomposition:
     minimum (i even) of x over [n_{i-1}, n], and A_i = |x_{n_i} - x_{n_{i-1}}|;
     the recursion stops at the first n_i equal to the walk length.
 
-    The record depends only on the x-sequence.  A walk whose last maximum is
-    its end has k = 1, spans (x_n,) and cuts (n,), and gets its record at
-    once.  The others share frozen records from a bounded cache keyed on the
-    x-sequence, whose miss path is :func:`_span_plan`.  The checks run
-    before any lookup, so a refused walk leaves no entry.
+    A walk whose last maximum is its end has k = 1, spans (x_n,) and cuts
+    (n,), and gets its record at once; that is most walks.  For the others
+    each cut is found by ``index`` on a prefix of the reversed x-sequence,
+    so each of the k <= w scans runs in C.  The checks run before any cut
+    is built.
     """
     points = walk.points
     n = len(points) - 1
@@ -669,49 +669,25 @@ def hw_decompose(walk: Walk) -> HWDecomposition:
     rest = xs[1:]
     if min(rest) <= 0:
         raise ValueError("span decomposition requires a half-space walk")
-    if max(rest) > xs[n]:
-        return _span_plan(*xs)
     dec = _new_instance(HWDecomposition)
-    _set_field(dec, "spans", (xs[n],))
-    _set_field(dec, "cut_indices", (n,))
-    return dec
-
-
-@lru_cache(maxsize=512)
-def _span_plan(*xs: int) -> HWDecomposition:
-    """The span decomposition of a half-space walk with x-sequence xs.
-
-    Called with xs unpacked, as :func:`_cut_plan` is.  One backward pass
-    records, for every j, the last index of a maximum and of a minimum of
-    x_j..x_n, so each span costs O(1).
-    """
-    n = len(xs) - 1
-    # arg_max[j], arg_min[j]: the last index of a maximum, of a minimum, of
-    # x_j..x_n.
-    arg_max = [n] * (n + 1)
-    arg_min = [n] * (n + 1)
-    hi = lo = n
-    top = bottom = xs[n]
-    for j in range(n - 1, -1, -1):
-        x = xs[j]
-        if x > top:
-            hi, top = j, x
-        elif x < bottom:
-            lo, bottom = j, x
-        arg_max[j] = hi
-        arg_min[j] = lo
+    top = max(rest)
+    if top <= xs[n]:
+        _set_field(dec, "spans", (xs[n],))
+        _set_field(dec, "cut_indices", (n,))
+        return dec
     # The cuts alternate: a maximum, then a minimum, then a maximum, ...
-    cut = arg_max[0]
-    cuts = [cut]
-    spans = [xs[cut]]  # x_0 = 0
-    this, other = arg_min, arg_max
+    # Each is the last index of its extremum, so x stays strictly on one side
+    # of it afterwards and the next cut lies further on.
+    backward = xs[::-1]
+    cut = n - backward.index(top)  # x_0 = 0 < top, so A_1 = top
+    spans, cuts = [top], [cut]
+    high = False
     while cut != n:
-        nxt = this[cut]
+        tail = backward[: n + 1 - cut]  # x_n, ..., x_cut
+        nxt = n - tail.index(max(tail) if high else min(tail))
         spans.append(abs(xs[nxt] - xs[cut]))
         cuts.append(nxt)
-        cut = nxt
-        this, other = other, this
-    dec = _new_instance(HWDecomposition)
+        cut, high = nxt, not high
     _set_field(dec, "spans", tuple(spans))
     _set_field(dec, "cut_indices", tuple(cuts))
     return dec

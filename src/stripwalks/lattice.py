@@ -15,9 +15,9 @@ in one of three ways:
   ``IntPolynomial``, ``RationalGF``), and ``IrreducibleFactor`` for the
   default of its ``bridge_type``, has its own ``__init__``, which sets each
   field once with ``_set_field``;
-* the three hot builds, ``decompose_bridge``, ``hw_decompose`` and
-  ``_span_plan``, and ``_trusted_walk`` below call no ``__init__``: they
-  take ``_new_instance`` and set the fields with ``_set_field``.
+* the two hot builds, ``decompose_bridge`` and ``hw_decompose``, and
+  ``_trusted_walk`` below call no ``__init__``: they take ``_new_instance``
+  and set the fields with ``_set_field``.
 
 The base gives field-wise equality and hashing, the ``Name(field=value,
 ...)`` repr, an ``AttributeError`` on assignment and deletion, and a
@@ -267,7 +267,8 @@ def is_half_space(walk: Walk) -> bool:
 class CountTable(_Frozen):
     """Exact counts indexed by walk length, for 0 <= n <= n_max.
 
-    ``counts`` is stored as a tuple, whatever iterable it was given as.
+    ``counts`` is stored as a tuple, whatever iterable it was given as.  Each
+    count is an ``int`` (not ``bool``), as the rows of ``StripGeometry`` are.
     """
 
     __slots__ = ("counts",)
@@ -276,6 +277,9 @@ class CountTable(_Frozen):
         counts = tuple(counts)
         if not counts:
             raise ValueError("a count table covers at least length 0")
+        for n, c in enumerate(counts):
+            if type(c) is not int:
+                raise TypeError(f"count {n}={c!r} is not an integer")
         if any(c < 0 for c in counts):
             raise ValueError("counts are non-negative")
         _set_field(self, "counts", counts)

@@ -315,6 +315,21 @@ class TestMultiplicativity:
             verify_multiplicativity(c, b, 3)
 
 
+@pytest.mark.parametrize(
+    "verify",
+    [
+        lambda: verify_multiplicativity(CountTable((1, 2)), CountTable((1, 1)), -3),
+        lambda: verify_bridge_corollary(W3, CountTable((1, 1)), 1.9, -3),
+        lambda: verify_halfspace_proposition(W3, -3),
+    ],
+    ids=["multiplicativity", "bridge_corollary", "halfspace_proposition"],
+)
+def test_verifiers_refuse_a_negative_n_max(verify):
+    # Not a passing report over no checks.
+    with pytest.raises(ValueError, match="^n_max must be non-negative, got -3$"):
+        verify()
+
+
 class TestHalfSpaceProposition:
     def test_width3(self):
         assert verify_halfspace_proposition(W3, 14).passed

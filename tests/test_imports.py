@@ -1,4 +1,4 @@
-"""No module in src/, tests/ or demos/ imports a name it never uses.
+"""No module in src/, tests/, demos/ or tools/ imports a name it never uses.
 
 A name counts as used when it appears as an identifier anywhere in the module
 (a dotted use ``a.b`` uses ``a``) or is listed in the module's ``__all__``.
@@ -12,7 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(
-    p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py")
+    p for d in ("src", "tests", "demos", "tools") for p in (ROOT / d).rglob("*.py")
 )
 
 

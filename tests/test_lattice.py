@@ -147,5 +147,13 @@ class TestCountTable:
         with pytest.raises(ValueError):
             CountTable(())
 
+    @pytest.mark.parametrize(
+        "counts, bad", [((1.0, 2.5, True), "0=1.0"), ((1, 2, True), "2=True"), ((1, "3"), "1='3'")]
+    )
+    def test_rejects_counts_that_are_not_ints(self, counts, bad):
+        # The first count that is not an int is named, bool included.
+        with pytest.raises(TypeError, match=f"^count {re.escape(bad)} is not an integer$"):
+            CountTable(counts)
+
     def test_csv(self):
         assert CountTable((1, 2)).to_csv() == "n,count\n0,1\n1,2\n"

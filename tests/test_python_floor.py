@@ -1,4 +1,4 @@
-"""Every module in src/ and demos/ parses under the declared Python floor.
+"""Every module in src/, demos/ and tools/ parses under the declared Python floor.
 
 ``requires-python`` in pyproject.toml names the oldest supported version.
 The suite itself may run on a newer one, so syntax added after the floor
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted(p for d in ("src", "demos") for p in (ROOT / d).rglob("*.py"))
+FILES = sorted(p for d in ("src", "demos", "tools") for p in (ROOT / d).rglob("*.py"))
 FLOOR = tuple(
     int(part)
     for part in re.search(

@@ -2,13 +2,12 @@
 
 ``iter_walks`` is an explicit-stack search over a per-call table of lattice
 points, ``cut_points`` and ``decompose_bridge`` share one right-to-left scan,
-``hw_decompose`` one backward arg-max/arg-min pass, and the walks the search
-yields and the factors a decomposition returns skip validation because they
-are valid by construction.  ``decompose_bridge`` interns its factors in a
-cache shared by every call, and takes its cuts from a bounded cache keyed on
-the walk's x-sequence; ``hw_decompose`` shares its records through another.
-These tests pin all of that to the naive forms walk by walk, with cold caches
-and after eviction.
+``hw_decompose`` finds each cut by a scan of the reversed x-sequence, and the
+walks the search yields and the factors a decomposition returns skip
+validation because they are valid by construction.  ``decompose_bridge``
+interns its factors in a cache shared by every call, and takes its cuts from
+a bounded cache keyed on the walk's x-sequence.  These tests pin all of that
+to the naive forms walk by walk, with cold caches and after eviction.
 """
 
 import pytest
@@ -31,7 +30,7 @@ from stripwalks import (
     hw_reflect,
     iter_walks,
 )
-from stripwalks.enumeration import _cut_plan, _factor, _span_plan
+from stripwalks.enumeration import _cut_plan, _factor
 
 KINDS = ("saw", "half_space", "bridge")
 
@@ -217,35 +216,31 @@ def _structure_caches():
 def _check_structure_maps(strip, n_max):
     """Both maps against their naive forms on every half-space walk.
 
-    Returns the distinct x-sequences of the bridges and of the half-space
-    walks with k >= 2, the walks whose records come from the plan caches.
+    Returns the distinct x-sequences of the bridges, the walks whose cuts
+    come from the plan cache.
     """
-    bridge_xs, span_xs = set(), set()
+    bridge_xs = set()
     for walk in iter_walks(strip, n_max, "half_space"):
         if not walk.length:
             continue
-        xs = tuple(x for x, _ in walk.points)
         d = hw_decompose(walk)
         assert d == naive_hw_decompose(walk)
-        if d.k > 1:
-            span_xs.add(xs)
-        else:
-            bridge_xs.add(xs)
+        if d.k == 1:
+            bridge_xs.add(tuple(x for x, _ in walk.points))
             assert decompose_bridge(walk, strip) == naive_decompose_bridge(walk, strip)
-    return bridge_xs, span_xs
+    return bridge_xs
 
 
 def test_cold_and_evicted_caches_match_naive_forms():
-    for cache in (_cut_plan, _span_plan, _factor):
+    for cache in (_cut_plan, _factor):
         cache.cache_clear()
     for strip in STRIPS:
         _check_structure_maps(strip, 9)
-    # More distinct x-sequences than either plan cache holds: both evict.
-    bridge_xs, span_xs = _check_structure_maps(StripGeometry(-1, 2), 12)
-    for cache, distinct in ((_cut_plan, bridge_xs), (_span_plan, span_xs)):
-        maxsize = cache.cache_info().maxsize
-        assert len(distinct) > maxsize
-        assert cache.cache_info().currsize == maxsize
+    # More distinct x-sequences than the plan cache holds: it evicts.
+    bridge_xs = _check_structure_maps(StripGeometry(-1, 2), 12)
+    maxsize = _cut_plan.cache_info().maxsize
+    assert len(bridge_xs) > maxsize
+    assert _cut_plan.cache_info().currsize == maxsize
     for strip in STRIPS:
         _check_structure_maps(strip, 9)
     for name, cache in _structure_caches().items():
@@ -257,7 +252,7 @@ def test_structure_caches_are_bounded():
     # A round's own memory growth can hide under the benchmark harness's
     # peak RSS, so an unbounded cache here would go unseen there.
     caches = _structure_caches()
-    assert {"_cut_plan", "_span_plan", "_factor"} <= set(caches)
+    assert {"_cut_plan", "_factor"} <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_parameters()["maxsize"] is not None, name
 
@@ -272,17 +267,16 @@ def test_refused_walks_stay_refused_and_leave_no_entry():
     not_bridges = [Walk.from_steps(s) for s in ("RUL", "RRUUL", "RURDDL", "RRUULLD")]
     not_half_space = [Walk.from_steps(s) for s in ("RUL", "RRULL", "RRUULLL", "L", "URDD")]
     valid = Walk.from_steps("RURRDRRU")
-    for cache in (_cut_plan, _span_plan):
-        cache.cache_clear()
+    _cut_plan.cache_clear()
     for _ in range(2):
-        held = _cut_plan.cache_info().currsize, _span_plan.cache_info().currsize
+        held = _cut_plan.cache_info().currsize
         for walk in not_bridges:
             with pytest.raises(ValueError, match="^decompose_bridge requires a bridge$"):
                 decompose_bridge(walk, strip)
         for walk in not_half_space:
             with pytest.raises(ValueError, match=f"^{HALF_SPACE_ONLY}$"):
                 hw_decompose(walk)
-        assert (_cut_plan.cache_info().currsize, _span_plan.cache_info().currsize) == held
+        assert _cut_plan.cache_info().currsize == held
         assert decompose_bridge(valid, strip) == naive_decompose_bridge(valid, strip)
         assert hw_decompose(valid) == naive_hw_decompose(valid)
         for walk in not_bridges[:2]:
@@ -292,11 +286,12 @@ def test_refused_walks_stay_refused_and_leave_no_entry():
 
 
 @pytest.mark.parametrize(
-    "steps", ["R", "RRUR", "RURRDRRU", "RRULURR", "RRRULLURRR", "RRRRULLLURRUL"]
+    "steps",
+    ["R", "RRUR", "RURRDRRU", "RRULURR", "RRRULLURRR", "RRRRULLLURRUL", "RRRUULL", "RRRULLUU"],
 )
 def test_records_are_frozen_and_naive(steps):
-    # k = 1 records are built per call; the others are shared from the
-    # span cache, and must be just as frozen.
+    # The last two tie an extremum, and a cut is its last index: the first
+    # would be the cut itself once a vertical tail holds x constant.
     walk = Walk.from_steps(steps)
     d = hw_decompose(walk)
     assert d == naive_hw_decompose(walk)
@@ -305,7 +300,6 @@ def test_records_are_frozen_and_naive(steps):
         d.spans = ()
     again = hw_decompose(Walk(walk.points))
     assert again == d and hash(again) == hash(d)
-    assert (again is d) == (d.k > 1)
     if d.k == 1:
         strip = StripGeometry(-1, 2)
         b = decompose_bridge(walk, strip)
