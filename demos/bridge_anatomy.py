@@ -38,7 +38,7 @@ print("  reflected walk :", image.steps())
 print("  image spans    :", hw_decompose(image).spans)
 
 print("\n-- width-4 irreducible transformation --")
-factor = IrreducibleFactor(Walk.from_steps("RRRDRDLLULDDRRR"), 2, 0)
+factor = IrreducibleFactor(Walk.from_steps("RRRDRDLLULDDRRR"), 2, 0, None)
 print("  factor from line 2:", factor.walk.steps())
 print("  type:", classify_irreducible(factor, w4))
 out = transform_irreducible_w4(factor, w4)

@@ -11,6 +11,7 @@ from stripwalks import (
     StripGeometry,
     connective_constant_width3,
     count_bridges,
+    count_half_space,
     count_saws,
     hw_polynomial,
     mu_bounds_width4,
@@ -49,7 +50,7 @@ for strip, label in ((StripGeometry(-1, 1), "three rows"), (StripGeometry(-1, 2)
     row = sandwich.rows[-1]
     print(f"    n={row.n}: {row.lower:.3e} <= {row.count} <= {row.upper:.3e}")
     print(f"  P({row.n}) = {hw_polynomial(row.n, strip.width)}")
-    half = verify_halfspace_proposition(strip, n_max)
+    half = verify_halfspace_proposition(strip, count_half_space(strip, n_max), b)
     print(f"  half-space h_n <= P_F(n) b_n: passed={half.passed}")
-    mult = verify_multiplicativity(c, b, n_max)
+    mult = verify_multiplicativity(c, b)
     print(f"  multiplicativity of c and b:  passed={mult.passed}")

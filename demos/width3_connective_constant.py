@@ -17,6 +17,7 @@ from stripwalks import (
     estimate_mu,
     important_part_denominator,
 )
+from stripwalks.genfunc import ONE_MINUS_T, W3_LOOP_POLYNOMIAL
 
 strip = StripGeometry(-1, 1)
 print("strip rows:", strip.y_min, "..", strip.y_max)
@@ -41,8 +42,10 @@ print("  enumeration:", bridges.counts)
 print("  exact match:", gf.series(14) == bridges.counts)
 
 print("\n-- denominator root and growth constant --")
-loop = important_part_denominator(atoms, 3, reduce=True)
-print("  reduced loop denominator:", loop.pretty())
+loop = important_part_denominator(atoms, 3)
+print("  loop denominator:", loop.pretty())
+core = ONE_MINUS_T * ONE_MINUS_T * W3_LOOP_POLYNOMIAL
+print(f"  = (1 - t)^2 ({W3_LOOP_POLYNOMIAL.pretty()}):", loop == core)
 res = connective_constant_width3()
 print(f"  smallest positive root: {res.root:.9f}")
 print(f"  mu (reciprocal)       : {res.mu:.9f}")

@@ -9,19 +9,26 @@ of w rows a half-space walk has at most w spans, so the partition bound
 P_w(n) = (n + 1) pf_bound(n + 1, w)^2 hold on every width; only the growth
 constants the sandwich is checked against are known for 3 and 4 rows alone.
 
-A growth constant mu, given as a float, an int or a ``Fraction``, is the
-exact ratio num/den of ``mu.as_integer_ratio()``, and each count is compared
-with its bound by cross-multiplying integers, with no slack: a verdict says
-whether the inequality holds for that constant.  With the constants of
-:mod:`analysis`, bracketed to 1e-12, and with mu = 2.3, no count on the
-three- or four-row strip up to n = 24 lies within 3 % of its bound.
+Each verifier checks every length of the count tables it is given, and
+builds none: with two tables it stops at the shorter one's ``n_max``.  So
+this module needs nothing from :mod:`enumeration`, and its callers choose
+the range by the tables they pass.
+
+A growth constant is a positive, finite ``int``, ``float``, ``Fraction`` or
+``Decimal`` (not a ``bool``), taken as the exact ratio num/den of its
+``as_integer_ratio()``; anything else, and a bracket whose lower end exceeds
+its upper end, is refused with a one-line error that names the value.  Each
+count is compared with its bound by cross-multiplying integers, with no
+slack: a verdict says whether the inequality holds for that constant.  With
+the constants of :mod:`analysis`, bracketed to 1e-12, and with mu = 2.3, no
+count on the three- or four-row strip up to n = 24 lies within 3 % of its
+bound.
 """
 
 from __future__ import annotations
 
 import math
 
-from .enumeration import _check_n_max, count_bridges, count_half_space
 from .lattice import CountTable, StripGeometry, _Frozen
 
 
@@ -117,6 +124,21 @@ def _float_or_inf(num: int, den: int) -> float:
         return math.inf
 
 
+def _growth_ratio(name: str, mu: object) -> tuple[int, int]:
+    """The exact ratio (num, den) of the growth constant passed as ``name``;
+    see the module docstring for what is refused."""
+    ratio = getattr(mu, "as_integer_ratio", None)
+    if ratio is None or type(mu) is bool:
+        raise TypeError(f"growth constant {name}={mu!r} is not a number")
+    try:
+        num, den = ratio()
+    except (ValueError, OverflowError):  # NaN, infinities
+        raise ValueError(f"growth constant {name}={mu!r} is not finite") from None
+    if num <= 0:
+        raise ValueError(f"growth constant {name}={mu!r} is not positive")
+    return num, den
+
+
 class SandwichRow(_Frozen):
     """The count at one length, its two bounds as floats, and both verdicts."""
 
@@ -149,8 +171,10 @@ def verify_sandwich(
     uses its lower end and the upper check its upper end.  A known constant,
     such as width 3's, is the bracket [mu, mu].
     """
-    lo_num, lo_den = mu_lower.as_integer_ratio()
-    hi_num, hi_den = mu_upper.as_integer_ratio()
+    lo_num, lo_den = _growth_ratio("mu_lower", mu_lower)
+    hi_num, hi_den = _growth_ratio("mu_upper", mu_upper)
+    if lo_num * hi_den > hi_num * lo_den:
+        raise ValueError(f"growth constant bracket [{mu_lower!r}, {mu_upper!r}] is inverted")
     rows = []
     for n in range(1, counts.n_max + 1):
         c = counts[n]
@@ -176,17 +200,13 @@ class InequalityReport(_Frozen):
         return not self.failures
 
 
-def verify_multiplicativity(
-    counts_c: CountTable, counts_b: CountTable, n_max: int
-) -> InequalityReport:
+def verify_multiplicativity(counts_c: CountTable, counts_b: CountTable) -> InequalityReport:
     """Submultiplicativity of walk counts, supermultiplicativity of bridges.
 
     Checks c_{n+m} <= c_n c_m and b_n b_m <= b_{n+m} for every split with
-    n + m <= n_max.
+    n + m up to the shorter table's ``n_max``.
     """
-    _check_n_max(n_max)
-    if n_max > counts_c.n_max or n_max > counts_b.n_max:
-        raise ValueError("count tables do not cover n_max")
+    n_max = min(counts_c.n_max, counts_b.n_max)
     failures = []
     checked = 0
     for total in range(n_max + 1):
@@ -200,8 +220,12 @@ def verify_multiplicativity(
     return InequalityReport(tuple(failures), checked)
 
 
-def verify_halfspace_proposition(strip: StripGeometry, n_max: int) -> InequalityReport:
-    """h_n <= P_F(n) b_n for 0 <= n <= n_max, with both forms of P_F.
+def verify_halfspace_proposition(
+    strip: StripGeometry, counts_h: CountTable, counts_b: CountTable
+) -> InequalityReport:
+    """h_n <= P_F(n) b_n, with both forms of P_F, for the half-space counts
+    ``counts_h`` and bridge counts ``counts_b`` of ``strip``, up to the
+    shorter table's ``n_max``.
 
     The partition cap is the strip width w, which bounds the number of spans
     (see ``enumeration.HWDecomposition``).  Reflecting the spans maps a
@@ -212,15 +236,14 @@ def verify_halfspace_proposition(strip: StripGeometry, n_max: int) -> Inequality
     both satisfy the inequality.
     """
     k_max = strip.width
-    h = count_half_space(strip, n_max)
-    b = count_bridges(strip, n_max)
+    n_max = min(counts_h.n_max, counts_b.n_max)
     failures = []
     for n in range(n_max + 1):
         exact = pf_exact(n, k_max)
         bound = pf_bound(n, k_max)
-        if h[n] > exact * b[n]:
+        if counts_h[n] > exact * counts_b[n]:
             failures.append(f"h_{n} > pf_exact({n}) * b_{n}")
-        if h[n] > bound * b[n]:
+        if counts_h[n] > bound * counts_b[n]:
             failures.append(f"h_{n} > pf_bound({n}) * b_{n}")
         if exact > bound:
             failures.append(f"pf_exact({n}) > pf_bound({n})")
@@ -228,22 +251,19 @@ def verify_halfspace_proposition(strip: StripGeometry, n_max: int) -> Inequality
 
 
 def verify_bridge_corollary(
-    strip: StripGeometry, counts_b: CountTable, mu: float, n_max: int
+    strip: StripGeometry, counts_b: CountTable, mu: float
 ) -> InequalityReport:
-    """mu^(n-1)/P(n) <= b_n <= mu^n for 2 <= n <= n_max.
+    """mu^(n-1)/P(n) <= b_n <= mu^n for 2 <= n <= counts_b.n_max.
 
-    P is the sandwich polynomial of the strip's width, as in
-    :func:`verify_sandwich`.
+    P is the sandwich polynomial of the strip's width, and mu a growth
+    constant, as in :func:`verify_sandwich`.
     """
-    _check_n_max(n_max)
-    if n_max > counts_b.n_max:
-        raise ValueError("bridge table does not cover n_max")
-    num, den = mu.as_integer_ratio()
+    num, den = _growth_ratio("mu", mu)
     failures = []
-    for n in range(2, n_max + 1):
+    for n in range(2, counts_b.n_max + 1):
         b = counts_b[n]
         if b * den**n > num**n:
             failures.append(f"b_{n} > mu^{n}")
         if b * den ** (n - 1) * hw_polynomial(n, strip.width) < num ** (n - 1):
             failures.append(f"b_{n} < mu^{n-1}/P({n})")
-    return InequalityReport(tuple(failures), 2 * max(n_max - 1, 0))
+    return InequalityReport(tuple(failures), 2 * max(counts_b.n_max - 1, 0))

@@ -276,12 +276,16 @@ _SUITES = {
     "zeilberger": _Suite(_verify_zeilberger, per_strip=False, reads_mu=False),
     "sandwich": _Suite(_verify_sandwich, per_strip=True, reads_mu=True),
     "halfspace": _Suite(
-        lambda strip, args: _inequalities(bounds.verify_halfspace_proposition(strip, args.n)),
+        lambda strip, args: _inequalities(bounds.verify_halfspace_proposition(
+            strip,
+            enumeration.count_half_space(strip, args.n),
+            enumeration.count_bridges(strip, args.n),
+        )),
         per_strip=True, reads_mu=False,
     ),
     "multiplicativity": _Suite(
         lambda strip, args: _inequalities(bounds.verify_multiplicativity(
-            enumeration.count_saws(strip, args.n), enumeration.count_bridges(strip, args.n), args.n
+            enumeration.count_saws(strip, args.n), enumeration.count_bridges(strip, args.n)
         )),
         per_strip=True, reads_mu=False,
     ),

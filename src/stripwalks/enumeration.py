@@ -220,12 +220,12 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
     half-space run and 53 in a saw run), so the sweep interns each
     (labels, code) as a small int and works out each state's moves once.
     At a state's first visit to row r, :func:`_cell` gives its successors,
-    which are cached for that row grouped by the number of edges they add,
-    with the walks it completes.  On the top row each successor is first
-    moved to the next column by :func:`_next_column`, and dropped if it
-    leaves the sweep, so a column is one cached pass per row.  A visit then
-    shifts and masks the polynomial once per group and adds it to each
-    successor's.
+    which are cached for that row as one flat tuple of (k * bits, successor
+    id) pairs, k the number of edges the move adds, with the walks it
+    completes.  On the top row each successor is first moved to the next
+    column by :func:`_next_column`, and dropped if it leaves the sweep, so a
+    column is one cached pass per row.  A visit then shifts and masks the
+    polynomial for each pair and adds it to the successor's.
 
     * ``"saw"``: a walk is translated so that its leftmost column is 0; the
       start must lie on row 0.  Columns run from 0 to n_max.
@@ -263,7 +263,7 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
             placements.append({_NO_END: (_OTHER_END,), _START: both})
 
     # keys[i] is the state interned as i.  steps[r][i] holds state i's
-    # successors through the cell on row index r as (shift, ids) groups, in
+    # successors through the cell on row index r as (shift, id) pairs, in
     # the order _cell gives them, and the codes of the walks it completes
     # there.  The top row's successors are already moved to the next column,
     # minus those that leave the sweep.
@@ -297,23 +297,21 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
                 moves = step.get(i)
                 if moves is None:
                     succ, ends = _cell(*keys[i], r, place)
-                    by_shift: dict = {}
+                    flat = []
                     for key, k in succ:
                         if r == w - 1:
                             key = _next_column(*key, cut_free)
                             if key is None:
                                 continue
-                        by_shift.setdefault(k * bits, []).append(intern(key))
+                        flat.append((k * bits, intern(key)))
                     # Tuples, not lists: a saw run on 10 rows to n = 24 caches
                     # 425,786 entries.
-                    groups = tuple([(s, tuple(g)) for s, g in by_shift.items()])
-                    moves = step[i] = (groups, tuple(ends))
-                groups, ends = moves
-                for shift, group in groups:
+                    moves = step[i] = (tuple(flat), tuple(ends))
+                flat, ends = moves
+                for shift, j in flat:
                     p = (poly << shift) & mask if shift else poly
                     if p:
-                        for j in group:
-                            new[j] = get(j, 0) + p
+                        new[j] = get(j, 0) + p
                 for c in ends:
                     done[x, c] = done.get((x, c), 0) + poly
             states = new
@@ -459,18 +457,12 @@ class IrreducibleFactor(_Frozen):
 
     ``start_line`` is the row of the strip on which the factor started before
     translation; ``tail_length`` is the number of leading unit right-steps
-    merged into the factor.
+    merged into the factor; ``bridge_type`` is its OO/OI/IO/II label, or None
+    for a factor that no strip has classified.  A plain record: it takes one
+    value per field, in order.
     """
 
     __slots__ = ("walk", "start_line", "tail_length", "bridge_type")
-
-    def __init__(
-        self, walk: Walk, start_line: int, tail_length: int, bridge_type: str | None = None
-    ) -> None:
-        _set_field(self, "walk", walk)
-        _set_field(self, "start_line", start_line)
-        _set_field(self, "tail_length", tail_length)
-        _set_field(self, "bridge_type", bridge_type)
 
     @property
     def end_line(self) -> int:

@@ -453,26 +453,21 @@ def compose_bridge_code(atoms: Mapping[str, RationalGF], width: int) -> Rational
     return loop.star() * (RationalGF.one() + io_oo_star) * TAIL_GF * ii_star
 
 
-def important_part_denominator(
-    atoms: Mapping[str, RationalGF], width: int, reduce: bool = False
-) -> IntPolynomial:
-    """Denominator of the starred loop body of the bridge code.
+def important_part_denominator(atoms: Mapping[str, RationalGF], width: int) -> IntPolynomial:
+    """Denominator of the starred loop body of the bridge code, exactly as
+    the star produces it from the atoms' unreduced product.
 
-    The loop body is IO OO* OI II*, where width 3 has II* = 1.
-    With ``reduce=False`` the denominator is returned exactly as the star
-    produces it from the atoms' unreduced product; with ``reduce=True`` the
-    gcd with the star's numerator is cancelled first, which collapses the
-    width-3 denominator to its degree-6 core.  For the published atoms the
-    smallest positive root is the same either way, but the cancelled factors
-    do not only vanish at t = 1.  On width 3 they are (1 - t)^2.  On the
-    width-4 upper atoms they are ``UPPER_ATOM_DENOMINATOR**2``, whose factor
-    1 - t - t^2 vanishes at 1/phi ~ 0.618, above the loop root ~ 0.4617; so
-    the unreduced degree-44 denominator is not square-free.
+    The loop body is IO OO* OI II*, where width 3 has II* = 1.  The
+    denominator keeps the factors it shares with the star's numerator;
+    :meth:`RationalGF.reduced` of the starred loop body cancels them.  For
+    the published atoms the smallest positive root is the same either way,
+    but the shared factors do not only vanish at t = 1.  On width 3 they are
+    (1 - t)^2, and the rest is the degree-6 core ``W3_LOOP_POLYNOMIAL``.  On
+    the width-4 upper atoms they are ``UPPER_ATOM_DENOMINATOR**2``, whose
+    factor 1 - t - t^2 vanishes at 1/phi ~ 0.618, above the loop root
+    ~ 0.4617; so the degree-44 denominator is not square-free.
     """
-    starred = _bridge_code_parts(atoms, width)[0].star()
-    if reduce:
-        starred = starred.reduced()
-    return starred.denominator
+    return _bridge_code_parts(atoms, width)[0].star().denominator
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,8 @@ in one of three ways:
 * a plain record, which checks nothing, uses the base constructor: one value
   per field, in order, and a one-line ``TypeError`` for any other number;
 * a checked type (``StripGeometry``, ``Walk``, ``CountTable``,
-  ``IntPolynomial``, ``RationalGF``), and ``IrreducibleFactor`` for the
-  default of its ``bridge_type``, has its own ``__init__``, which sets each
-  field once with ``_set_field``;
+  ``IntPolynomial``, ``RationalGF``) has its own ``__init__``, which sets
+  each field once with ``_set_field``;
 * the two hot builds, ``decompose_bridge`` and ``hw_decompose``, and
   ``_trusted_walk`` below call no ``__init__``: they take ``_new_instance``
   and set the fields with ``_set_field``.

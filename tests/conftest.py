@@ -22,6 +22,11 @@ def saws_w2_22():
 
 
 @pytest.fixture(scope="session")
+def saws_w3_14():
+    return count_saws(W3, 14)
+
+
+@pytest.fixture(scope="session")
 def saws_w3_16():
     return count_saws(W3, 16)
 

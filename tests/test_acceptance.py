@@ -156,15 +156,19 @@ def test_criterion_6_correction_pipeline():
     assert pipeline_ok and legality_ok
 
 
-def test_criterion_7_sandwich_suite(saws_w3_16, saws_w4_14, bridges_w3_18, bridges_w4_16):
+def test_criterion_7_sandwich_suite(
+    saws_w3_14, saws_w3_16, saws_w4_14, half_space_w3_14, half_space_w4_14,
+    bridges_w3_18, bridges_w4_16,
+):
     mu3 = connective_constant_width3().mu
     s3 = verify_sandwich(W3, saws_w3_16, mu3, mu3)
     lower, upper = mu_bounds_width4()
     s4 = verify_sandwich(W4, saws_w4_14, lower.mu, upper.mu)
-    h3 = verify_halfspace_proposition(W3, 14)
-    h4 = verify_halfspace_proposition(W4, 14)
-    m3 = verify_multiplicativity(saws_w3_16, bridges_w3_18, 14)
-    m4 = verify_multiplicativity(saws_w4_14, bridges_w4_16, 14)
+    # Each verifier stops at its shorter table: n <= 14 throughout.
+    h3 = verify_halfspace_proposition(W3, half_space_w3_14, bridges_w3_18)
+    h4 = verify_halfspace_proposition(W4, half_space_w4_14, bridges_w4_16)
+    m3 = verify_multiplicativity(saws_w3_14, bridges_w3_18)
+    m4 = verify_multiplicativity(saws_w4_14, bridges_w4_16)
     ok = all(r.passed for r in (s3, s4, h3, h4, m3, m4))
     assert report("7", ok, "sandwich, half-space and multiplicativity inequalities")
     assert s3.passed and s4.passed
@@ -204,7 +208,7 @@ def test_criterion_8_structural_properties():
         for walk in iter_walks(shifted, 10, kind="bridge"):
             if walk.length < 2 or cut_points(walk):
                 continue
-            factor = IrreducibleFactor(walk, start, 0)
+            factor = IrreducibleFactor(walk, start, 0, None)
             try:
                 img = transform_irreducible_w4(factor, W4)
             except ValueError:

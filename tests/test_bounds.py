@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from stripwalks import (
     StripGeometry,
     connective_constant_width3,
     count_bridges,
+    count_half_space,
     count_saws,
     hw_polynomial,
     mu_bounds_width4,
@@ -172,7 +175,7 @@ class TestSandwich:
 
     def test_perturbed_mu_fails_bridge_upper(self, bridges_w3_18):
         mu = connective_constant_width3().mu * 0.95
-        report = verify_bridge_corollary(W3, bridges_w3_18, mu, 18)
+        report = verify_bridge_corollary(W3, bridges_w3_18, mu)
         assert not report.passed
 
     def test_exact_lower_verdict(self):
@@ -211,9 +214,10 @@ def fraction_sandwich(strip, counts, mu_lower, mu_upper) -> SandwichReport:
     return SandwichReport(tuple(rows))
 
 
-def fraction_corollary(strip, counts_b, mu, n_max) -> InequalityReport:
+def fraction_corollary(strip, counts_b, mu) -> InequalityReport:
     """verify_bridge_corollary's report, computed with exact ``Fraction`` powers."""
     m = Fraction(mu)
+    n_max = counts_b.n_max
     failures = []
     for n in range(2, n_max + 1):
         if counts_b[n] > m**n:
@@ -258,11 +262,13 @@ class TestIntegerVerdicts:
         growth_constants,
     )
     def test_drawn_tables(self, strip, counts, mu_lower, mu_upper):
+        # An inverted bracket is refused (test_inverted_bracket_is_refused).
+        mu_lower, mu_upper = sorted((mu_lower, mu_upper))
         got = verify_sandwich(strip, counts, mu_lower, mu_upper)
         assert got == fraction_sandwich(strip, counts, mu_lower, mu_upper)
         for mu in (mu_lower, mu_upper):
-            got = verify_bridge_corollary(strip, counts, mu, counts.n_max)
-            assert got == fraction_corollary(strip, counts, mu, counts.n_max)
+            got = verify_bridge_corollary(strip, counts, mu)
+            assert got == fraction_corollary(strip, counts, mu)
 
     @given(near_bounds())
     @example((W3, 10000005.0, CountTable((1, 10**7, 10**14))))
@@ -277,8 +283,8 @@ class TestIntegerVerdicts:
     def test_counts_at_the_bounds(self, drawn):
         strip, mu, counts = drawn
         assert verify_sandwich(strip, counts, mu, mu) == fraction_sandwich(strip, counts, mu, mu)
-        got = verify_bridge_corollary(strip, counts, mu, counts.n_max)
-        assert got == fraction_corollary(strip, counts, mu, counts.n_max)
+        got = verify_bridge_corollary(strip, counts, mu)
+        assert got == fraction_corollary(strip, counts, mu)
 
     def test_underflow_and_overflow_rows(self):
         counts = CountTable(tuple(range(25)))
@@ -289,15 +295,62 @@ class TestIntegerVerdicts:
         upper = [r.upper for r in verify_sandwich(W3, counts, 2e12, 2e12).rows]
         assert math.isfinite(upper[22]) and upper[23] == math.inf
 
+    def test_every_number_type_gives_one_verdict(self):
+        counts = CountTable((1, 4, 10, 22, 44))
+        for equal in ((2, 2.0, Fraction(2), Decimal(2)), (2.5, Fraction(5, 2), Decimal("2.5"))):
+            assert len({verify_sandwich(W3, counts, mu, mu) for mu in equal}) == 1
+            assert len({verify_bridge_corollary(W3, counts, mu) for mu in equal}) == 1
+
+
+@pytest.mark.parametrize(
+    "mu, error, problem",
+    [
+        (-1.0, ValueError, "is not positive"),
+        (0.0, ValueError, "is not positive"),
+        (Fraction(-5, 2), ValueError, "is not positive"),
+        (True, TypeError, "is not a number"),
+        ("2", TypeError, "is not a number"),
+        (None, TypeError, "is not a number"),
+        (math.nan, ValueError, "is not finite"),
+        (math.inf, ValueError, "is not finite"),
+        (Decimal("NaN"), ValueError, "is not finite"),
+        (Decimal("-Infinity"), ValueError, "is not finite"),
+    ],
+    ids=["negative", "zero", "negative_fraction", "bool", "str", "none", "nan", "inf",
+         "decimal_nan", "decimal_minus_infinity"],
+)
+def test_bad_growth_constant_is_refused(mu, error, problem):
+    # One line naming the value, not a verdict or another exception.
+    counts = CountTable((1, 4, 10))
+
+    def refused(name):
+        message = f"growth constant {name}={mu!r} {problem}"
+        return pytest.raises(error, match=f"^{re.escape(message)}$")
+
+    with refused("mu_lower"):
+        verify_sandwich(W3, counts, mu, 2.5)
+    with refused("mu_upper"):
+        verify_sandwich(W3, counts, 1.5, mu)
+    with refused("mu"):
+        verify_bridge_corollary(W3, counts, mu)
+
+
+def test_inverted_bracket_is_refused():
+    counts = CountTable((1, 4, 10))
+    with pytest.raises(ValueError, match=r"^growth constant bracket \[2\.5, 1\.9\] is inverted$"):
+        verify_sandwich(W3, counts, 2.5, 1.9)
+    # Ends that are equal as numbers are a bracket of one constant.
+    assert verify_sandwich(W3, counts, 2.5, Fraction(5, 2)).passed
+
 
 class TestMultiplicativity:
-    def test_passes_width3(self, saws_w3_16, bridges_w3_18):
-        report = verify_multiplicativity(saws_w3_16, bridges_w3_18, 14)
+    def test_passes_width3(self, saws_w3_14, bridges_w3_18):
+        report = verify_multiplicativity(saws_w3_14, bridges_w3_18)
         assert report.passed
         assert report.checked == sum(t + 1 for t in range(15))
 
     def test_passes_width4(self, saws_w4_14, bridges_w4_16):
-        assert verify_multiplicativity(saws_w4_14, bridges_w4_16, 14).passed
+        assert verify_multiplicativity(saws_w4_14, bridges_w4_16).passed
 
     def test_spot_values(self, saws_w3_16, bridges_w3_18):
         c, b = saws_w3_16, bridges_w3_18
@@ -307,40 +360,37 @@ class TestMultiplicativity:
     def test_detects_violations(self):
         c = CountTable((1, 2, 5))  # 5 > 2*2
         b = CountTable((1, 1, 1))
-        report = verify_multiplicativity(c, b, 2)
+        report = verify_multiplicativity(c, b)
         assert not report.passed
-        report = verify_multiplicativity(c, CountTable((1, 2, 3)), 2)
+        report = verify_multiplicativity(c, CountTable((1, 2, 3)))
         assert "b_1 * b_1 > b_2" in report.failures
-        with pytest.raises(ValueError):
-            verify_multiplicativity(c, b, 3)
 
 
-@pytest.mark.parametrize(
-    "verify",
-    [
-        lambda: verify_multiplicativity(CountTable((1, 2)), CountTable((1, 1)), -3),
-        lambda: verify_bridge_corollary(W3, CountTable((1, 1)), 1.9, -3),
-        lambda: verify_halfspace_proposition(W3, -3),
-    ],
-    ids=["multiplicativity", "bridge_corollary", "halfspace_proposition"],
-)
-def test_verifiers_refuse_a_negative_n_max(verify):
-    # Not a passing report over no checks.
-    with pytest.raises(ValueError, match="^n_max must be non-negative, got -3$"):
-        verify()
+def test_two_tables_are_checked_over_their_common_range():
+    # The longer table's last entry would break its check if it were read.
+    for c, b in (((1, 2, 4, 100), (1, 1, 2)), ((1, 2, 4), (1, 1, 2, 0))):
+        report = verify_multiplicativity(CountTable(c), CountTable(b))
+        assert report == InequalityReport((), 1 + 2 + 3)
+    report = verify_multiplicativity(CountTable((1, 2, 5)), CountTable((1, 1, 1, 1)))
+    assert report == InequalityReport(("c_2 > c_1 * c_1",), 1 + 2 + 3)
+    for h, b in (((1, 1, 2, 100), (1, 1, 3)), ((1, 1, 2), (1, 1, 3, 0))):
+        report = verify_halfspace_proposition(W3, CountTable(h), CountTable(b))
+        assert report == InequalityReport((), 3 * 3)
 
 
 class TestHalfSpaceProposition:
-    def test_width3(self):
-        assert verify_halfspace_proposition(W3, 14).passed
+    def test_width3(self, half_space_w3_14, bridges_w3_18):
+        assert verify_halfspace_proposition(W3, half_space_w3_14, bridges_w3_18).passed
 
-    def test_width4(self):
-        assert verify_halfspace_proposition(W4, 14).passed
+    def test_width4(self, half_space_w4_14, bridges_w4_16):
+        assert verify_halfspace_proposition(W4, half_space_w4_14, bridges_w4_16).passed
 
     @pytest.mark.parametrize("y_max", [0, 1, 4, 5, 6])
     def test_other_widths(self, y_max):
         # Spans never outnumber the rows, so the cap is the width everywhere.
-        assert verify_halfspace_proposition(StripGeometry(0, y_max), 24).passed
+        strip = StripGeometry(0, y_max)
+        h, b = count_half_space(strip, 24), count_bridges(strip, 24)
+        assert verify_halfspace_proposition(strip, h, b).passed
 
     def test_spot_check_length3(self, half_space_w3_14, bridges_w3_18):
         h, b = half_space_w3_14[3], bridges_w3_18[3]
@@ -348,16 +398,15 @@ class TestHalfSpaceProposition:
         assert h <= pf_exact(3, 3) * b == 10
 
     def test_computes_tables_when_missing(self):
-        assert verify_halfspace_proposition(W3, 6).passed
+        h, b = count_half_space(W3, 6), count_bridges(W3, 6)
+        assert verify_halfspace_proposition(W3, h, b).passed
 
     def test_reports_each_violation(self, monkeypatch):
-        # The verifier builds its own tables, so only patched ones can break
-        # it.  On W3, b = (1, 1, 3) and pf_exact(n, 3) = 1 for n <= 2; h_2 =
-        # 100 exceeds both products, and pf_bound(1) = 0 breaks both checks
-        # that read it at n = 1.
-        monkeypatch.setattr(bounds, "count_half_space", lambda strip, n: CountTable((1, 1, 100)))
+        # On W3, b = (1, 1, 3) and pf_exact(n, 3) = 1 for n <= 2; h_2 = 100
+        # exceeds both products, and pf_bound(1) = 0 breaks both checks that
+        # read it at n = 1.
         monkeypatch.setattr(bounds, "pf_bound", lambda a, k: 0 if a == 1 else pf_bound(a, k))
-        report = verify_halfspace_proposition(W3, 2)
+        report = verify_halfspace_proposition(W3, CountTable((1, 1, 100)), count_bridges(W3, 2))
         assert not report.passed
         assert report.checked == 9
         assert report.failures == (
@@ -371,30 +420,31 @@ class TestHalfSpaceProposition:
 class TestBridgeCorollary:
     def test_width3(self, bridges_w3_18):
         mu = connective_constant_width3().mu
-        report = verify_bridge_corollary(W3, bridges_w3_18, mu, 18)
+        report = verify_bridge_corollary(W3, bridges_w3_18, mu)
         assert report.passed
 
     def test_exact_upper_verdict(self):
         # b_2 = 100000050 lies 5e-7 (relative) above mu^2 = 10^8: the upper
         # check fails, with no slack; b_2 = mu^2 passes.
-        report = verify_bridge_corollary(W3, CountTable((1, 1, 100000050)), 1e4, 2)
+        report = verify_bridge_corollary(W3, CountTable((1, 1, 100000050)), 1e4)
         assert report.failures == ("b_2 > mu^2",)
-        assert verify_bridge_corollary(W3, CountTable((1, 1, 10**8)), 1e4, 2).passed
+        assert verify_bridge_corollary(W3, CountTable((1, 1, 10**8)), 1e4).passed
 
     def test_lower_verdict_and_table_check(self):
         # b_2 = 1 lies far below mu^1 / P(2) at mu = 10^4.
-        report = verify_bridge_corollary(W3, CountTable((1, 1, 1)), 1e4, 2)
+        report = verify_bridge_corollary(W3, CountTable((1, 1, 1)), 1e4)
         assert report.failures == ("b_2 < mu^1/P(2)",)
-        with pytest.raises(ValueError):
-            verify_bridge_corollary(W3, CountTable((1, 1, 1)), 1e4, 3)
+        # Every length of the table is checked: P_3(3) = 1764 < mu^2.
+        report = verify_bridge_corollary(W3, CountTable((1, 1, 1, 1)), 1e4)
+        assert report == InequalityReport(("b_2 < mu^1/P(2)", "b_3 < mu^2/P(3)"), 4)
 
     def test_uses_the_strips_width(self):
         # On 4 rows b_2 = 3 and P_4(2) = 4800, so mu = 3000 gives a lower
         # bound of 0.625; the 3-row P_3(2) = 507 would give 5.9 > b_2.
         b = count_bridges(W4, 2)
         assert (b[2], hw_polynomial(2, 4), hw_polynomial(2, 3)) == (3, 4800, 507)
-        assert verify_bridge_corollary(W4, b, 3000.0, 2).passed
-        assert not verify_bridge_corollary(W3, b, 3000.0, 2).passed
+        assert verify_bridge_corollary(W4, b, 3000.0).passed
+        assert not verify_bridge_corollary(W3, b, 3000.0).passed
 
     def test_spot_values(self, bridges_w3_18):
         mu = connective_constant_width3().mu

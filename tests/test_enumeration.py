@@ -284,27 +284,31 @@ class TestDecomposition:
 
 class TestClassification:
     def test_classify_examples(self):
-        io = IrreducibleFactor(Walk.from_steps("RU"), 0, 0)
+        io = IrreducibleFactor(Walk.from_steps("RU"), 0, 0, None)
         assert classify_irreducible(io, W3) == "IO"
-        oo = IrreducibleFactor(Walk.from_steps("RDD"), 1, 0)
+        oo = IrreducibleFactor(Walk.from_steps("RDD"), 1, 0, None)
         assert classify_irreducible(oo, W3) == "OO"
-        ii = IrreducibleFactor(Walk.from_steps("RU"), 0, 0)
+        ii = IrreducibleFactor(Walk.from_steps("RU"), 0, 0, None)
         assert classify_irreducible(ii, W4) == "II"
 
     def test_classify_examples_on_other_widths(self):
         # Strips of one and two rows have no inner line, so every factor is
         # OO.  On five rows I covers the three inner rows alike.
         one, two, five = StripGeometry(0, 0), StripGeometry(0, 1), StripGeometry(-2, 2)
-        assert classify_irreducible(IrreducibleFactor(Walk.from_steps("RR"), 0, 0), one) == "OO"
-        assert classify_irreducible(IrreducibleFactor(Walk.from_steps("RU"), 0, 0), two) == "OO"
-        assert classify_irreducible(IrreducibleFactor(Walk.from_steps("RDR"), 1, 0), two) == "OO"
-        assert classify_irreducible(IrreducibleFactor(Walk.from_steps("RUU"), -2, 0), five) == "OI"
-        assert classify_irreducible(IrreducibleFactor(Walk.from_steps("RUU"), -1, 0), five) == "II"
-        assert classify_irreducible(IrreducibleFactor(Walk.from_steps("RU"), 1, 0), five) == "IO"
-        assert classify_irreducible(IrreducibleFactor(Walk.from_steps("RDDDD"), 2, 0), five) == "OO"
+        for steps, start, strip, expected in (
+            ("RR", 0, one, "OO"),
+            ("RU", 0, two, "OO"),
+            ("RDR", 1, two, "OO"),
+            ("RUU", -2, five, "OI"),
+            ("RUU", -1, five, "II"),
+            ("RU", 1, five, "IO"),
+            ("RDDDD", 2, five, "OO"),
+        ):
+            factor = IrreducibleFactor(Walk.from_steps(steps), start, 0, None)
+            assert classify_irreducible(factor, strip) == expected
 
     def test_rejects_factor_leaving_the_strip(self):
-        leaves = IrreducibleFactor(Walk.from_steps("RUR"), 1, 0)
+        leaves = IrreducibleFactor(Walk.from_steps("RUR"), 1, 0, None)
         with pytest.raises(ValueError, match="line 2 is not a row"):
             classify_irreducible(leaves, W3)
 
@@ -375,7 +379,7 @@ class TestIrreducibleCounts:
                 k = len(cuts)
                 if cuts != tuple(range(1, k + 1)) or walk.length - k < 2:
                     continue
-                t = classify_irreducible(IrreducibleFactor(walk, start, k), strip)
+                t = classify_irreducible(IrreducibleFactor(walk, start, k, None), strip)
                 expected[t, False][walk.length] += 1
                 if k == 0:
                     expected[t, True][walk.length] += 1
@@ -517,20 +521,20 @@ class TestTransformWidth4:
             transform_irreducible_w4(tailed, W4)
         with pytest.raises(ValueError):
             transform_irreducible_w4(
-                IrreducibleFactor(Walk.from_steps("RU"), 0, 0), W3
+                IrreducibleFactor(Walk.from_steps("RU"), 0, 0, None), W3
             )
         # Neither simple nor of the complicated pattern.
-        straight = IrreducibleFactor(Walk.from_steps("RRR"), 2, 0)
+        straight = IrreducibleFactor(Walk.from_steps("RRR"), 2, 0, None)
         assert not is_simple_factor(straight)
         with pytest.raises(ValueError, match="complicated pattern"):
             transform_irreducible_w4(straight, W4)
 
     def test_simple_factor_has_a_vertical_step(self):
-        assert is_simple_factor(IrreducibleFactor(Walk.from_steps("RU"), 0, 0))
-        assert not is_simple_factor(IrreducibleFactor(Walk.from_steps("R"), 0, 0))
+        assert is_simple_factor(IrreducibleFactor(Walk.from_steps("RU"), 0, 0, None))
+        assert not is_simple_factor(IrreducibleFactor(Walk.from_steps("R"), 0, 0, None))
         # The right step comes first: a vertical then a right step ends in
         # the next column too, but is not simple.
-        assert not is_simple_factor(IrreducibleFactor(Walk.from_steps("UR"), 0, 0))
+        assert not is_simple_factor(IrreducibleFactor(Walk.from_steps("UR"), 0, 0, None))
 
     @pytest.mark.parametrize(
         "strip, start",
@@ -548,7 +552,7 @@ class TestTransformWidth4:
             for factor in decompose_bridge(walk, shifted).factors:
                 body = factor.walk.steps()[factor.tail_length :]
                 expected = simple_body.fullmatch(body) is not None
-                tailless = IrreducibleFactor(Walk.from_steps(body), factor.start_line, 0)
+                tailless = IrreducibleFactor(Walk.from_steps(body), factor.start_line, 0, None)
                 assert is_simple_factor(factor) == expected, factor
                 assert is_simple_factor(tailless) == expected, tailless
                 seen[expected, factor.tail_length > 0] += 1
@@ -569,7 +573,7 @@ class TestTransformWidth4:
                 cuts = cut_points(walk)
                 if cuts or walk.length < 2:
                     continue
-                factor = IrreducibleFactor(walk, start, 0)
+                factor = IrreducibleFactor(walk, start, 0, None)
                 btype = classify_irreducible(factor, W4)
                 if is_simple_factor(factor):
                     continue
@@ -591,6 +595,6 @@ class TestTransformWidth4:
             for walk in iter_walks(shifted, 12, kind="bridge"):
                 if walk.length == 0 or cut_points(walk) or walk.length < 2:
                     continue
-                factor = IrreducibleFactor(walk, start, 0)
+                factor = IrreducibleFactor(walk, start, 0, None)
                 if not is_simple_factor(factor):
                     transform_irreducible_w4(factor, W4)  # must not raise

@@ -31,6 +31,7 @@ from stripwalks.genfunc import (
     W4_LOWER_DENOMINATOR,
     W4_LOWER_NUMERATOR,
     W4_LOOP_DENOMINATOR,
+    _bridge_code_parts,
     _poly,
     _poly_exact_div,
     _poly_gcd,
@@ -85,6 +86,11 @@ def naive_series(gf: RationalGF, n_max: int) -> tuple[int, ...]:
 
 def _ascending(sympy_poly) -> tuple[int, ...]:
     return tuple(int(c) for c in reversed(sympy_poly.all_coeffs()))
+
+
+def _reduced_loop_denominator(atoms, width):
+    """The loop star's denominator with its gcd with the numerator cancelled."""
+    return _bridge_code_parts(atoms, width)[0].star().reduced().denominator
 
 
 class TestIntPolynomial:
@@ -386,8 +392,7 @@ class TestWidth3Composition:
         assert tuple(counted) == series
 
     def test_loop_denominator_reduced(self):
-        reduced = important_part_denominator(atoms_width3(), 3, reduce=True)
-        assert reduced == W3_LOOP_POLYNOMIAL
+        assert _reduced_loop_denominator(atoms_width3(), 3) == W3_LOOP_POLYNOMIAL
 
     def test_reduced_bridge_function_keeps_loop_core(self):
         reduced = compose_bridge_code(atoms_width3(), 3).reduced()
@@ -402,9 +407,7 @@ class TestWidth3Composition:
     def test_loop_denominator_degenerate_atoms(self):
         atoms = dict(atoms_width3())
         atoms["OO"] = RationalGF.zero()
-        got = important_part_denominator(atoms, 3)
-        assert got == _poly(1, -2, 1, 0, -2)
-        assert important_part_denominator(atoms, 3, reduce=True) == got
+        assert important_part_denominator(atoms, 3) == _poly(1, -2, 1, 0, -2)
 
     def test_missing_atom_rejected(self):
         with pytest.raises(ValueError):
@@ -512,7 +515,7 @@ class TestWidth4Upper:
         # The cancelled factor vanishes at 1/phi as well as at 1, so the
         # unreduced d44 is not square-free.
         atoms = atoms_width4_upper()
-        reduced = important_part_denominator(atoms, 4, reduce=True)
+        reduced = _reduced_loop_denominator(atoms, 4)
         assert important_part_denominator(atoms, 4) == (
             reduced * UPPER_ATOM_DENOMINATOR * UPPER_ATOM_DENOMINATOR
         )

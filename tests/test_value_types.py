@@ -96,6 +96,7 @@ def test_every_value_type_is_covered():
 
 
 PLAIN_RECORDS = [
+    IrreducibleFactor,
     BridgeDecomposition,
     HWDecomposition,
     RootResult,
