@@ -17,7 +17,10 @@ the range by the tables they pass.
 A growth constant is a positive, finite ``int``, ``float``, ``Fraction`` or
 ``Decimal`` (not a ``bool``), taken as the exact ratio num/den of its
 ``as_integer_ratio()``; anything else, and a bracket whose lower end exceeds
-its upper end, is refused with a one-line error that names the value.  Each
+its upper end, is refused with a one-line error that names the value.  So
+are a non-``int`` (``bool`` included) and an out-of-range value for an
+integer parameter of ``pf_exact``, ``pf_bound``, ``hw_polynomial``,
+``fibonacci`` and ``zeilberger_count``: the error names the parameter.  Each
 count is compared with its bound by cross-multiplying integers, with no
 slack: a verdict says whether the inequality holds for that constant.  With
 the constants of :mod:`analysis`, bracketed to 1e-12, and with mu = 2.3, no
@@ -32,11 +35,13 @@ import math
 from .lattice import CountTable, StripGeometry, _Frozen
 
 
-def _check_partition_args(a: int, k_max: int) -> None:
-    if a < 0:
-        raise ValueError("a must be non-negative")
-    if k_max < 1:
-        raise ValueError("k_max must be positive")
+def _check_int(name: str, value: int, least: int) -> None:
+    """Refuse a non-``int`` (``bool`` included) or a value below ``least``,
+    naming the caller's parameter and the value."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def pf_exact(a: int, k_max: int) -> int:
@@ -44,7 +49,8 @@ def pf_exact(a: int, k_max: int) -> int:
 
     The empty partition counts for a = 0.
     """
-    _check_partition_args(a, k_max)
+    _check_int("a", a, 0)
+    _check_int("k_max", k_max, 1)
     # dp[j][s] = number of partitions of s into j distinct parts
     dp = [[0] * (a + 1) for _ in range(k_max + 1)]
     dp[0][0] = 1
@@ -65,7 +71,8 @@ def pf_bound(a: int, k_max: int) -> int:
     gives the bound.  For a = 0 both sides are 1 (the empty partition).
     The bound is non-decreasing in ``a``.
     """
-    _check_partition_args(a, k_max)
+    _check_int("a", a, 0)
+    _check_int("k_max", k_max, 1)
     return sum(a**i for i in range(k_max))
 
 
@@ -80,15 +87,14 @@ def hw_polynomial(n: int, width: int) -> int:
     n + 1 from the first, this is (1, 2, 3, 2, 1) on 3 rows and
     (1, 2, 3, 4, 3, 2, 1) on 4.
     """
-    if n < 1:
-        raise ValueError("the bound is stated for n >= 1")
+    _check_int("n", n, 1)
+    _check_int("width", width, 1)
     return (n + 1) * pf_bound(n + 1, width) ** 2
 
 
 def fibonacci(n: int) -> int:
     """Fibonacci numbers with F_1 = F_2 = 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_int("n", n, 1)
     a, b = 1, 1
     for _ in range(n - 1):
         a, b = b, a + b
@@ -103,8 +109,7 @@ def zeilberger_count(n: int) -> int:
     count of 6, and is verified against exhaustive enumeration for all
     tested lengths.
     """
-    if n < 2:
-        raise ValueError("the closed form is stated for n >= 2")
+    _check_int("n", n, 2)
     delta = 4 if n % 2 else n
     return 8 * fibonacci(n) - delta
 

@@ -131,6 +131,42 @@ class TestHWPolynomial:
                 assert conv <= hw_polynomial(n, width)
 
 
+# One row per refusal: the call, the error and its whole message.
+INTEGER_REFUSALS = {
+    "pf_exact a<0": (lambda: pf_exact(-1, 3), ValueError, "a must be >= 0, got -1"),
+    "pf_exact k_max<1": (lambda: pf_exact(3, 0), ValueError, "k_max must be >= 1, got 0"),
+    "pf_exact bool k_max": (lambda: pf_exact(3, True), TypeError, "k_max must be an int, got True"),
+    "pf_exact float a": (lambda: pf_exact(3.0, 3), TypeError, "a must be an int, got 3.0"),
+    "pf_bound a<0": (lambda: pf_bound(-1, 3), ValueError, "a must be >= 0, got -1"),
+    "pf_bound k_max<1": (lambda: pf_bound(3, 0), ValueError, "k_max must be >= 1, got 0"),
+    "pf_bound float a": (lambda: pf_bound(2.5, 3), TypeError, "a must be an int, got 2.5"),
+    "pf_bound bool a": (lambda: pf_bound(False, 3), TypeError, "a must be an int, got False"),
+    "hw_polynomial n<1": (lambda: hw_polynomial(0, 3), ValueError, "n must be >= 1, got 0"),
+    "hw_polynomial width<1": (
+        lambda: hw_polynomial(3, 0), ValueError, "width must be >= 1, got 0"
+    ),
+    "hw_polynomial bool n": (
+        lambda: hw_polynomial(True, 3), TypeError, "n must be an int, got True"
+    ),
+    "hw_polynomial float width": (
+        lambda: hw_polynomial(3, 4.0), TypeError, "width must be an int, got 4.0"
+    ),
+    "fibonacci n<1": (lambda: fibonacci(0), ValueError, "n must be >= 1, got 0"),
+    "fibonacci bool n": (lambda: fibonacci(True), TypeError, "n must be an int, got True"),
+    "zeilberger_count n<2": (lambda: zeilberger_count(1), ValueError, "n must be >= 2, got 1"),
+    "zeilberger_count str n": (
+        lambda: zeilberger_count("5"), TypeError, "n must be an int, got '5'"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INTEGER_REFUSALS)
+def test_integer_arguments_refused(case):
+    call, error, message = INTEGER_REFUSALS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestZeilberger:
     def test_fibonacci_convention(self):
         assert [fibonacci(n) for n in range(1, 8)] == [1, 1, 2, 3, 5, 8, 13]

@@ -27,7 +27,7 @@ from stripwalks import (
     transform_irreducible_w4,
     zeilberger_count,
 )
-from stripwalks.enumeration import _transfer, bridge_span_table, is_simple_factor
+from stripwalks.enumeration import _transfer, _unpacked, bridge_span_table, is_simple_factor
 from stripwalks.genfunc import W3_BRIDGE_DENOMINATOR, W3_BRIDGE_NUMERATOR
 
 COUNTS_BY_KIND = {
@@ -61,8 +61,10 @@ class TestDeepTables:
     """Tables over many columns, beyond the reach of the DFS oracle."""
 
     def test_width3_bridges_match_the_published_gf(self):
+        # n = 200 checks the packed width where the counts are largest.
         gf = RationalGF(W3_BRIDGE_NUMERATOR, W3_BRIDGE_DENOMINATOR)
-        assert count_bridges(W3, 80).counts == gf.series(80)
+        for n in (80, 200):
+            assert count_bridges(W3, n).counts == gf.series(n)
 
     def test_two_row_saws_match_the_closed_form(self):
         counts = count_saws(StripGeometry(0, 1), 60).counts
@@ -147,10 +149,13 @@ class TestSpans:
 
 
 class TestBridgeEntries:
-    """Each bridge entry of the sweep, by (span, end row), against the DFS.
+    """Each entry of the sweep, unpacked, against the DFS: saw entries by
+    span, bridge entries by (span, end row).
 
     3- and 4-row types merge end rows, and on 5 or more rows an I type sums
     over the inner rows, so the type counts alone do not pin the end row.
+    Lengths 0-2 leave the packed width the least headroom: the saw
+    coefficient of t^1 is 2, the equality case of the width's bound.
     """
 
     @pytest.mark.parametrize(
@@ -160,24 +165,27 @@ class TestBridgeEntries:
     )
     def test_entries_match_iter_walks_by_end_row(self, y_min, y_max):
         strip = StripGeometry(y_min, y_max)
-        n_max = 10
-        bridges = collections.Counter()
-        cut_free = collections.Counter()
-        for w in iter_walks(strip, n_max, kind="bridge"):
-            key = (w.span(), w.end[1], w.length)
-            bridges[key] += 1
-            if not cut_points(w):
-                cut_free[key] += 1
-        for mode, expected in (("half_space", bridges), ("cut_free", cut_free)):
-            got = collections.Counter()
-            for (span, end), counts in _transfer(strip, n_max, mode):
-                if end is None:
-                    assert mode == "half_space"
-                    continue
-                for n, c in enumerate(counts):
-                    if c:
-                        got[span, end, n] += c
-            assert got == expected, mode
+        for n_max in (0, 1, 2, 10):
+            saws = collections.Counter(
+                (w.span(), None, w.length) for w in iter_walks(strip, n_max, kind="saw")
+            )
+            bridges = collections.Counter()
+            cut_free = collections.Counter()
+            for w in iter_walks(strip, n_max, kind="bridge"):
+                key = (w.span(), w.end[1], w.length)
+                bridges[key] += 1
+                if not cut_points(w):
+                    cut_free[key] += 1
+            for mode, expected in (("saw", saws), ("half_space", bridges), ("cut_free", cut_free)):
+                got = collections.Counter()
+                for (span, end), packed in _transfer(strip, n_max, mode):
+                    if mode == "half_space" and end is None:
+                        continue  # a half-space walk that is not a bridge
+                    assert (end is None) == (mode == "saw")
+                    for n, c in enumerate(_unpacked((packed,), n_max)):
+                        if c:
+                            got[span, end, n] += c
+                assert got == expected, (mode, n_max)
 
 
 class TestIterWalks:

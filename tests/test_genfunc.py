@@ -358,7 +358,8 @@ class TestWidth3Composition:
     def test_atoms_match_enumeration(self):
         atoms = atoms_width3()
         for t, line in (("OO", 1), ("OI", 1), ("IO", 0)):
-            assert atoms[t].series(30) == count_irreducible(W3, t, 30, line).counts
+            for n in (30, 60):
+                assert atoms[t].series(n) == count_irreducible(W3, t, n, line).counts
 
     def test_composition_matches_displayed_quotient(self):
         composed = compose_bridge_code(atoms_width3(), 3)
