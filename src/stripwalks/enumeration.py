@@ -10,9 +10,13 @@ label work is done once per state and row, and each later column costs only
 the polynomial arithmetic.  A polynomial is one integer with 2 n_max + 1 bits
 per coefficient, a width ``_transfer`` proves enough, and a count table sums
 its entries and unpacks them once: 4-row bridges to n = 200 take about
-0.34 s (2-core Xeon, Python 3.11).
-One half-space run gives the half-space walks and the bridges by span; a
-second run that forbids cut points gives the irreducible factors.
+0.35 s (2-core Xeon, Python 3.11).
+A saw run counts each path once, weighted by its endpoints on the origin
+row, and lets a path whose endpoints lie in different columns stand for its
+mirror image too, so no state outlives a first endpoint off that row.  One
+half-space run gives the half-space walks and the bridges by span, without
+their end rows; a second run that forbids cut points, and keeps the end
+row, gives the irreducible factors.
 ``iter_walks`` is the package's only depth-first search, an explicit-stack
 loop over a table of lattice points that each call builds once: it yields the
 walks themselves and is the oracle the tests compare the transfer matrix
@@ -81,13 +85,25 @@ _DELTAS_LAST_FIRST = ((-1, 0), (0, -1), (0, 1), (1, 0))
 # whose other end is an endpoint of the walk.
 _EMPTY, _OPEN, _CLOSE, _SINGLE = 0, 1, 2, 3
 
-# Endpoint codes of a state: nothing placed; one endpoint that is not the
-# walk's start; the start alone; both placed; both placed, the second in the
-# current column.  Only half-space runs tell the last two apart: they add the
-# second endpoint's row index to _BOTH_HERE, so a bridge's end row is known
-# when it completes, and turn it into _BOTH_EARLIER at the next column.  Saw
-# runs never ask where the second endpoint lies.
-_NO_END, _OTHER_END, _START, _BOTH_EARLIER, _BOTH_HERE = range(5)
+# Endpoint codes of a state, a and b being a path's first and second endpoint
+# in sweep order: nothing placed; a off the origin row, in the current column;
+# a on the origin row, in the current column; a on the origin row, in an
+# earlier column; both placed; both placed, b in the current column.  Only
+# half-space runs use _BOTH_HERE, so that a bridge is known when it completes,
+# and turn it into _BOTH_EARLIER at the next column; ``"cut_free"`` runs add
+# b's row index to it.  ``_transfer`` gives the rules.
+_NO_END, _OTHER_END, _START_HERE, _START, _BOTH_EARLIER, _BOTH_HERE = range(6)
+
+
+def _check_int(name: str, value: int) -> None:
+    """Refuse a non-``int`` (``bool`` included), naming the caller's parameter.
+
+    The count entry points run it before :func:`_transfer`'s cache lookup:
+    ``True == 1`` with the same hash, so a ``bool`` would get the cached
+    table for 1.
+    """
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 def _check_n_max(n_max: int) -> None:
@@ -127,41 +143,45 @@ def _alone(labels: tuple, r: int) -> bool:
 def _cell(labels: tuple, code: int, r: int, place: dict) -> tuple[list, list]:
     """The moves of one frontier state through the cell on row index r.
 
-    Returns the successor states as ((labels, code), edges added) pairs, and
-    the endpoint codes of the walks that complete in the cell.  ``place``
-    maps a code to the codes after one more endpoint on this row.  The
+    Returns the successor states as ((labels, code), edges added, d) triples,
+    and the (d, code) pairs of the walks that complete in the cell, 2^d being
+    the weight the move gives.  ``place`` maps a code to the (code, d) pair
+    after one more endpoint on this row; a code it lacks places none.  The
     result depends on nothing but the arguments, so a sweep can work it out
     once per state and row.
     """
     up = r + 2 < len(labels)
     below, left = labels[r], labels[r + 1]
     head, tail = labels[:r], labels[r + 2 :]
+    placed = place.get(code)
     moves: list = []
     ends: list = []
     if not below and not left:
         # An empty cell, a new piece through it, or a new endpoint.
-        moves.append(((labels, code), 0))
+        moves.append(((labels, code), 0, 0))
         if up:
-            moves.append(((head + (_OPEN, _CLOSE) + tail, code), 2))
-        for c in place.get(code, ()):
-            moves.append(((head + (_SINGLE, _EMPTY) + tail, c), 1))
+            moves.append(((head + (_OPEN, _CLOSE) + tail, code), 2, 0))
+        if placed:
+            c, d = placed
+            moves.append(((head + (_SINGLE, _EMPTY) + tail, c), 1, d))
             if up:
-                moves.append(((head + (_EMPTY, _SINGLE) + tail, c), 1))
+                moves.append(((head + (_EMPTY, _SINGLE) + tail, c), 1, d))
     elif not below or not left:
         # One edge enters: go on right or up, or end the walk here.
         label = below or left
-        moves.append(((head + (label, _EMPTY) + tail, code), 1))
+        moves.append(((head + (label, _EMPTY) + tail, code), 1, 0))
         if up:
-            moves.append(((head + (_EMPTY, label) + tail, code), 1))
-        for c in place.get(code, ()):
+            moves.append(((head + (_EMPTY, label) + tail, code), 1, 0))
+        if placed:
+            c, d = placed
             if label != _SINGLE:
                 i = _partner(labels, r if below else r + 1)
-                moves.append(((_merge(labels, r, i, _SINGLE), c), 0))
+                moves.append(((_merge(labels, r, i, _SINGLE), c), 0, d))
             elif _alone(labels, r):
-                ends.append(c)
+                ends.append((d, c))
     elif below == _SINGLE and left == _SINGLE:
         if _alone(labels, r):
-            ends.append(code)
+            ends.append((0, code))
     elif below != _OPEN or left != _CLOSE:  # else a closed loop
         # Two edges enter: join their pieces.  The partner of one end takes
         # over the label of the other end.
@@ -171,7 +191,7 @@ def _cell(labels: tuple, code: int, r: int, place: dict) -> tuple[list, list]:
             merged = _merge(labels, r, _partner(labels, r), left)
         else:
             merged = head + (_EMPTY, _EMPTY) + tail
-        moves.append(((merged, code), 0))
+        moves.append(((merged, code), 0, 0))
     return moves, ends
 
 
@@ -179,16 +199,23 @@ def _next_column(labels: tuple, code: int, cut_free: bool) -> tuple | None:
     """A state moved to the next column, or None if it leaves the sweep.
 
     With no crossing edge the walk has either completed or not started, and
-    walks start in column 0.  A ``"cut_free"`` run also drops a walk whose
-    second endpoint lies in this column, as the walk goes on past it, and a
-    walk with one crossing edge, which is a cut.
+    walks start in column 0.  A saw run drops a state whose first endpoint
+    is off the origin row: its second endpoint would lie in a later column,
+    and :func:`_transfer` counts those walks through their mirror images.  A
+    ``"cut_free"`` run also drops a walk whose second endpoint lies in this
+    column, as the walk goes on past it, and a walk with one crossing edge,
+    which is a cut.
     """
     crossing = labels[:-1]
-    if not any(crossing):
+    if not any(crossing) or code == _OTHER_END:
         return None
     if cut_free and (code >= _BOTH_HERE or len(crossing) - crossing.count(_EMPTY) == 1):
         return None
-    return (_EMPTY,) + crossing, _BOTH_EARLIER if code >= _BOTH_HERE else code
+    if code >= _BOTH_HERE:
+        code = _BOTH_EARLIER
+    elif code == _START_HERE:
+        code = _START
+    return (_EMPTY,) + crossing, code
 
 
 @lru_cache(maxsize=None)
@@ -196,10 +223,12 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
     """Count walks of length <= n_max with a frontier transfer matrix.
 
     ``mode`` is ``"saw"``, ``"half_space"`` or ``"cut_free"``.  Returns
-    ((span, end row), packed counts) pairs, where the end row is that of a
-    bridge's endpoint and None for the other walks (and for every walk of a
-    ``"saw"`` run).  The packed counts are the length polynomial in the
-    sweep's layout below; :func:`_unpacked` sums entries and unpacks them.
+    ((span, end), packed counts) pairs.  ``end`` is None for a walk that is
+    not a bridge and for every walk of a ``"saw"`` run; for a bridge it is
+    the end row in a ``"cut_free"`` run and True in a ``"half_space"`` run,
+    which does not track the row.  The packed counts are the length
+    polynomial in the sweep's layout below; :func:`_unpacked` sums entries
+    and unpacks them.
 
     A walk of length n >= 1 is a path of n edges plus a choice of one of its
     endpoints as the start.  The sweep runs column by column and, inside a
@@ -208,7 +237,33 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
     in this column, the vertical edge entering the current cell, the
     horizontal edges entering the cells still to do) and an endpoint code.
     Pieces whose two ends both cross the frontier never cross each other, so
-    _OPEN/_CLOSE pair up like parentheses.  Each state carries its length
+    _OPEN/_CLOSE pair up like parentheses.
+
+    The code follows a path's endpoints a and b, first and second in sweep
+    order, and each partial path lies in exactly one state:
+
+    * ``"half_space"``: a is the start, the origin in column 0, so every
+      state has _START until b is placed.  b gives _BOTH_HERE, which becomes
+      _BOTH_EARLIER at the next column.
+    * ``"cut_free"``: the same, with b's row index added to _BOTH_HERE.
+    * ``"saw"``: the start is either endpoint on the origin row, so
+      c_n = Σ ([a on row 0] + [b on row 0]) over the paths of n edges.
+      Reflect a path in x and translate it back to column 0: the strip,
+      every row, the span and the length stay, and two endpoints in
+      different columns swap their sweep order.  So the paths with a and b
+      in different columns give [b on row 0] as often as [a on row 0], and
+
+          c_n = 2 #{paths with a on row 0 and b in a later column}
+                + Σ over paths with a, b in one column of
+                  ([a on row 0] + [b on row 0]).
+
+      An a on the origin row gives _START_HERE, which becomes _START at the
+      next column; an a on another row gives _OTHER_END, which
+      :func:`_next_column` drops.  b gives _BOTH_EARLIER and weights the
+      path by 2 after _START, by 1 + [b on row 0] after _START_HERE and by
+      [b on row 0] after _OTHER_END.
+
+    Each state carries the weighted sum of its partial paths as a length
     polynomial, packed into one integer with ``bits = 2 * n_max + 1`` bits
     per coefficient and truncated at n_max.  No coefficient that is read
     needs more:
@@ -221,7 +276,7 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
       choices.
     * So a state's coefficient of t^k is at most
       2 * C(k - 1, p - 1) * 3^(k - p) <= 2 * 4^(k - 1) < 2^bits, the factor 2
-      being the choice of start.  A state with p = 0, the empty frontier of
+      being the largest weight.  A state with p = 0, the empty frontier of
       a saw run, holds only t^0 with coefficient 1.
     * Any sum of ``done`` entries is at most c_k <= 4 * 3^(k - 1) < 2^(2k + 1)
       at k >= 1, and 1 at k = 0.
@@ -237,27 +292,28 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
 
     The moves of a state do not depend on the column, and a sweep reaches
     few states (at the column boundaries of the strip from -1 to 2, 23 in a
-    half-space run and 53 in a saw run), so the sweep interns each
+    half-space run and 37 in a saw run), so the sweep interns each
     (labels, code) as a small int and works out each state's moves once.
     At a state's first visit to row r, :func:`_cell` gives its successors,
-    which are cached for that row as one flat tuple of (k * bits, successor
-    id) pairs, k the number of edges the move adds, with the walks it
-    completes.  On the top row each successor is first moved to the next
-    column by :func:`_next_column`, and dropped if it leaves the sweep, so a
-    column is one cached pass per row.  A visit then shifts and masks the
-    polynomial for each pair and adds it to the successor's.
+    which are cached for that row as one flat tuple of (k * bits + d,
+    successor id) pairs, k the number of edges the move adds and 2^d its
+    weight, with the (d, code) pairs of the walks it completes.  On the top
+    row each successor is first moved to the next column by
+    :func:`_next_column`, and dropped if it leaves the sweep, so a column is
+    one cached pass per row.  A visit then shifts and masks the polynomial
+    for each pair and adds it to the successor's.
 
-    * ``"saw"``: a walk is translated so that its leftmost column is 0; the
-      start must lie on row 0.  Columns run from 0 to n_max.
+    * ``"saw"``: a path is translated so that its leftmost column is 0.
+      Columns run from 0 to n_max.
     * ``"half_space"``: column 0 holds only the origin, the start, and its
-      right edge.  A walk is a bridge iff its second endpoint lies in its
-      last column, whose index is its span.
+      right edge.  A walk is a bridge iff b lies in its last column, whose
+      index is its span.
     * ``"cut_free"``: the half-space run, minus every state with exactly one
       edge crossing the line after a column >= 1: that edge is a cut of the
       bridge.  Only bridges with no cut point complete.
 
-    Every count entry point calls this sweep, so it alone refuses a negative
-    ``n_max``.
+    The count entry points refuse a non-``int`` before the cache lookup, and
+    this sweep refuses a negative ``n_max``.
     """
     _check_n_max(n_max)
     half = mode != "saw"
@@ -269,22 +325,28 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
     bits = 2 * n_max + 1
     mask = (1 << bits * (n_max + 1)) - 1
 
-    # placements[r][code]: the codes after one more endpoint on row index r.
+    # placements[r][code]: the code after one more endpoint on row index r,
+    # and d for the weight 2^d; a code with no entry, weight 0, places none.
     placements = []
-    both = (_BOTH_EARLIER,)
     for r in range(w):
         if half:
-            placements.append({_START: (_BOTH_HERE + r,)})
-        elif r == origin:
-            placements.append({_NO_END: (_OTHER_END, _START), _OTHER_END: both, _START: both})
-        else:
-            placements.append({_NO_END: (_OTHER_END,), _START: both})
+            placements.append({_START: (_BOTH_HERE + r if cut_free else _BOTH_HERE, 0)})
+            continue
+        row0 = int(r == origin)
+        place = {
+            _NO_END: (_START_HERE if row0 else _OTHER_END, 0),
+            _START_HERE: (_BOTH_EARLIER, row0),
+            _START: (_BOTH_EARLIER, 1),
+        }
+        if row0:
+            place[_OTHER_END] = (_BOTH_EARLIER, 0)
+        placements.append(place)
 
     # keys[i] is the state interned as i.  steps[r][i] holds state i's
     # successors through the cell on row index r as (shift, id) pairs, in
-    # the order _cell gives them, and the codes of the walks it completes
-    # there.  The top row's successors are already moved to the next column,
-    # minus those that leave the sweep.
+    # the order _cell gives them, and the (d, code) pairs of the walks it
+    # completes there.  The top row's successors are already moved to the
+    # next column, minus those that leave the sweep.
     ids: dict = {}
     keys: list = []
 
@@ -297,8 +359,9 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
 
     steps: list[dict] = [{} for _ in range(w)]
 
-    # The single-point walk: length 0, span 0, ending on the origin row.
-    done = {(0, _BOTH_HERE + origin if half else _BOTH_EARLIER): 1}
+    # The single-point walk: length 0, span 0, its one point on the origin
+    # row taken as a second endpoint after the start.
+    done = {(0, placements[origin][_START][0]): 1}
     if half:
         first = [_EMPTY] * (w + 1)
         first[origin + 1] = _SINGLE
@@ -316,27 +379,30 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
                 if moves is None:
                     succ, ends = _cell(*keys[i], r, place)
                     flat = []
-                    for key, k in succ:
+                    for key, k, d in succ:
                         if r == w - 1:
                             key = _next_column(*key, cut_free)
                             if key is None:
                                 continue
-                        flat.append((k * bits, intern(key)))
+                        flat.append((k * bits + d, intern(key)))
                     # Tuples, not lists: a saw run on 10 rows to n = 24 caches
-                    # 425,786 entries.
+                    # 379,435 entries.
                     moves = step[i] = (tuple(flat), tuple(ends))
                 flat, ends = moves
                 for shift, j in flat:
                     p = (poly << shift) & mask if shift else poly
                     if p:
                         new[j] = get(j, 0) + p
-                for c in ends:
-                    done[x, c] = done.get((x, c), 0) + poly
+                for d, c in ends:
+                    done[x, c] = done.get((x, c), 0) + (poly << d)
             states = new
 
     entries = []
     for (span, code), poly in done.items():
-        end = lo + code - _BOTH_HERE if code >= _BOTH_HERE else None
+        if code < _BOTH_HERE:
+            end = None
+        else:
+            end = lo + code - _BOTH_HERE if cut_free else True
         entries.append(((span, end), poly))
     return tuple(entries)
 
@@ -353,16 +419,19 @@ def _unpacked(polys, n_max: int) -> tuple[int, ...]:
 
 def count_saws(strip: StripGeometry, n_max: int) -> CountTable:
     """Exact number of n-step self-avoiding walks on the strip, n = 0..n_max."""
+    _check_int("n_max", n_max)
     return CountTable(_unpacked((p for _, p in _transfer(strip, n_max, "saw")), n_max))
 
 
 def count_half_space(strip: StripGeometry, n_max: int) -> CountTable:
     """Exact number of n-step half-space walks on the strip, n = 0..n_max."""
+    _check_int("n_max", n_max)
     return CountTable(_unpacked((p for _, p in _transfer(strip, n_max, "half_space")), n_max))
 
 
 def count_bridges(strip: StripGeometry, n_max: int) -> CountTable:
     """Exact number of n-step bridges on the strip, n = 0..n_max."""
+    _check_int("n_max", n_max)
     entries = _transfer(strip, n_max, "half_space")
     return CountTable(_unpacked((p for (_, end), p in entries if end is not None), n_max))
 
@@ -373,6 +442,7 @@ def bridge_span_table(strip: StripGeometry, n: int) -> dict[int, int]:
     Bridges start in column 0 and never return to it, so the span of a
     bridge is simply its maximal x-coordinate.
     """
+    _check_int("n", n)
     table: dict[int, int] = {}
     top = (2 * n + 1) * n  # where the sweep's slot n, its highest, starts
     for (span, end), poly in _transfer(strip, n, "half_space"):
@@ -383,6 +453,7 @@ def bridge_span_table(strip: StripGeometry, n: int) -> dict[int, int]:
 
 def count_bridges_by_span(strip: StripGeometry, n: int, span: int) -> int:
     """Exact number of n-step bridges with the given span."""
+    _check_int("span", span)
     if span < 0:
         raise ValueError(f"span must be non-negative, got {span}")
     return bridge_span_table(strip, n).get(span, 0)
@@ -394,6 +465,7 @@ def iter_walks(strip: StripGeometry, n_max: int, kind: str = "saw") -> Iterator[
     ``kind`` is one of ``"saw"``, ``"half_space"``, ``"bridge"``.  Walks come
     out in depth-first order, prefixes before extensions.
     """
+    _check_int("n_max", n_max)
     _check_n_max(n_max)
     if kind not in ("saw", "half_space", "bridge"):
         raise ValueError(f"unknown walk kind {kind!r}")
@@ -612,6 +684,7 @@ def count_irreducible(
     outer/inner rule of :func:`_bridge_type`, so on 5 or more rows an I type
     sums over every inner end row.
     """
+    _check_int("n_max", n_max)
     if bridge_type not in BRIDGE_TYPES:
         raise ValueError(f"unknown bridge type {bridge_type!r}")
     shifted = strip.shift_origin(start_line)  # rejects an off-strip line first

@@ -2,7 +2,7 @@ import collections
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import W2, W3, W4, W5, seq_add, seq_geometric, seq_mul, seq_one, seq_star
 from stripwalks import (
@@ -27,7 +27,15 @@ from stripwalks import (
     transform_irreducible_w4,
     zeilberger_count,
 )
-from stripwalks.enumeration import _transfer, _unpacked, bridge_span_table, is_simple_factor
+from stripwalks import enumeration
+from stripwalks.enumeration import (
+    _cell,
+    _next_column,
+    _transfer,
+    _unpacked,
+    bridge_span_table,
+    is_simple_factor,
+)
 from stripwalks.genfunc import W3_BRIDGE_DENOMINATOR, W3_BRIDGE_NUMERATOR
 
 COUNTS_BY_KIND = {
@@ -46,6 +54,25 @@ NEGATIVE_N = {
     "count_bridges_by_span": lambda: count_bridges_by_span(W3, -1, 0),
     "count_irreducible": lambda: count_irreducible(W3, "OO", -1, 1),
     "iter_walks": lambda: list(iter_walks(W3, -1)),
+}
+
+# One row per refusal of a non-int length: the call and the whole message.
+NON_INT_LENGTHS = {
+    "count_saws bool": (lambda: count_saws(W3, True), "n_max must be an int, got True"),
+    "count_saws float": (lambda: count_saws(W3, 2.0), "n_max must be an int, got 2.0"),
+    "count_half_space str": (lambda: count_half_space(W3, "3"), "n_max must be an int, got '3'"),
+    "count_bridges bool": (lambda: count_bridges(W3, False), "n_max must be an int, got False"),
+    "bridge_span_table float n": (lambda: bridge_span_table(W3, 2.5), "n must be an int, got 2.5"),
+    "count_bridges_by_span bool n": (
+        lambda: count_bridges_by_span(W3, True, 1), "n must be an int, got True"
+    ),
+    "count_bridges_by_span bool span": (
+        lambda: count_bridges_by_span(W3, 4, True), "span must be an int, got True"
+    ),
+    "count_irreducible bool": (
+        lambda: count_irreducible(W3, "OO", True, 1), "n_max must be an int, got True"
+    ),
+    "iter_walks float": (lambda: list(iter_walks(W3, 3.0)), "n_max must be an int, got 3.0"),
 }
 
 
@@ -102,6 +129,14 @@ class TestCounts:
         with pytest.raises(ValueError, match="^n_max must be non-negative, got -1$"):
             NEGATIVE_N[entry]()
 
+    @pytest.mark.parametrize("case", NON_INT_LENGTHS)
+    def test_rejects_non_int_lengths(self, case):
+        # A bool is refused even after the table for 1 is cached.
+        count_saws(W3, 1)
+        call, message = NON_INT_LENGTHS[case]
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call()
+
     def test_rejects_negative_span(self):
         with pytest.raises(ValueError, match="^span must be non-negative, got -1$"):
             count_bridges_by_span(W3, 4, -1)
@@ -149,8 +184,9 @@ class TestSpans:
 
 
 class TestBridgeEntries:
-    """Each entry of the sweep, unpacked, against the DFS: saw entries by
-    span, bridge entries by (span, end row).
+    """Each entry of the sweep, unpacked, against the DFS: saw entries and
+    half-space bridge entries by span, cut-free bridge entries by (span,
+    end row).
 
     3- and 4-row types merge end rows, and on 5 or more rows an I type sums
     over the inner rows, so the type counts alone do not pin the end row.
@@ -172,10 +208,9 @@ class TestBridgeEntries:
             bridges = collections.Counter()
             cut_free = collections.Counter()
             for w in iter_walks(strip, n_max, kind="bridge"):
-                key = (w.span(), w.end[1], w.length)
-                bridges[key] += 1
+                bridges[w.span(), True, w.length] += 1
                 if not cut_points(w):
-                    cut_free[key] += 1
+                    cut_free[w.span(), w.end[1], w.length] += 1
             for mode, expected in (("saw", saws), ("half_space", bridges), ("cut_free", cut_free)):
                 got = collections.Counter()
                 for (span, end), packed in _transfer(strip, n_max, mode):
@@ -186,6 +221,25 @@ class TestBridgeEntries:
                         if c:
                             got[span, end, n] += c
                 assert got == expected, (mode, n_max)
+
+    @pytest.mark.parametrize("strip", [W3, StripGeometry(-2, 1), StripGeometry(0, 5)])
+    def test_cached_moves_hold_no_pair_twice(self, strip, monkeypatch):
+        # Weight 2 is one more bit of shift, not a repeated move.
+        cells = []
+        monkeypatch.setattr(enumeration, "_cell", lambda *a: cells.append(a) or _cell(*a))
+        n_max = 12
+        for mode in ("saw", "half_space", "cut_free"):
+            cells.clear()
+            _transfer.__wrapped__(strip, n_max, mode)
+            bits, top = 2 * n_max + 1, strip.width - 1
+            for labels, code, r, place in cells:
+                moves, ends = _cell(labels, code, r, place)
+                pairs = [
+                    (k * bits + d, key if r < top else _next_column(*key, mode == "cut_free"))
+                    for key, k, d in moves
+                ]
+                assert len(set(pairs)) == len(pairs)
+                assert len(set(ends)) == len(ends)
 
 
 class TestIterWalks:
@@ -204,7 +258,10 @@ class TestIterWalks:
             assert all(is_bridge(w) for w in iter_walks(strip, n_max, kind="bridge"))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(-3, 0), st.integers(0, 3), st.integers(0, 7))
+    @given(st.integers(-3, 0), st.integers(0, 3), st.integers(0, 8))
+    @example(-2, 2, 8)
+    @example(-3, 2, 8)
+    @example(-2, 3, 8)
     def test_counts_match_iter_walks_on_any_strip(self, y_min, y_max, n_max):
         strip = StripGeometry(y_min, y_max)
         for kind, count in COUNTS_BY_KIND.items():
@@ -213,6 +270,29 @@ class TestIterWalks:
             w.span() for w in iter_walks(strip, n_max, kind="bridge") if w.length == n_max
         )
         assert bridge_span_table(strip, n_max) == dict(spans)
+
+    @pytest.mark.parametrize(
+        "strip",
+        [StripGeometry(0, 0), W2, StripGeometry(-1, 0), W3, W4, StripGeometry(-2, 1), W5],
+    )
+    def test_mirror_identity_gives_the_saw_counts(self, strip):
+        # The identity the saw sweep counts, checked on paths alone: a and b
+        # are a path's endpoints in sweep order (by column, then row), and
+        # its mirror image in x swaps them when they lie in different
+        # columns, so c_n = 2 #{a on row 0, b in a later column}
+        # + sum over a, b in one column of [a on row 0] + [b on row 0].
+        n_max = 10
+        paths = set()
+        for w in iter_walks(strip, n_max, kind="saw"):
+            left = min(x for x, _ in w.points)
+            path = tuple((x - left, y) for x, y in w.points)
+            paths.add(min(path, path[::-1]))
+        counts = [1] + [0] * n_max
+        for path in paths:
+            if len(path) > 1:
+                (ax, ay), (bx, by) = sorted((path[0], path[-1]))
+                counts[len(path) - 1] += 2 * (ay == 0) if ax < bx else (ay == 0) + (by == 0)
+        assert tuple(counts) == count_saws(strip, n_max).counts
 
     def test_deterministic_visit_order(self):
         # Fixed step order R, U, D, L; prefixes come before extensions.
