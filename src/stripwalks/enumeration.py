@@ -10,13 +10,16 @@ label work is done once per state and row, and each later column costs only
 the polynomial arithmetic.  A polynomial is one integer with 2 n_max + 1 bits
 per coefficient, a width ``_transfer`` proves enough, and a count table sums
 its entries and unpacks them once: 4-row bridges to n = 200 take about
-0.35 s (2-core Xeon, Python 3.11).
-A saw run counts each path once, weighted by its endpoints on the origin
-row, and lets a path whose endpoints lie in different columns stand for its
-mirror image too, so no state outlives a first endpoint off that row.  One
-half-space run gives the half-space walks and the bridges by span, without
-their end rows; a second run that forbids cut points, and keeps the end
-row, gives the irreducible factors.
+0.25 s (2-core Xeon, Python 3.11).
+A saw run counts each path once per endpoint on the origin row and its
+mirror row, and lets a path whose endpoints lie in different columns stand
+for its mirror image in x too, so no state outlives a first endpoint off
+those rows.  One half-space run gives the half-space walks and the bridges
+by span, without their end rows; a second run that forbids cut points, and
+keeps the end row, gives the irreducible factors.  The saw and half-space
+runs also fold the strip's up-down mirror: at each column boundary a state
+and its mirror image, which have the same future, become one state, and
+the tables are halved at the end where the origin is off the middle row.
 ``iter_walks`` is the package's only depth-first search, an explicit-stack
 loop over a table of lattice points that each call builds once: it yields the
 walks themselves and is the oracle the tests compare the transfer matrix
@@ -86,13 +89,17 @@ _DELTAS_LAST_FIRST = ((-1, 0), (0, -1), (0, 1), (1, 0))
 _EMPTY, _OPEN, _CLOSE, _SINGLE = 0, 1, 2, 3
 
 # Endpoint codes of a state, a and b being a path's first and second endpoint
-# in sweep order: nothing placed; a off the origin row, in the current column;
-# a on the origin row, in the current column; a on the origin row, in an
+# in sweep order, and R the origin row with its mirror row: nothing placed; a
+# off R, in the current column; a on R, in the current column; a on R, in an
 # earlier column; both placed; both placed, b in the current column.  Only
 # half-space runs use _BOTH_HERE, so that a bridge is known when it completes,
 # and turn it into _BOTH_EARLIER at the next column; ``"cut_free"`` runs add
 # b's row index to it.  ``_transfer`` gives the rules.
 _NO_END, _OTHER_END, _START_HERE, _START, _BOTH_EARLIER, _BOTH_HERE = range(6)
+
+# Each label in the strip's up-down mirror image: the lower and the upper end
+# of a piece swap.
+_MIRRORED = (_EMPTY, _CLOSE, _OPEN, _SINGLE)
 
 
 def _check_int(name: str, value: int) -> None:
@@ -106,9 +113,25 @@ def _check_int(name: str, value: int) -> None:
         raise TypeError(f"{name} must be an int, got {value!r}")
 
 
-def _check_n_max(n_max: int) -> None:
-    if n_max < 0:
-        raise ValueError(f"n_max must be non-negative, got {n_max}")
+def _check_non_negative(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+
+
+def _packed_width(n_max: int) -> int:
+    """Bits per coefficient of a packed :func:`_transfer` polynomial, which
+    proves the width enough."""
+    return 2 * n_max + 1
+
+
+def _mirror_image(labels: tuple) -> tuple:
+    """A column-boundary frontier reflected in the strip's middle.
+
+    Slot 0, the vertical edge into the lowest cell, stays empty.  The
+    horizontal edges in slots 1..w reverse their order, and the lower and
+    upper ends of each piece trade labels.
+    """
+    return (_EMPTY,) + tuple([_MIRRORED[s] for s in labels[:0:-1]])
 
 
 def _partner(labels: tuple, i: int) -> int:
@@ -200,8 +223,9 @@ def _next_column(labels: tuple, code: int, cut_free: bool) -> tuple | None:
 
     With no crossing edge the walk has either completed or not started, and
     walks start in column 0.  A saw run drops a state whose first endpoint
-    is off the origin row: its second endpoint would lie in a later column,
-    and :func:`_transfer` counts those walks through their mirror images.  A
+    is off the origin row and its mirror row: its second endpoint would lie
+    in a later column, and :func:`_transfer` counts those walks through
+    their mirror images in x.  A
     ``"cut_free"`` run also drops a walk whose second endpoint lies in this
     column, as the walk goes on past it, and a walk with one crossing edge,
     which is a cut.
@@ -239,46 +263,70 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
     Pieces whose two ends both cross the frontier never cross each other, so
     _OPEN/_CLOSE pair up like parentheses.
 
-    The code follows a path's endpoints a and b, first and second in sweep
-    order, and each partial path lies in exactly one state:
+    Let o be the origin's row index, o' = w - 1 - o its mirror row and R =
+    {o, o'}, one row on a strip centred on the origin.  The code follows a
+    path's endpoints a and b, first and second in sweep order, and each
+    partial path lies in exactly one state:
 
-    * ``"half_space"``: a is the start, the origin in column 0, so every
+    * ``"half_space"``: a is the start, in column 0 on a row of R, so every
       state has _START until b is placed.  b gives _BOTH_HERE, which becomes
       _BOTH_EARLIER at the next column.
-    * ``"cut_free"``: the same, with b's row index added to _BOTH_HERE.
+    * ``"cut_free"``: a is the origin, and b adds its row index to
+      _BOTH_HERE.
     * ``"saw"``: the start is either endpoint on the origin row, so
-      c_n = Σ ([a on row 0] + [b on row 0]) over the paths of n edges.
-      Reflect a path in x and translate it back to column 0: the strip,
-      every row, the span and the length stay, and two endpoints in
-      different columns swap their sweep order.  So the paths with a and b
-      in different columns give [b on row 0] as often as [a on row 0], and
+      c_n = Σ ([a on o] + [b on o]) over the paths of n edges, and the
+      strip's up-down mirror, a bijection on those paths that maps o to o',
+      gives |R| c_n = Σ ([a in R] + [b in R]).  Reflect a path in x and
+      translate it back to column 0: the strip, every row, the span and the
+      length stay, and two endpoints in different columns swap their sweep
+      order.  So the paths with a and b in different columns give [b in R]
+      as often as [a in R], and
 
-          c_n = 2 #{paths with a on row 0 and b in a later column}
-                + Σ over paths with a, b in one column of
-                  ([a on row 0] + [b on row 0]).
+          |R| c_n = 2 #{paths with a in R and b in a later column}
+                    + Σ over paths with a, b in one column of
+                      ([a in R] + [b in R]).
 
-      An a on the origin row gives _START_HERE, which becomes _START at the
-      next column; an a on another row gives _OTHER_END, which
-      :func:`_next_column` drops.  b gives _BOTH_EARLIER and weights the
-      path by 2 after _START, by 1 + [b on row 0] after _START_HERE and by
-      [b on row 0] after _OTHER_END.
+      An a on R gives _START_HERE, which becomes _START at the next column;
+      an a on another row gives _OTHER_END, which :func:`_next_column`
+      drops.  b gives _BOTH_EARLIER and weights the path by 2 after _START,
+      by 1 + [b in R] after _START_HERE and by [b in R] after _OTHER_END.
+
+    The fold: the saw and half-space weights are the same on a row and its
+    mirror row, so the up-down mirror maps the partial paths of a
+    column-boundary state onto those of its mirror image (slot 0 empty,
+    slots 1..w reversed, _OPEN and _CLOSE swapped, the same code), and maps
+    their completions onto each other with the same weights, span and code.
+    The two states have the same future, so each is replaced by the lesser
+    of the two once :func:`_next_column` has moved it, memoised per key.
+    Both half-space starts, on o and on o', fold into one state with
+    polynomial |R| t.  Every ``done`` entry is thus |R| times the walks of
+    its key, entry by entry, so with |R| = 2 each slot is even and one
+    right shift halves every slot at once.  ``"cut_free"`` runs are not
+    folded: their key holds b's row, which the mirror moves.
 
     Each state carries the weighted sum of its partial paths as a length
     polynomial, packed into one integer with ``bits = 2 * n_max + 1`` bits
-    per coefficient and truncated at n_max.  No coefficient that is read
-    needs more:
+    per coefficient (:func:`_packed_width`) and truncated at n_max.  No
+    coefficient that is read needs more:
 
     * Every component of a live partial walk holds a frontier edge.  A
       completed component only ever goes to ``done``, through the
       :func:`_alone` checks.
-    * Trace each of a state's p components from that frontier edge.  The
-      first edge is fixed by the labels, and each later edge has at most 3
-      choices.
-    * So a state's coefficient of t^k is at most
-      2 * C(k - 1, p - 1) * 3^(k - p) <= 2 * 4^(k - 1) < 2^bits, the factor 2
-      being the largest weight.  A state with p = 0, the empty frontier of
-      a saw run, holds only t^0 with coefficient 1.
-    * Any sum of ``done`` entries is at most c_k <= 4 * 3^(k - 1) < 2^(2k + 1)
+    * Trace each of an unfolded state's p components from that frontier
+      edge.  The first edge is fixed by the labels, and each later edge has
+      at most 3 choices.  So its coefficient of t^k is at most
+      2 * C(k - 1, p - 1) * 3^(k - p) <= 2 * 4^(k - 1), the factor 2 being
+      the largest weight.
+    * The fold stands a partial path of a dropped state in for its mirror
+      image, so every state, at a column boundary or later in its column,
+      holds each of its unfolded partial paths at most twice:
+      2 * (2 * 4^(k - 1)) = 4^k < 2^(2k + 1) <= 2^bits.  A state with p = 0,
+      the empty frontier of a saw run, holds only t^0 with coefficient 1.
+    * A ``done`` entry before halving is at most |R| <= 2 times the walks of
+      its key.  At k = 1 a key holds at most 2 walks (U and D, or R and L),
+      so 4 < 2^3; at k >= 2, 2 c_k <= 8 * 3^(k - 1) < 2^(2k + 1); at k = 0
+      it is |R| <= 2 < 2^bits, as n_max = 0 clamps the strip to one row.
+    * Any sum of halved entries is at most c_k <= 4 * 3^(k - 1) < 2^(2k + 1)
       at k >= 1, and 1 at k = 0.
     * The mask drops every slot above n_max after a shift, and carries out
       of masked slots only move upward, so they never reach a slot that is
@@ -291,38 +339,48 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
     no guard against a right edge past the sweep.
 
     The moves of a state do not depend on the column, and a sweep reaches
-    few states (at the column boundaries of the strip from -1 to 2, 23 in a
-    half-space run and 37 in a saw run), so the sweep interns each
-    (labels, code) as a small int and works out each state's moves once.
+    few states (at the column boundaries of the strip from -1 to 2, 13 in a
+    half-space run and 23 in a saw run, against 23 and 37 unfolded), so
+    the sweep interns each (labels, code) as a small int and works out each
+    state's moves once.
     At a state's first visit to row r, :func:`_cell` gives its successors,
     which are cached for that row as one flat tuple of (k * bits + d,
     successor id) pairs, k the number of edges the move adds and 2^d its
     weight, with the (d, code) pairs of the walks it completes.  On the top
     row each successor is first moved to the next column by
-    :func:`_next_column`, and dropped if it leaves the sweep, so a column is
-    one cached pass per row.  A visit then shifts and masks the polynomial
-    for each pair and adds it to the successor's.
+    :func:`_next_column`, and dropped if it leaves the sweep, and folded,
+    so a column is one cached pass per row.  A visit then shifts and masks
+    the polynomial for each pair and adds it to the successor's.  The fold
+    puts no pair twice in a cached tuple: on the top row a cell has no up
+    edge, so its successors add distinct numbers of edges, and with
+    n_max >= 1 distinct k give distinct shifts, so a successor and its
+    mirror image are never reached with one shift.
 
     * ``"saw"``: a path is translated so that its leftmost column is 0.
       Columns run from 0 to n_max.
-    * ``"half_space"``: column 0 holds only the origin, the start, and its
-      right edge.  A walk is a bridge iff b lies in its last column, whose
-      index is its span.
+    * ``"half_space"``: column 0 holds only the start and its right edge.
+      A walk is a bridge iff b lies in its last column, whose index is its
+      span.
     * ``"cut_free"``: the half-space run, minus every state with exactly one
       edge crossing the line after a column >= 1: that edge is a cut of the
       bridge.  Only bridges with no cut point complete.
 
     The count entry points refuse a non-``int`` before the cache lookup, and
-    this sweep refuses a negative ``n_max``.
+    this sweep refuses a negative ``n_max``; :func:`bridge_span_table`
+    refuses a negative ``n`` first, by its own name.
     """
-    _check_n_max(n_max)
+    _check_non_negative("n_max", n_max)
     half = mode != "saw"
     cut_free = mode == "cut_free"
     lo, hi = max(strip.y_min, -n_max), min(strip.y_max, n_max)
     w = hi - lo + 1
     origin = -lo
+    # R = {o, o'}: one row on a strip centred on the origin, else two.  A
+    # saw or half-space run counts every path |R| times.
+    rows = {origin, w - 1 - origin}
+    copies = 1 if cut_free else len(rows)
     # Wide enough for every coefficient, by the bound in the docstring.
-    bits = 2 * n_max + 1
+    bits = _packed_width(n_max)
     mask = (1 << bits * (n_max + 1)) - 1
 
     # placements[r][code]: the code after one more endpoint on row index r,
@@ -332,13 +390,13 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
         if half:
             placements.append({_START: (_BOTH_HERE + r if cut_free else _BOTH_HERE, 0)})
             continue
-        row0 = int(r == origin)
+        on_r = int(r in rows)
         place = {
-            _NO_END: (_START_HERE if row0 else _OTHER_END, 0),
-            _START_HERE: (_BOTH_EARLIER, row0),
+            _NO_END: (_START_HERE if on_r else _OTHER_END, 0),
+            _START_HERE: (_BOTH_EARLIER, on_r),
             _START: (_BOTH_EARLIER, 1),
         }
-        if row0:
+        if on_r:
             place[_OTHER_END] = (_BOTH_EARLIER, 0)
         placements.append(place)
 
@@ -346,7 +404,8 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
     # successors through the cell on row index r as (shift, id) pairs, in
     # the order _cell gives them, and the (d, code) pairs of the walks it
     # completes there.  The top row's successors are already moved to the
-    # next column, minus those that leave the sweep.
+    # next column, minus those that leave the sweep, and folded unless the
+    # run is "cut_free".
     ids: dict = {}
     keys: list = []
 
@@ -357,15 +416,27 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
             keys.append(key)
         return i
 
+    # folded[key]: the id of the lesser of a column-boundary state and its
+    # mirror image.
+    folded: dict = {}
+
+    def fold(key: tuple) -> int:
+        i = folded.get(key)
+        if i is None:
+            labels, code = key
+            i = folded[key] = intern(min(key, (_mirror_image(labels), code)))
+        return i
+
+    boundary = intern if cut_free else fold
     steps: list[dict] = [{} for _ in range(w)]
 
     # The single-point walk: length 0, span 0, its one point on the origin
     # row taken as a second endpoint after the start.
-    done = {(0, placements[origin][_START][0]): 1}
+    done = {(0, placements[origin][_START][0]): copies}
     if half:
         first = [_EMPTY] * (w + 1)
         first[origin + 1] = _SINGLE
-        states = {intern((tuple(first), _START)): 1 << bits}
+        states = {boundary((tuple(first), _START)): copies << bits}
     else:
         states = {intern(((_EMPTY,) * (w + 1), _NO_END)): 1}
 
@@ -380,11 +451,10 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
                     succ, ends = _cell(*keys[i], r, place)
                     flat = []
                     for key, k, d in succ:
-                        if r == w - 1:
-                            key = _next_column(*key, cut_free)
-                            if key is None:
-                                continue
-                        flat.append((k * bits + d, intern(key)))
+                        if r < w - 1:
+                            flat.append((k * bits + d, intern(key)))
+                        elif key := _next_column(*key, cut_free):
+                            flat.append((k * bits + d, boundary(key)))
                     # Tuples, not lists: a saw run on 10 rows to n = 24 caches
                     # 379,435 entries.
                     moves = step[i] = (tuple(flat), tuple(ends))
@@ -403,7 +473,8 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
             end = None
         else:
             end = lo + code - _BOTH_HERE if cut_free else True
-        entries.append(((span, end), poly))
+        # Every slot is even when copies == 2, so the shift halves each one.
+        entries.append(((span, end), poly >> (copies - 1)))
     return tuple(entries)
 
 
@@ -411,7 +482,7 @@ def _unpacked(polys, n_max: int) -> tuple[int, ...]:
     """The counts per length 0..n_max of the sum of packed entries of a
     :func:`_transfer` run to n_max; each sum fits its slot, by the bound
     there."""
-    bits = 2 * n_max + 1
+    bits = _packed_width(n_max)
     total = sum(polys)
     coefficient = (1 << bits) - 1
     return tuple((total >> bits * k) & coefficient for k in range(n_max + 1))
@@ -443,8 +514,9 @@ def bridge_span_table(strip: StripGeometry, n: int) -> dict[int, int]:
     bridge is simply its maximal x-coordinate.
     """
     _check_int("n", n)
+    _check_non_negative("n", n)
     table: dict[int, int] = {}
-    top = (2 * n + 1) * n  # where the sweep's slot n, its highest, starts
+    top = _packed_width(n) * n  # where the sweep's slot n, its highest, starts
     for (span, end), poly in _transfer(strip, n, "half_space"):
         if end is not None and (count := poly >> top):
             table[span] = table.get(span, 0) + count
@@ -454,8 +526,7 @@ def bridge_span_table(strip: StripGeometry, n: int) -> dict[int, int]:
 def count_bridges_by_span(strip: StripGeometry, n: int, span: int) -> int:
     """Exact number of n-step bridges with the given span."""
     _check_int("span", span)
-    if span < 0:
-        raise ValueError(f"span must be non-negative, got {span}")
+    _check_non_negative("span", span)
     return bridge_span_table(strip, n).get(span, 0)
 
 
@@ -466,7 +537,7 @@ def iter_walks(strip: StripGeometry, n_max: int, kind: str = "saw") -> Iterator[
     out in depth-first order, prefixes before extensions.
     """
     _check_int("n_max", n_max)
-    _check_n_max(n_max)
+    _check_non_negative("n_max", n_max)
     if kind not in ("saw", "half_space", "bridge"):
         raise ValueError(f"unknown walk kind {kind!r}")
     bridges_only = kind == "bridge"

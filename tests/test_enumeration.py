@@ -31,6 +31,7 @@ from stripwalks import enumeration
 from stripwalks.enumeration import (
     _cell,
     _next_column,
+    _packed_width,
     _transfer,
     _unpacked,
     bridge_span_table,
@@ -45,15 +46,16 @@ COUNTS_BY_KIND = {
 }
 
 
-# iter_walks is a generator, so it is drained to reach its check.
+# One row per refusal of a negative length: the call and the parameter it
+# names.  iter_walks is a generator, so it is drained to reach its check.
 NEGATIVE_N = {
-    "count_saws": lambda: count_saws(W3, -1),
-    "count_half_space": lambda: count_half_space(W3, -1),
-    "count_bridges": lambda: count_bridges(W3, -1),
-    "bridge_span_table": lambda: bridge_span_table(W3, -1),
-    "count_bridges_by_span": lambda: count_bridges_by_span(W3, -1, 0),
-    "count_irreducible": lambda: count_irreducible(W3, "OO", -1, 1),
-    "iter_walks": lambda: list(iter_walks(W3, -1)),
+    "count_saws": (lambda: count_saws(W3, -1), "n_max"),
+    "count_half_space": (lambda: count_half_space(W3, -1), "n_max"),
+    "count_bridges": (lambda: count_bridges(W3, -1), "n_max"),
+    "bridge_span_table": (lambda: bridge_span_table(W3, -1), "n"),
+    "count_bridges_by_span": (lambda: count_bridges_by_span(W3, -1, 0), "n"),
+    "count_irreducible": (lambda: count_irreducible(W3, "OO", -1, 1), "n_max"),
+    "iter_walks": (lambda: list(iter_walks(W3, -1)), "n_max"),
 }
 
 # One row per refusal of a non-int length: the call and the whole message.
@@ -82,6 +84,13 @@ def _lengths_from_iter_walks(strip, n_max, kind):
     for w in iter_walks(strip, n_max, kind=kind):
         counts[w.length] += 1
     return tuple(counts)
+
+
+def _mirrored(labels):
+    """A column-boundary frontier in the strip's up-down mirror, built
+    independently of the sweep: slot 0 stays, slots 1..w reverse, and the
+    lower and upper ends of a piece (labels 1 and 2) swap."""
+    return labels[:1] + tuple({1: 2, 2: 1}.get(s, s) for s in reversed(labels[1:]))
 
 
 class TestDeepTables:
@@ -125,9 +134,11 @@ class TestCounts:
 
     @pytest.mark.parametrize("entry", NEGATIVE_N)
     def test_rejects_negative_n(self, entry):
-        # Every public entry refuses n_max = -1 before it counts or yields.
-        with pytest.raises(ValueError, match="^n_max must be non-negative, got -1$"):
-            NEGATIVE_N[entry]()
+        # Every public entry refuses a length of -1 before it counts or
+        # yields, naming its own parameter.
+        call, name = NEGATIVE_N[entry]
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -1$"):
+            call()
 
     @pytest.mark.parametrize("case", NON_INT_LENGTHS)
     def test_rejects_non_int_lengths(self, case):
@@ -224,22 +235,71 @@ class TestBridgeEntries:
 
     @pytest.mark.parametrize("strip", [W3, StripGeometry(-2, 1), StripGeometry(0, 5)])
     def test_cached_moves_hold_no_pair_twice(self, strip, monkeypatch):
-        # Weight 2 is one more bit of shift, not a repeated move.
+        # Weight 2 is one more bit of shift, not a repeated move.  On the top
+        # row a saw or half-space successor is folded to the lesser of itself
+        # and its mirror image, so the check runs on those canonical states:
+        # a state must not reach a successor and its mirror with one shift.
         cells = []
         monkeypatch.setattr(enumeration, "_cell", lambda *a: cells.append(a) or _cell(*a))
         n_max = 12
+        bits, top = _packed_width(n_max), strip.width - 1
         for mode in ("saw", "half_space", "cut_free"):
             cells.clear()
             _transfer.__wrapped__(strip, n_max, mode)
-            bits, top = 2 * n_max + 1, strip.width - 1
             for labels, code, r, place in cells:
                 moves, ends = _cell(labels, code, r, place)
-                pairs = [
-                    (k * bits + d, key if r < top else _next_column(*key, mode == "cut_free"))
-                    for key, k, d in moves
-                ]
+                pairs = []
+                for key, k, d in moves:
+                    if r == top:
+                        key = _next_column(*key, mode == "cut_free")
+                        if key is not None and mode != "cut_free":
+                            key = min(key, (_mirrored(key[0]), key[1]))
+                    pairs.append((k * bits + d, key))
                 assert len(set(pairs)) == len(pairs)
                 assert len(set(ends)) == len(ends)
+
+
+class TestMirrorFold:
+    """The saw and half-space sweeps keep one state of each mirror pair at a
+    column boundary and count every path once per row of {origin row, its
+    mirror row}, halving at the end."""
+
+    @pytest.mark.parametrize(
+        "strip",
+        [StripGeometry(0, 0), W3, W5, W2, StripGeometry(-1, 0), W4, StripGeometry(-2, 1),
+         StripGeometry(0, 3), StripGeometry(-1, 3)],
+    )
+    def test_no_boundary_state_meets_its_mirror_image(self, strip, monkeypatch):
+        # The states reaching row 0 are the column-boundary states, each met
+        # once there by the move cache.
+        cells = []
+        monkeypatch.setattr(enumeration, "_cell", lambda *a: cells.append(a) or _cell(*a))
+        for mode in ("saw", "half_space"):
+            cells.clear()
+            _transfer.__wrapped__(strip, 10, mode)
+            states = [(labels, code) for labels, code, r, _ in cells if r == 0]
+            images = [(_mirrored(labels), code) for labels, code in states]
+            # A state and its image make one pair, a self-mirror state a
+            # pair of one; two states in one pair would be mirror images.
+            assert len({frozenset(pair) for pair in zip(states, images)}) == len(states)
+            # Not vacuous: some kept state differs from its mirror image.
+            assert (states != images) == (strip.width > 1)
+
+    @pytest.mark.parametrize("rows", range(1, 7))
+    def test_tables_match_iter_walks_at_the_tightest_lengths(self, rows):
+        # k = 1 leaves the packed width the least headroom before halving.
+        for y_min in range(1 - rows, 1):
+            strip = StripGeometry(y_min, y_min + rows - 1)
+            for n_max in (0, 1, 2):
+                for kind, count in COUNTS_BY_KIND.items():
+                    expected = _lengths_from_iter_walks(strip, n_max, kind)
+                    assert count(strip, n_max).counts == expected, (strip, n_max, kind)
+                spans = collections.Counter(
+                    w.span() for w in iter_walks(strip, n_max, kind="bridge") if w.length == n_max
+                )
+                assert bridge_span_table(strip, n_max) == dict(spans), (strip, n_max)
+                for span in range(n_max + 2):
+                    assert count_bridges_by_span(strip, n_max, span) == spans[span]
 
 
 class TestIterWalks:
