@@ -35,8 +35,8 @@ MAX_N = 24
 MAX_SERIES = 10000
 # Widest `--strip` for `count` and `verify`.  The transfer matrix's state
 # count and memory grow with the number of rows: `count_saws` at n=24 takes
-# 5.7-6.1 s and 166 MB on 10 rows (`verify all` 11-14 s and 175 MB), and
-# 18-20 s and 400 MB on 11 (2-core Xeon, Python 3.11).
+# 4.8-6.2 s and 119 MB on 10 rows (`verify all` 7.6-8.9 s and 119 MB), and
+# 12 s and 269 MB on 11 (2-core Xeon, Python 3.11).
 MAX_STRIP_WIDTH = 10
 
 

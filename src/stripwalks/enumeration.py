@@ -3,11 +3,13 @@
 Every count table comes from one cached frontier transfer matrix: the strip
 is swept column by column and cell by cell, and each state of the frontier
 carries a polynomial in the walk length.  For a fixed width the cost grows
-polynomially in the length instead of like mu^n.  The sweep interns each
-frontier state as a small int and caches its moves through each cell row at
-its first visit; the top row's moves already land in the next column.  So the
-label work is done once per state and row, and each later column costs only
-the polynomial arithmetic.  A polynomial is one integer with 2 n_max + 1 bits
+polynomially in the length instead of like mu^n.  A frontier state is one
+int, 2 bits per frontier edge with the endpoint code above them, and is its
+own key, so nothing is interned.  The sweep caches each state's moves
+through each cell row at its first visit, worked out by shifts and masks;
+the top row's moves already land in the next column.  So the label work is
+done once per state and row, and each later column costs only the
+polynomial arithmetic.  A polynomial is one integer with 2 n_max + 1 bits
 per coefficient, a width ``_transfer`` proves enough, and a count table sums
 its entries and unpacks them once: 4-row bridges to n = 200 take about
 0.25 s (2-core Xeon, Python 3.11).
@@ -72,6 +74,8 @@ from .lattice import (
     CountTable,
     StripGeometry,
     Walk,
+    _check_int,
+    _check_non_negative,
     _Frozen,
     _new_instance,
     _set_field,
@@ -85,7 +89,7 @@ _DELTAS_LAST_FIRST = ((-1, 0), (0, -1), (0, 1), (1, 0))
 
 # Labels of the frontier edges of the transfer matrix: empty; the lower and
 # the upper end of a piece whose two ends both cross the frontier; a piece
-# whose other end is an endpoint of the walk.
+# whose other end is an endpoint of the walk.  Each takes 2 bits of a state.
 _EMPTY, _OPEN, _CLOSE, _SINGLE = 0, 1, 2, 3
 
 # Endpoint codes of a state, a and b being a path's first and second endpoint
@@ -97,26 +101,6 @@ _EMPTY, _OPEN, _CLOSE, _SINGLE = 0, 1, 2, 3
 # b's row index to it.  ``_transfer`` gives the rules.
 _NO_END, _OTHER_END, _START_HERE, _START, _BOTH_EARLIER, _BOTH_HERE = range(6)
 
-# Each label in the strip's up-down mirror image: the lower and the upper end
-# of a piece swap.
-_MIRRORED = (_EMPTY, _CLOSE, _OPEN, _SINGLE)
-
-
-def _check_int(name: str, value: int) -> None:
-    """Refuse a non-``int`` (``bool`` included), naming the caller's parameter.
-
-    The count entry points run it before :func:`_transfer`'s cache lookup:
-    ``True == 1`` with the same hash, so a ``bool`` would get the cached
-    table for 1.
-    """
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an int, got {value!r}")
-
-
-def _check_non_negative(name: str, value: int) -> None:
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-
 
 def _packed_width(n_max: int) -> int:
     """Bits per coefficient of a packed :func:`_transfer` polynomial, which
@@ -124,101 +108,107 @@ def _packed_width(n_max: int) -> int:
     return 2 * n_max + 1
 
 
-def _mirror_image(labels: tuple) -> tuple:
-    """A column-boundary frontier reflected in the strip's middle.
+def _mirror_image(state: int, w: int) -> int:
+    """A column-boundary state of a w-row strip reflected in its middle.
 
-    Slot 0, the vertical edge into the lowest cell, stays empty.  The
-    horizontal edges in slots 1..w reverse their order, and the lower and
-    upper ends of each piece trade labels.
+    Slot 0, the vertical edge into the lowest cell, stays empty, and the
+    code stays.  The horizontal edges in slots 1..w, the low 2w bits,
+    reverse their order, and the lower and upper ends of each piece trade
+    labels, which reverses each slot's 2 bits: the 2w bits reverse.
     """
-    return (_EMPTY,) + tuple([_MIRRORED[s] for s in labels[:0:-1]])
+    low = 2 * w
+    edges = state & ((1 << low) - 1)
+    return state - edges + int(f"{edges:0{low}b}"[::-1], 2)
 
 
-def _partner(labels: tuple, i: int) -> int:
-    """Index of the other frontier end of the piece with an end at ``i``."""
-    mine = labels[i]
+def _partner(state: int, s: int) -> int:
+    """Bit offset of the other frontier end of the piece with an end at
+    offset ``s``.  A slot one row further up sits 2 bits lower."""
+    mine = state >> s & 3
     other = _OPEN + _CLOSE - mine
-    step = 1 if mine == _OPEN else -1
+    step = -2 if mine == _OPEN else 2
     depth = 1
     while True:
-        i += step
-        if labels[i] == mine:
+        s += step
+        label = state >> s & 3
+        if label == mine:
             depth += 1
-        elif labels[i] == other:
+        elif label == other:
             depth -= 1
             if depth == 0:
-                return i
+                return s
 
 
-def _merge(labels: tuple, r: int, i: int, label: int) -> tuple:
-    """Empty the slots r and r + 1 and relabel the piece end at ``i``."""
-    out = list(labels)
-    out[r] = out[r + 1] = _EMPTY
-    out[i] = label
-    return tuple(out)
+def _relabel(state: int, s: int, label: int) -> int:
+    """The state with ``label`` in the slot at bit offset ``s``."""
+    return state & ~(3 << s) | label << s
 
 
-def _alone(labels: tuple, r: int) -> bool:
-    """True iff no frontier edge but those in slots r and r + 1 is occupied."""
-    return not any(labels[:r]) and not any(labels[r + 2 :])
+def _cell(state: int, w: int, r: int, place: dict) -> tuple[list, list]:
+    """The moves of one frontier state through the cell on row index r of
+    a w-row strip.
 
-
-def _cell(labels: tuple, code: int, r: int, place: dict) -> tuple[list, list]:
-    """The moves of one frontier state through the cell on row index r.
-
-    Returns the successor states as ((labels, code), edges added, d) triples,
-    and the (d, code) pairs of the walks that complete in the cell, 2^d being
+    Returns the successor states as (state, edges added, d) triples, and
+    the (d, code) pairs of the walks that complete in the cell, 2^d being
     the weight the move gives.  ``place`` maps a code to the (code, d) pair
     after one more endpoint on this row; a code it lacks places none.  The
     result depends on nothing but the arguments, so a sweep can work it out
     once per state and row.
     """
-    up = r + 2 < len(labels)
-    below, left = labels[r], labels[r + 1]
-    head, tail = labels[:r], labels[r + 2 :]
+    # Bit offsets of slot r + 1 (the left edge in, the up edge out), of slot
+    # r (the edge from below in, the right edge out) and of the code.  Only
+    # the top row, which has no up edge, has slot r + 1 at offset 0.
+    up = 2 * (w - 1 - r)
+    low = up + 2
+    top = 2 * w + 2
+    below, left = state >> low & 3, state >> up & 3
+    code = state >> top
+    rest = state & ~(15 << up)  # slots r and r + 1 emptied
+    bare = code << top  # rest, when no other frontier edge is occupied
     placed = place.get(code)
     moves: list = []
     ends: list = []
     if not below and not left:
         # An empty cell, a new piece through it, or a new endpoint.
-        moves.append(((labels, code), 0, 0))
+        moves.append((state, 0, 0))
         if up:
-            moves.append(((head + (_OPEN, _CLOSE) + tail, code), 2, 0))
+            moves.append((rest | _OPEN << low | _CLOSE << up, 2, 0))
         if placed:
             c, d = placed
-            moves.append(((head + (_SINGLE, _EMPTY) + tail, c), 1, d))
+            moved = rest + (c - code << top)
+            moves.append((moved | _SINGLE << low, 1, d))
             if up:
-                moves.append(((head + (_EMPTY, _SINGLE) + tail, c), 1, d))
+                moves.append((moved | _SINGLE << up, 1, d))
     elif not below or not left:
         # One edge enters: go on right or up, or end the walk here.
         label = below or left
-        moves.append(((head + (label, _EMPTY) + tail, code), 1, 0))
+        moves.append((rest | label << low, 1, 0))
         if up:
-            moves.append(((head + (_EMPTY, label) + tail, code), 1, 0))
+            moves.append((rest | label << up, 1, 0))
         if placed:
             c, d = placed
             if label != _SINGLE:
-                i = _partner(labels, r if below else r + 1)
-                moves.append(((_merge(labels, r, i, _SINGLE), c), 0, d))
-            elif _alone(labels, r):
+                s = _partner(state, low if below else up)
+                moves.append((_relabel(rest, s, _SINGLE) + (c - code << top), 0, d))
+            elif rest == bare:
                 ends.append((d, c))
     elif below == _SINGLE and left == _SINGLE:
-        if _alone(labels, r):
+        if rest == bare:
             ends.append((0, code))
     elif below != _OPEN or left != _CLOSE:  # else a closed loop
         # Two edges enter: join their pieces.  The partner of one end takes
         # over the label of the other end.
         if below == _SINGLE or below == left == _OPEN:
-            merged = _merge(labels, r, _partner(labels, r + 1), below)
+            merged = _relabel(rest, _partner(state, up), below)
         elif left == _SINGLE or below == left == _CLOSE:
-            merged = _merge(labels, r, _partner(labels, r), left)
+            merged = _relabel(rest, _partner(state, low), left)
         else:
-            merged = head + (_EMPTY, _EMPTY) + tail
-        moves.append(((merged, code), 0, 0))
+            merged = rest
+        moves.append((merged, 0, 0))
     return moves, ends
 
 
-def _next_column(labels: tuple, code: int, cut_free: bool) -> tuple | None:
+def _next_column(state: int, w: int, cut_free: bool) -> int | None:
     """A state moved to the next column, or None if it leaves the sweep.
 
     With no crossing edge the walk has either completed or not started, and
@@ -230,16 +220,22 @@ def _next_column(labels: tuple, code: int, cut_free: bool) -> tuple | None:
     column, as the walk goes on past it, and a walk with one crossing edge,
     which is a cut.
     """
-    crossing = labels[:-1]
-    if not any(crossing) or code == _OTHER_END:
+    top = 2 * w + 2
+    code = state >> top
+    crossing = state & ((1 << top) - 1)  # slot w, the top cell's up edge, is empty
+    if not crossing or code == _OTHER_END:
         return None
-    if cut_free and (code >= _BOTH_HERE or len(crossing) - crossing.count(_EMPTY) == 1):
-        return None
+    if cut_free:
+        # One bit per occupied slot: (1 << top) // 3 is 0b0101...01.
+        occupied = (crossing | crossing >> 1) & (1 << top) // 3
+        if code >= _BOTH_HERE or not occupied & (occupied - 1):
+            return None
     if code >= _BOTH_HERE:
         code = _BOTH_EARLIER
     elif code == _START_HERE:
         code = _START
-    return (_EMPTY,) + crossing, code
+    # Slot i + 1 of the next column is slot i of this one, 2 bits lower.
+    return crossing >> 2 | code << top
 
 
 @lru_cache(maxsize=None)
@@ -261,7 +257,11 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
     in this column, the vertical edge entering the current cell, the
     horizontal edges entering the cells still to do) and an endpoint code.
     Pieces whose two ends both cross the frontier never cross each other, so
-    _OPEN/_CLOSE pair up like parentheses.
+    _OPEN/_CLOSE pair up like parentheses.  A state is one int: slot i, from
+    the lowest row up, holds its label in bits 2 (w - i) and 2 (w - i) + 1,
+    and the code sits above the slots, from bit 2 (w + 1) up, so no field
+    limits the rows or the code.  For one code, ints order like the tuples
+    of labels from slot 0 up.
 
     Let o be the origin's row index, o' = w - 1 - o its mirror row and R =
     {o, o'}, one row on a strip centred on the origin.  The code follows a
@@ -297,7 +297,8 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
     slots 1..w reversed, _OPEN and _CLOSE swapped, the same code), and maps
     their completions onto each other with the same weights, span and code.
     The two states have the same future, so each is replaced by the lesser
-    of the two once :func:`_next_column` has moved it, memoised per key.
+    of the two ints once :func:`_next_column` has moved it; the move and
+    the fold are memoised per top-row successor.
     Both half-space starts, on o and on o', fold into one state with
     polynomial |R| t.  Every ``done`` entry is thus |R| times the walks of
     its key, entry by entry, so with |R| = 2 each slot is even and one
@@ -310,8 +311,8 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
     coefficient that is read needs more:
 
     * Every component of a live partial walk holds a frontier edge.  A
-      completed component only ever goes to ``done``, through the
-      :func:`_alone` checks.
+      completed component only ever goes to ``done``, through the check in
+      :func:`_cell` that no other frontier edge is occupied.
     * Trace each of an unfolded state's p components from that frontier
       edge.  The first edge is fixed by the labels, and each later edge has
       at most 3 choices.  So its coefficient of t^k is at most
@@ -341,16 +342,19 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
     The moves of a state do not depend on the column, and a sweep reaches
     few states (at the column boundaries of the strip from -1 to 2, 13 in a
     half-space run and 23 in a saw run, against 23 and 37 unfolded), so
-    the sweep interns each (labels, code) as a small int and works out each
-    state's moves once.
+    the sweep works out each state's moves once.  The state's int is its
+    own key in the state dicts, the move cache and the fold memo, so
+    nothing is interned, and :func:`_cell`, :func:`_next_column` and
+    :func:`_mirror_image` shift and mask its bit fields.
     At a state's first visit to row r, :func:`_cell` gives its successors,
     which are cached for that row as one flat tuple of (k * bits + d,
-    successor id) pairs, k the number of edges the move adds and 2^d its
-    weight, with the (d, code) pairs of the walks it completes.  On the top
-    row each successor is first moved to the next column by
-    :func:`_next_column`, and dropped if it leaves the sweep, and folded,
-    so a column is one cached pass per row.  A visit then shifts and masks
-    the polynomial for each pair and adds it to the successor's.  The fold
+    successor) pairs, k the number of edges the move adds and 2^d its
+    weight, then a (~d, code) pair for each walk it completes: only those
+    have a negative first item.  On the top row each successor is first
+    moved to the next column by :func:`_next_column`, and dropped if it
+    leaves the sweep, and folded, so a column is one cached pass per row.
+    A visit then shifts and masks the polynomial for each pair and adds it
+    to the successor's, or to the completed walks of its code.  The fold
     puts no pair twice in a cached tuple: on the top row a cell has no up
     edge, so its successors add distinct numbers of edges, and with
     n_max >= 1 distinct k give distinct shifts, so a successor and its
@@ -400,71 +404,63 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
             place[_OTHER_END] = (_BOTH_EARLIER, 0)
         placements.append(place)
 
-    # keys[i] is the state interned as i.  steps[r][i] holds state i's
-    # successors through the cell on row index r as (shift, id) pairs, in
-    # the order _cell gives them, and the (d, code) pairs of the walks it
-    # completes there.  The top row's successors are already moved to the
-    # next column, minus those that leave the sweep, and folded unless the
-    # run is "cut_free".
-    ids: dict = {}
-    keys: list = []
-
-    def intern(key: tuple) -> int:
-        i = ids.get(key)
-        if i is None:
-            i = ids[key] = len(keys)
-            keys.append(key)
-        return i
-
-    # folded[key]: the id of the lesser of a column-boundary state and its
-    # mirror image.
-    folded: dict = {}
-
-    def fold(key: tuple) -> int:
-        i = folded.get(key)
-        if i is None:
-            labels, code = key
-            i = folded[key] = intern(min(key, (_mirror_image(labels), code)))
-        return i
-
-    boundary = intern if cut_free else fold
+    # steps[r][s] holds state s's successors through the cell on row index r
+    # as (shift, successor) pairs, in the order _cell gives them, then the
+    # (~d, code) pairs of the walks it completes there.  The top row's
+    # successors are already moved to the next column, minus those that
+    # leave the sweep, and folded unless the run is "cut_free".
     steps: list[dict] = [{} for _ in range(w)]
+    top = 2 * w + 2  # the code's bit offset in a state
+
+    # across[t]: a top-row successor t moved to the next column by
+    # _next_column, and unless the run is "cut_free" folded to the lesser of
+    # itself and its mirror image; None if it leaves the sweep.
+    across: dict = {}
+
+    def cross(t: int) -> int | None:
+        if t not in across:
+            u = _next_column(t, w, cut_free)
+            across[t] = u if u is None or cut_free else min(u, _mirror_image(u, w))
+        return across[t]
 
     # The single-point walk: length 0, span 0, its one point on the origin
     # row taken as a second endpoint after the start.
     done = {(0, placements[origin][_START][0]): copies}
     if half:
-        first = [_EMPTY] * (w + 1)
-        first[origin + 1] = _SINGLE
-        states = {boundary((tuple(first), _START)): copies << bits}
+        first = _SINGLE << 2 * (w - 1 - origin) | _START << top
+        if not cut_free:
+            first = min(first, _mirror_image(first, w))
+        states = {first: copies << bits}
     else:
-        states = {intern(((_EMPTY,) * (w + 1), _NO_END)): 1}
+        states = {_NO_END << top: 1}
 
     for x in range(1 if half else 0, n_max + 1):
         for r, place in enumerate(placements):
             step = steps[r]
             new: dict = {}
             get = new.get
-            for i, poly in states.items():
-                moves = step.get(i)
+            for s, poly in states.items():
+                moves = step.get(s)
                 if moves is None:
-                    succ, ends = _cell(*keys[i], r, place)
-                    flat = []
-                    for key, k, d in succ:
-                        if r < w - 1:
-                            flat.append((k * bits + d, intern(key)))
-                        elif key := _next_column(*key, cut_free):
-                            flat.append((k * bits + d, boundary(key)))
-                    # Tuples, not lists: a saw run on 10 rows to n = 24 caches
-                    # 379,435 entries.
-                    moves = step[i] = (tuple(flat), tuple(ends))
-                flat, ends = moves
-                for shift, j in flat:
-                    p = (poly << shift) & mask if shift else poly
-                    if p:
-                        new[j] = get(j, 0) + p
-                for d, c in ends:
-                    done[x, c] = done.get((x, c), 0) + (poly << d)
+                    succ, ends = _cell(s, w, r, place)
+                    if r < w - 1:
+                        flat = [(k * bits + d, t) for t, k, d in succ]
+                    else:
+                        flat = [(k * bits + d, u) for t, k, d in succ if (u := cross(t)) is not None]
+                    if ends:
+                        flat += [(~d, c) for d, c in ends]
+                    # A tuple, not a list: a saw run on 10 rows to n = 24
+                    # caches 326,092 entries.
+                    moves = step[s] = tuple(flat)
+                for shift, t in moves:
+                    if shift > 0:
+                        p = (poly << shift) & mask
+                        if p:
+                            new[t] = get(t, 0) + p
+                    elif shift == 0:
+                        new[t] = get(t, 0) + poly
+                    else:  # a walk completes: t is its code, and ~shift its d
+                        done[x, t] = done.get((x, t), 0) + (poly << ~shift)
             states = new
 
     entries = []

@@ -18,7 +18,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Mapping
 
-from .lattice import BRIDGE_TYPES, _Frozen, _set_field
+from .lattice import BRIDGE_TYPES, _check_int, _check_non_negative, _Frozen, _set_field
 
 
 class IntPolynomial(_Frozen):
@@ -97,7 +97,9 @@ class IntPolynomial(_Frozen):
         return IntPolynomial(tuple(out))
 
     def unshift(self, k: int) -> "IntPolynomial":
-        """Divide exactly by t**k."""
+        """Divide exactly by t**k, for an ``int`` k >= 0."""
+        _check_int("k", k)
+        _check_non_negative("k", k)
         if any(c != 0 for c in self.coefficients[:k]):
             raise ValueError(f"polynomial is not divisible by t^{k}")
         return IntPolynomial(self.coefficients[k:])
@@ -289,8 +291,8 @@ class RationalGF(_Frozen):
         are the same power series because g(0) = 1, and the recurrence is
         shorter.
         """
-        if n_max < 0:
-            raise ValueError("n_max must be non-negative")
+        _check_int("n_max", n_max)
+        _check_non_negative("n_max", n_max)
         gf = self.reduced()
         num, den = gf.numerator.coefficients, gf.denominator.coefficients
         d = len(den) - 1

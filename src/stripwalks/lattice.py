@@ -77,6 +77,21 @@ _new_instance = object.__new__
 _set_field = object.__setattr__
 
 
+def _check_int(name: str, value: int) -> None:
+    """Refuse a non-``int`` (``bool`` included), naming the caller's parameter.
+
+    A cached entry point runs it before its cache lookup: ``True == 1`` with
+    the same hash, so a ``bool`` would get the cached result for 1.
+    """
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def _check_non_negative(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 class _Frozen:
     """Base of the package's immutable value types; see the module docstring.
 

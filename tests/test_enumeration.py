@@ -28,6 +28,7 @@ from stripwalks import (
     zeilberger_count,
 )
 from stripwalks import enumeration
+from stripwalks.cli import MAX_STRIP_WIDTH
 from stripwalks.enumeration import (
     _cell,
     _next_column,
@@ -84,6 +85,37 @@ def _lengths_from_iter_walks(strip, n_max, kind):
     for w in iter_walks(strip, n_max, kind=kind):
         counts[w.length] += 1
     return tuple(counts)
+
+
+def _check_irreducible_against_iter_walks(strip, start, n_max):
+    """Every count_irreducible table of one start line against the DFS
+    oracle: every bridge from iter_walks, its cut points and the classifier.
+    A merged irreducible factor has cuts exactly {1..k} (its tail) and at
+    least two steps after them."""
+    expected = {
+        (t, tailless): [0] * (n_max + 1) for t in BRIDGE_TYPES for tailless in (False, True)
+    }
+    for walk in iter_walks(strip.shift_origin(start), n_max, kind="bridge"):
+        cuts = cut_points(walk)
+        k = len(cuts)
+        if cuts != tuple(range(1, k + 1)) or walk.length - k < 2:
+            continue
+        t = classify_irreducible(IrreducibleFactor(walk, start, k, None), strip)
+        expected[t, False][walk.length] += 1
+        if k == 0:
+            expected[t, True][walk.length] += 1
+    starts_outer = start in strip.outer_lines
+    for (t, tailless), counts in expected.items():
+        if t.startswith("O") == starts_outer:
+            got = count_irreducible(strip, t, n_max, start, tailless=tailless)
+            assert got.counts == tuple(counts), (start, t, tailless)
+
+
+def _decoded(state, w):
+    """A sweep state of a w-row strip as (labels from slot 0 up, code), read
+    off the int layout the sweep documents: slot i in bits 2 (w - i) and
+    2 (w - i) + 1, the code from bit 2 (w + 1) up."""
+    return tuple(state >> 2 * (w - i) & 3 for i in range(w + 1)), state >> 2 * (w + 1)
 
 
 def _mirrored(labels):
@@ -242,18 +274,19 @@ class TestBridgeEntries:
         cells = []
         monkeypatch.setattr(enumeration, "_cell", lambda *a: cells.append(a) or _cell(*a))
         n_max = 12
-        bits, top = _packed_width(n_max), strip.width - 1
+        bits = _packed_width(n_max)
         for mode in ("saw", "half_space", "cut_free"):
             cells.clear()
             _transfer.__wrapped__(strip, n_max, mode)
-            for labels, code, r, place in cells:
-                moves, ends = _cell(labels, code, r, place)
+            for state, w, r, place in cells:
+                moves, ends = _cell(state, w, r, place)
                 pairs = []
-                for key, k, d in moves:
-                    if r == top:
-                        key = _next_column(*key, mode == "cut_free")
-                        if key is not None and mode != "cut_free":
-                            key = min(key, (_mirrored(key[0]), key[1]))
+                for succ, k, d in moves:
+                    if r == w - 1:
+                        succ = _next_column(succ, w, mode == "cut_free")
+                    key = None if succ is None else _decoded(succ, w)
+                    if r == w - 1 and key is not None and mode != "cut_free":
+                        key = min(key, (_mirrored(key[0]), key[1]))
                     pairs.append((k * bits + d, key))
                 assert len(set(pairs)) == len(pairs)
                 assert len(set(ends)) == len(ends)
@@ -277,7 +310,7 @@ class TestMirrorFold:
         for mode in ("saw", "half_space"):
             cells.clear()
             _transfer.__wrapped__(strip, 10, mode)
-            states = [(labels, code) for labels, code, r, _ in cells if r == 0]
+            states = [_decoded(state, w) for state, w, r, _ in cells if r == 0]
             images = [(_mirrored(labels), code) for labels, code in states]
             # A state and its image make one pair, a self-mirror state a
             # pair of one; two states in one pair would be mirror images.
@@ -300,6 +333,30 @@ class TestMirrorFold:
                 assert bridge_span_table(strip, n_max) == dict(spans), (strip, n_max)
                 for span in range(n_max + 2):
                     assert count_bridges_by_span(strip, n_max, span) == spans[span]
+
+
+class TestStateLayout:
+    """A sweep state is one int: 2 bits per frontier slot and the endpoint
+    code above them.  The widest strip the CLI serves, unclamped at
+    n_max = 10, holds the most slots, and its edge placements reach the
+    largest code, _BOTH_HERE + 9, at an end row of a cut-free bridge: a
+    field too narrow for either changes some table."""
+
+    @pytest.mark.parametrize("start", range(MAX_STRIP_WIDTH))
+    def test_widest_tables_match_iter_walks(self, start):
+        # Every start line of the widest strip, as the placement of the
+        # origin on it.
+        n_max = 10
+        base = StripGeometry(0, MAX_STRIP_WIDTH - 1)
+        strip = base.shift_origin(start)
+        for kind, count in COUNTS_BY_KIND.items():
+            assert count(strip, n_max).counts == _lengths_from_iter_walks(strip, n_max, kind)
+        spans = collections.defaultdict(collections.Counter)
+        for walk in iter_walks(strip, n_max, kind="bridge"):
+            spans[walk.length][walk.span()] += 1
+        for n in range(n_max + 1):
+            assert bridge_span_table(strip, n) == dict(spans[n]), n
+        _check_irreducible_against_iter_walks(base, start, n_max)
 
 
 class TestIterWalks:
@@ -512,31 +569,8 @@ class TestIrreducibleCounts:
         ],
     )
     def test_search_matches_dfs_oracle(self, strip):
-        # Reference: every bridge from iter_walks, its cut points and the
-        # classifier; a merged irreducible factor has cuts exactly {1..k}
-        # (its tail) and at least two steps after them.
-        n_max = 12
         for start in range(strip.y_min, strip.y_max + 1):
-            expected = {
-                (t, tailless): [0] * (n_max + 1)
-                for t in BRIDGE_TYPES
-                for tailless in (False, True)
-            }
-            for walk in iter_walks(strip.shift_origin(start), n_max, kind="bridge"):
-                cuts = cut_points(walk)
-                k = len(cuts)
-                if cuts != tuple(range(1, k + 1)) or walk.length - k < 2:
-                    continue
-                t = classify_irreducible(IrreducibleFactor(walk, start, k, None), strip)
-                expected[t, False][walk.length] += 1
-                if k == 0:
-                    expected[t, True][walk.length] += 1
-            starts_outer = start in strip.outer_lines
-            for (t, tailless), counts in expected.items():
-                if t.startswith("O") != starts_outer:
-                    continue
-                got = count_irreducible(strip, t, n_max, start, tailless=tailless)
-                assert got.counts == tuple(counts), (start, t, tailless)
+            _check_irreducible_against_iter_walks(strip, start, 12)
 
     def test_type_swap_counts_equal_width4(self):
         for tailless in (False, True):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,19 @@ from stripwalks.genfunc import (
     _poly_exact_div,
     _poly_gcd,
 )
+
+# One row per refusal of a bad argument: the call, the error and its whole
+# message.
+UNSHIFT_REFUSALS = {
+    "negative": (lambda: _poly(0, 0, 5).unshift(-1), ValueError, "k must be non-negative, got -1"),
+    "float": (lambda: _poly(0, 0, 5).unshift(1.0), TypeError, "k must be an int, got 1.0"),
+    "bool": (lambda: _poly(0, 0, 5).unshift(True), TypeError, "k must be an int, got True"),
+}
+SERIES_REFUSALS = {
+    "negative": (lambda gf: gf.series(-1), ValueError, "n_max must be non-negative, got -1"),
+    "bool": (lambda gf: gf.series(True), TypeError, "n_max must be an int, got True"),
+    "float": (lambda gf: gf.series(2.0), TypeError, "n_max must be an int, got 2.0"),
+}
 
 polys = st.lists(st.integers(-9, 9), max_size=6).map(IntPolynomial.from_coefficients)
 denominators = st.lists(st.integers(-4, 4), max_size=5).map(
@@ -117,6 +131,12 @@ class TestIntPolynomial:
         assert IntPolynomial.zero().unshift(3).is_zero
         with pytest.raises(ValueError):
             _poly(1, 1).unshift(1)
+
+    @pytest.mark.parametrize("case", UNSHIFT_REFUSALS)
+    def test_unshift_refuses_a_bad_k(self, case):
+        call, error, message = UNSHIFT_REFUSALS[case]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_evaluate(self):
         p = _poly(1, -1, 0, -2)
@@ -226,8 +246,12 @@ class TestRationalGF:
         assert lower_core.series(5) == (1, 2, 3, 4, 6, 10)
         lower_full = RationalGF(W4_LOWER_NUMERATOR, W4_LOWER_DENOMINATOR)
         assert lower_full.series(5) == (1, 1, 3, 6, 12, 24)
-        with pytest.raises(ValueError):
-            oo.series(-1)
+
+    @pytest.mark.parametrize("case", SERIES_REFUSALS)
+    def test_series_refuses_a_bad_n_max(self, case):
+        call, error, message = SERIES_REFUSALS[case]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(RationalGF(_poly(0, 0, 0, 1), _poly(1, -1, 0, -1, 1)))
 
     @given(polys, unit_constant_polys, unit_constant_polys, st.integers(0, 40))
     @example(_poly(0, 3), _poly(1, -1), _poly(1, 2, 1), 25)
