@@ -17,31 +17,23 @@ the range by the tables they pass.
 A growth constant is a positive, finite ``int``, ``float``, ``Fraction`` or
 ``Decimal`` (not a ``bool``), taken as the exact ratio num/den of its
 ``as_integer_ratio()``; anything else, and a bracket whose lower end exceeds
-its upper end, is refused with a one-line error that names the value.  So
-are a non-``int`` (``bool`` included) and an out-of-range value for an
-integer parameter of ``pf_exact``, ``pf_bound``, ``hw_polynomial``,
-``fibonacci`` and ``zeilberger_count``: the error names the parameter.  Each
-count is compared with its bound by cross-multiplying integers, with no
-slack: a verdict says whether the inequality holds for that constant.  With
-the constants of :mod:`analysis`, bracketed to 1e-12, and with mu = 2.3, no
-count on the three- or four-row strip up to n = 24 lies within 3 % of its
-bound.
+its upper end, is refused with a one-line error that names the value.  The
+integer parameters of ``pf_exact``, ``pf_bound``, ``hw_polynomial``,
+``fibonacci`` and ``zeilberger_count`` go through the package's one integer
+check, ``lattice._check_int``, with each parameter's least value, so a
+non-``int`` (``bool`` included) or a smaller value gets an error that names
+the parameter.  Each count is compared with its bound by cross-multiplying
+integers, with no slack: a verdict says whether the inequality holds for
+that constant.  With the constants of :mod:`analysis`, bracketed to 1e-12,
+and with mu = 2.3, no count on the three- or four-row strip up to n = 24
+lies within 3 % of its bound.
 """
 
 from __future__ import annotations
 
 import math
 
-from .lattice import CountTable, StripGeometry, _Frozen
-
-
-def _check_int(name: str, value: int, least: int) -> None:
-    """Refuse a non-``int`` (``bool`` included) or a value below ``least``,
-    naming the caller's parameter and the value."""
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an int, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
+from .lattice import CountTable, StripGeometry, _check_int, _Frozen
 
 
 def pf_exact(a: int, k_max: int) -> int:

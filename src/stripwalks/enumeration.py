@@ -75,7 +75,6 @@ from .lattice import (
     StripGeometry,
     Walk,
     _check_int,
-    _check_non_negative,
     _Frozen,
     _new_instance,
     _set_field,
@@ -369,11 +368,9 @@ def _transfer(strip: StripGeometry, n_max: int, mode: str) -> tuple:
       edge crossing the line after a column >= 1: that edge is a cut of the
       bridge.  Only bridges with no cut point complete.
 
-    The count entry points refuse a non-``int`` before the cache lookup, and
-    this sweep refuses a negative ``n_max``; :func:`bridge_span_table`
-    refuses a negative ``n`` first, by its own name.
+    The count entry points refuse a non-``int`` or negative length before
+    the cache lookup, each by its own name, so this sweep checks nothing.
     """
-    _check_non_negative("n_max", n_max)
     half = mode != "saw"
     cut_free = mode == "cut_free"
     lo, hi = max(strip.y_min, -n_max), min(strip.y_max, n_max)
@@ -486,19 +483,19 @@ def _unpacked(polys, n_max: int) -> tuple[int, ...]:
 
 def count_saws(strip: StripGeometry, n_max: int) -> CountTable:
     """Exact number of n-step self-avoiding walks on the strip, n = 0..n_max."""
-    _check_int("n_max", n_max)
+    _check_int("n_max", n_max, 0)
     return CountTable(_unpacked((p for _, p in _transfer(strip, n_max, "saw")), n_max))
 
 
 def count_half_space(strip: StripGeometry, n_max: int) -> CountTable:
     """Exact number of n-step half-space walks on the strip, n = 0..n_max."""
-    _check_int("n_max", n_max)
+    _check_int("n_max", n_max, 0)
     return CountTable(_unpacked((p for _, p in _transfer(strip, n_max, "half_space")), n_max))
 
 
 def count_bridges(strip: StripGeometry, n_max: int) -> CountTable:
     """Exact number of n-step bridges on the strip, n = 0..n_max."""
-    _check_int("n_max", n_max)
+    _check_int("n_max", n_max, 0)
     entries = _transfer(strip, n_max, "half_space")
     return CountTable(_unpacked((p for (_, end), p in entries if end is not None), n_max))
 
@@ -509,8 +506,7 @@ def bridge_span_table(strip: StripGeometry, n: int) -> dict[int, int]:
     Bridges start in column 0 and never return to it, so the span of a
     bridge is simply its maximal x-coordinate.
     """
-    _check_int("n", n)
-    _check_non_negative("n", n)
+    _check_int("n", n, 0)
     table: dict[int, int] = {}
     top = _packed_width(n) * n  # where the sweep's slot n, its highest, starts
     for (span, end), poly in _transfer(strip, n, "half_space"):
@@ -521,8 +517,7 @@ def bridge_span_table(strip: StripGeometry, n: int) -> dict[int, int]:
 
 def count_bridges_by_span(strip: StripGeometry, n: int, span: int) -> int:
     """Exact number of n-step bridges with the given span."""
-    _check_int("span", span)
-    _check_non_negative("span", span)
+    _check_int("span", span, 0)
     return bridge_span_table(strip, n).get(span, 0)
 
 
@@ -532,8 +527,7 @@ def iter_walks(strip: StripGeometry, n_max: int, kind: str = "saw") -> Iterator[
     ``kind`` is one of ``"saw"``, ``"half_space"``, ``"bridge"``.  Walks come
     out in depth-first order, prefixes before extensions.
     """
-    _check_int("n_max", n_max)
-    _check_non_negative("n_max", n_max)
+    _check_int("n_max", n_max, 0)
     if kind not in ("saw", "half_space", "bridge"):
         raise ValueError(f"unknown walk kind {kind!r}")
     bridges_only = kind == "bridge"
@@ -751,10 +745,10 @@ def count_irreducible(
     outer/inner rule of :func:`_bridge_type`, so on 5 or more rows an I type
     sums over every inner end row.
     """
-    _check_int("n_max", n_max)
+    _check_int("n_max", n_max, 0)
     if bridge_type not in BRIDGE_TYPES:
         raise ValueError(f"unknown bridge type {bridge_type!r}")
-    shifted = strip.shift_origin(start_line)  # rejects an off-strip line first
+    shifted = strip.shift_origin(start_line)  # rejects a non-int or off-strip line first
     starts_outer = start_line in strip.outer_lines
     if bridge_type.startswith("O") != starts_outer:
         raise ValueError(

@@ -18,7 +18,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Mapping
 
-from .lattice import BRIDGE_TYPES, _check_int, _check_non_negative, _Frozen, _set_field
+from .lattice import BRIDGE_TYPES, _check_int, _Frozen, _set_field
 
 
 class IntPolynomial(_Frozen):
@@ -61,6 +61,7 @@ class IntPolynomial(_Frozen):
         return not self.coefficients
 
     def coefficient(self, power: int) -> int:
+        _check_int("power", power)
         if 0 <= power < len(self.coefficients):
             return self.coefficients[power]
         return 0
@@ -98,8 +99,7 @@ class IntPolynomial(_Frozen):
 
     def unshift(self, k: int) -> "IntPolynomial":
         """Divide exactly by t**k, for an ``int`` k >= 0."""
-        _check_int("k", k)
-        _check_non_negative("k", k)
+        _check_int("k", k, 0)
         if any(c != 0 for c in self.coefficients[:k]):
             raise ValueError(f"polynomial is not divisible by t^{k}")
         return IntPolynomial(self.coefficients[k:])
@@ -291,8 +291,7 @@ class RationalGF(_Frozen):
         are the same power series because g(0) = 1, and the recurrence is
         shorter.
         """
-        _check_int("n_max", n_max)
-        _check_non_negative("n_max", n_max)
+        _check_int("n_max", n_max, 0)
         gf = self.reduced()
         num, den = gf.numerator.coefficients, gf.denominator.coefficients
         d = len(den) - 1

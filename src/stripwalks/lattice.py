@@ -43,6 +43,18 @@ between decompositions, which is safe since every type here is frozen.  The
 test suite checks that rebuilding any of them with ``Walk(...)`` gives an
 equal walk.
 
+The package has one integer check, ``_check_int`` below.  It refuses a
+non-``int``, ``bool`` included, with ``TypeError: {name} must be an int, got
+{value!r}``, and, when it is given a least value, a smaller one with
+``ValueError: {name} must be >= {least}, got {value}``.  Every public entry
+point that takes an integer calls it on that argument once, before any cache
+lookup or work: the count functions, ``count_irreducible``, ``iter_walks``,
+``bridge_span_table`` and ``count_bridges_by_span`` of :mod:`enumeration`,
+``IntPolynomial.unshift``, ``IntPolynomial.coefficient`` and
+``RationalGF.series`` of :mod:`genfunc`, the integer parameters of
+:mod:`bounds`, and here the rows of ``StripGeometry``, its ``shift_origin``
+and ``mirror_line``, and the counts and index of ``CountTable``.
+
 Conventions used throughout the package:
 
 * every walk starts at the origin ``(0, 0)``;
@@ -77,19 +89,17 @@ _new_instance = object.__new__
 _set_field = object.__setattr__
 
 
-def _check_int(name: str, value: int) -> None:
-    """Refuse a non-``int`` (``bool`` included), naming the caller's parameter.
+def _check_int(name: str, value: int, least: int | None = None) -> None:
+    """Refuse a non-``int`` (``bool`` included) and, when ``least`` is given,
+    a smaller value, naming the caller's parameter and the value.
 
     A cached entry point runs it before its cache lookup: ``True == 1`` with
     the same hash, so a ``bool`` would get the cached result for 1.
     """
     if type(value) is not int:
         raise TypeError(f"{name} must be an int, got {value!r}")
-
-
-def _check_non_negative(name: str, value: int) -> None:
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 class _Frozen:
@@ -143,9 +153,8 @@ class StripGeometry(_Frozen):
     __slots__ = ("y_min", "y_max")
 
     def __init__(self, y_min: int, y_max: int) -> None:
-        for name, y in (("y_min", y_min), ("y_max", y_max)):
-            if type(y) is not int:
-                raise TypeError(f"strip row {name}={y!r} is not an integer")
+        _check_int("y_min", y_min)
+        _check_int("y_max", y_max)
         if not (y_min <= 0 <= y_max):
             raise ValueError(f"strip [{y_min}, {y_max}] must contain the origin row 0")
         _set_field(self, "y_min", y_min)
@@ -166,12 +175,14 @@ class StripGeometry(_Frozen):
         Used to enumerate walks that conceptually start on ``line`` while
         keeping the walk convention of starting at the origin.
         """
+        _check_int("line", line)
         if not (self.y_min <= line <= self.y_max):
             raise ValueError(f"line {line} is not a row of the strip")
         return StripGeometry(self.y_min - line, self.y_max - line)
 
     def mirror_line(self, y: int) -> int:
         """The image of row ``y`` under the strip's vertical mirror symmetry."""
+        _check_int("y", y)
         return self.y_min + self.y_max - y
 
 
@@ -292,10 +303,8 @@ class CountTable(_Frozen):
         if not counts:
             raise ValueError("a count table covers at least length 0")
         for n, c in enumerate(counts):
-            if type(c) is not int:
-                raise TypeError(f"count {n}={c!r} is not an integer")
-        if any(c < 0 for c in counts):
-            raise ValueError("counts are non-negative")
+            if type(c) is not int or c < 0:
+                _check_int(f"count {n}", c, 0)
         _set_field(self, "counts", counts)
 
     @property
@@ -303,6 +312,7 @@ class CountTable(_Frozen):
         return len(self.counts) - 1
 
     def __getitem__(self, n: int) -> int:
+        _check_int("n", n)
         if not (0 <= n <= self.n_max):
             raise KeyError(f"length {n} outside table range 0..{self.n_max}")
         return self.counts[n]

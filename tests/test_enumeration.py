@@ -59,7 +59,8 @@ NEGATIVE_N = {
     "iter_walks": (lambda: list(iter_walks(W3, -1)), "n_max"),
 }
 
-# One row per refusal of a non-int length: the call and the whole message.
+# One row per refusal of a non-int length or line: the call and the whole
+# message.
 NON_INT_LENGTHS = {
     "count_saws bool": (lambda: count_saws(W3, True), "n_max must be an int, got True"),
     "count_saws float": (lambda: count_saws(W3, 2.0), "n_max must be an int, got 2.0"),
@@ -76,6 +77,9 @@ NON_INT_LENGTHS = {
         lambda: count_irreducible(W3, "OO", True, 1), "n_max must be an int, got True"
     ),
     "iter_walks float": (lambda: list(iter_walks(W3, 3.0)), "n_max must be an int, got 3.0"),
+    "count_irreducible bool start_line": (
+        lambda: count_irreducible(W3, "OO", 5, True), "line must be an int, got True"
+    ),
 }
 
 
@@ -169,7 +173,7 @@ class TestCounts:
         # Every public entry refuses a length of -1 before it counts or
         # yields, naming its own parameter.
         call, name = NEGATIVE_N[entry]
-        with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -1$"):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
             call()
 
     @pytest.mark.parametrize("case", NON_INT_LENGTHS)
@@ -181,7 +185,7 @@ class TestCounts:
             call()
 
     def test_rejects_negative_span(self):
-        with pytest.raises(ValueError, match="^span must be non-negative, got -1$"):
+        with pytest.raises(ValueError, match="^span must be >= 0, got -1$"):
             count_bridges_by_span(W3, 4, -1)
 
     def test_bridges_subset_of_half_space(self, bridges_w3_18, half_space_w3_14):

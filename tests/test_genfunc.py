@@ -41,12 +41,16 @@ from stripwalks.genfunc import (
 # One row per refusal of a bad argument: the call, the error and its whole
 # message.
 UNSHIFT_REFUSALS = {
-    "negative": (lambda: _poly(0, 0, 5).unshift(-1), ValueError, "k must be non-negative, got -1"),
+    "negative": (lambda: _poly(0, 0, 5).unshift(-1), ValueError, "k must be >= 0, got -1"),
     "float": (lambda: _poly(0, 0, 5).unshift(1.0), TypeError, "k must be an int, got 1.0"),
     "bool": (lambda: _poly(0, 0, 5).unshift(True), TypeError, "k must be an int, got True"),
 }
+COEFFICIENT_REFUSALS = {
+    "bool": (lambda: _poly(1, 2, 3).coefficient(True), TypeError, "power must be an int, got True"),
+    "float": (lambda: _poly(1, 2, 3).coefficient(1.0), TypeError, "power must be an int, got 1.0"),
+}
 SERIES_REFUSALS = {
-    "negative": (lambda gf: gf.series(-1), ValueError, "n_max must be non-negative, got -1"),
+    "negative": (lambda gf: gf.series(-1), ValueError, "n_max must be >= 0, got -1"),
     "bool": (lambda gf: gf.series(True), TypeError, "n_max must be an int, got True"),
     "float": (lambda gf: gf.series(2.0), TypeError, "n_max must be an int, got 2.0"),
 }
@@ -135,6 +139,12 @@ class TestIntPolynomial:
     @pytest.mark.parametrize("case", UNSHIFT_REFUSALS)
     def test_unshift_refuses_a_bad_k(self, case):
         call, error, message = UNSHIFT_REFUSALS[case]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("case", COEFFICIENT_REFUSALS)
+    def test_coefficient_refuses_a_non_int_power(self, case):
+        call, error, message = COEFFICIENT_REFUSALS[case]
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call()
 

@@ -7,6 +7,8 @@ A name counts as used when it appears as an identifier anywhere in the module
 
 The layers: ``bounds`` checks count tables that its callers pass, and
 ``analysis`` finds roots of polynomials, so neither imports ``enumeration``.
+The package has one integer check, ``lattice._check_int``, and no other
+module words an integer refusal itself.
 """
 
 import ast
@@ -95,3 +97,20 @@ def test_scan_finds_package_imports():
 @pytest.mark.parametrize("module", ["bounds", "analysis"])
 def test_module_imports_nothing_from_enumeration(module):
     assert "enumeration" not in package_imports((PACKAGE / f"{module}.py").read_text())
+
+
+def test_one_integer_check_in_lattice():
+    defining, wording = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        if any(
+            isinstance(node, ast.FunctionDef) and node.name == "_check_int"
+            for node in ast.walk(ast.parse(source))
+        ):
+            defining.append(path.name)
+        if path.name != "lattice.py" and (
+            "must be an int" in source or "is not an integer" in source
+        ):
+            wording.append(path.name)
+    assert defining == ["lattice.py"]
+    assert wording == []

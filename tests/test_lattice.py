@@ -11,6 +11,25 @@ from stripwalks import (
     is_half_space,
 )
 
+# One row per refusal of a non-int argument: the call and the whole message.
+NON_INT_ARGUMENTS = {
+    "CountTable[bool]": (lambda: CountTable((1, 4, 12))[True], "n must be an int, got True"),
+    "CountTable[float]": (lambda: CountTable((1, 4, 12))[1.0], "n must be an int, got 1.0"),
+    "shift_origin bool": (
+        lambda: StripGeometry(-1, 1).shift_origin(True), "line must be an int, got True"
+    ),
+    "mirror_line float": (
+        lambda: StripGeometry(-1, 1).mirror_line(1.5), "y must be an int, got 1.5"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NON_INT_ARGUMENTS)
+def test_rejects_non_int_arguments(case):
+    call, message = NON_INT_ARGUMENTS[case]
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call()
+
 
 class TestStripGeometry:
     def test_width(self):
@@ -152,7 +171,8 @@ class TestCountTable:
     )
     def test_rejects_counts_that_are_not_ints(self, counts, bad):
         # The first count that is not an int is named, bool included.
-        with pytest.raises(TypeError, match=f"^count {re.escape(bad)} is not an integer$"):
+        n, value = bad.split("=")
+        with pytest.raises(TypeError, match=f"^count {n} must be an int, got {re.escape(value)}$"):
             CountTable(counts)
 
     def test_csv(self):

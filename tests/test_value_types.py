@@ -11,6 +11,7 @@ what it imports.
 
 import copy
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -216,8 +217,8 @@ def test_list_built_polynomials_are_tuple_built():
     "rows", [(-1.5, 1), (-1, 1.0), ("-1", 1), (None, 2), (0, True), (False, 1)]
 )
 def test_strip_rows_must_be_integers(rows):
-    bad = next(y for y in rows if type(y) is not int)
-    with pytest.raises(TypeError, match=f"={bad!r} is not an integer"):
+    name, bad = next((n, y) for n, y in zip(("y_min", "y_max"), rows) if type(y) is not int)
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
         StripGeometry(*rows)
 
 
