@@ -12,9 +12,14 @@ dyadic points a/2^k, each the integer polynomial sum c_i 2^(k(d-i)) t^i
 evaluated at t = a by shifts and integer Horner, with no fraction and no
 gcd, so brackets are rigorous and the number of evaluations grows like
 log log(1/tol), not log(1/tol).  The Taylor shifts of the descent are
-running sums.  A repeated root shows two or more sign variations in every
-cell around it, so the descent and the refinement run on the square-free
-part p / gcd(p, p'), which has the same roots, each simple.
+running sums, and it computes none it does not read (Rouillier and
+Zimmermann, J. Comput. Appl. Math. 162, 2004): a right child's shift waits
+until the child is popped, so none is made once a left child isolates the
+root, and the Descartes test counts sign variations as the shifted
+coefficients become final, lowest degree first, stopping at the second.  A
+repeated root shows two or more sign variations in every cell around it,
+so the descent and the refinement run on the square-free part
+p / gcd(p, p'), which has the same roots, each simple.
 
 The roots isolated at run time are those of the published polynomials in
 :mod:`stripwalks.genfunc`: the three-row loop polynomial (the paper's
@@ -71,9 +76,26 @@ def _taylor_shift_1(cs: list[int]) -> list[int]:
     return r[::-1]
 
 
-def _sign_variations(cs: list[int]) -> int:
-    signs = [c > 0 for c in cs if c]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+def _descartes_test(cs: list[int]) -> int:
+    """min(2, V) for the sign variations V of (x + 1)^d P(1 / (x + 1)), where
+    cs holds the coefficients of P.
+
+    Those are the coefficients of P reversed and Taylor-shifted by 1, built
+    as :func:`_taylor_shift_1` builds them: after its pass over the first m
+    entries, entry m - 1 is final, and it is the coefficient of degree
+    d + 1 - m.  So the coefficients become final lowest degree first, and the
+    count stops at the second variation without computing the rest.
+    """
+    r, last, v = cs, 0, 0
+    while r:
+        *r, c = accumulate(r)
+        if c:
+            if last and (c > 0) != (last > 0):
+                v += 1
+                if v == 2:
+                    return 2
+            last = c
+    return v
 
 
 def _isolate(p: IntPolynomial) -> tuple[int, int, int, int, int]:
@@ -88,16 +110,21 @@ def _isolate(p: IntPolynomial) -> tuple[int, int, int, int, int]:
     (a, a + 1) / 2^k; its roots in (0, 1) correspond to the positive roots of
     (x + 1)^d P(1 / (x + 1)), whose sign variations V bound their number and
     match its parity.  So V = 0 leaves only the right end, where P(1) is the
-    coefficient sum, and V = 1 isolates one simple root.  P(0) = cs[0] and
-    P(1) = sum(cs) are then the cell's scaled end values.  p must be
-    square-free: a repeated root shows V >= 2 in every cell around it, and
-    the descent would not end.
+    coefficient sum, and V = 1 isolates one simple root; :func:`_descartes_test`
+    stops counting at V = 2, which only splits the cell.  P(0) = cs[0] and
+    P(1) = sum(cs) are then the cell's scaled end values.  The left child's
+    list is 2^d P(x / 2) and the right child's its Taylor shift, computed
+    when the right child is popped: if the left child holds the root, it is
+    never computed.  p must be square-free: a repeated root shows V >= 2 in
+    every cell around it, and the descent would not end.
     """
     d = p.degree
-    pending = [(0, 0, list(p.coefficients))]
+    pending = [(0, 0, list(p.coefficients), False)]
     while pending:
-        k, a, cs = pending.pop()
-        v = _sign_variations(_taylor_shift_1(cs[::-1]))
+        k, a, cs, shift = pending.pop()
+        if shift:
+            cs = _taylor_shift_1(cs)
+        v = _descartes_test(cs)
         if v == 1:
             return k, a, a + 1, cs[0], sum(cs)
         if v == 0:
@@ -105,7 +132,7 @@ def _isolate(p: IntPolynomial) -> tuple[int, int, int, int, int]:
                 return k, a + 1, a + 1, 0, 0
             continue
         left = [c << (d - i) for i, c in enumerate(cs)]  # 2^d P(x / 2)
-        pending += [(k + 1, 2 * a + 1, _taylor_shift_1(left)), (k + 1, 2 * a, left)]
+        pending += [(k + 1, 2 * a + 1, left, True), (k + 1, 2 * a, left, False)]
     raise ValueError("no root on (0, 1]; cannot bracket a root")
 
 

@@ -14,9 +14,10 @@ in one of three ways:
 * a checked type (``StripGeometry``, ``Walk``, ``CountTable``,
   ``IntPolynomial``, ``RationalGF``) has its own ``__init__``, which sets
   each field once with ``_set_field``;
-* the two hot builds, ``decompose_bridge`` and ``hw_decompose``, and
-  ``_trusted_walk`` below call no ``__init__``: they take ``_new_instance``
-  and set the fields with ``_set_field``.
+* the two hot builds, ``decompose_bridge`` and ``hw_decompose``,
+  ``_trusted_walk`` below and ``genfunc._trusted_poly``, through which the
+  polynomial kernels build their ``int`` results, call no ``__init__``: they
+  take ``_new_instance`` and set the fields with ``_set_field``.
 
 The base gives field-wise equality and hashing, the ``Name(field=value,
 ...)`` repr, an ``AttributeError`` on assignment and deletion, and a
@@ -50,8 +51,10 @@ non-``int``, ``bool`` included, with ``TypeError: {name} must be an int, got
 point that takes an integer calls it on that argument once, before any cache
 lookup or work: the count functions, ``count_irreducible``, ``iter_walks``,
 ``bridge_span_table`` and ``count_bridges_by_span`` of :mod:`enumeration`,
-``IntPolynomial.unshift``, ``IntPolynomial.coefficient`` and
-``RationalGF.series`` of :mod:`genfunc`, the integer parameters of
+``IntPolynomial.unshift``, ``IntPolynomial.coefficient``,
+``RationalGF.series``, the coefficients of ``IntPolynomial`` and its
+``from_coefficients``, and the width of the bridge-code compositions of
+:mod:`genfunc`, the integer parameters of
 :mod:`bounds`, and here the rows of ``StripGeometry``, its ``shift_origin``
 and ``mirror_line``, and the counts and index of ``CountTable``.
 

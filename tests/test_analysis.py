@@ -15,7 +15,13 @@ from stripwalks import (
     smallest_positive_root,
 )
 from stripwalks import analysis
-from stripwalks.analysis import _dyadic_value, _isolate, _square_free_part, _taylor_shift_1
+from stripwalks.analysis import (
+    _descartes_test,
+    _dyadic_value,
+    _isolate,
+    _square_free_part,
+    _taylor_shift_1,
+)
 from stripwalks.genfunc import (
     UPPER_ATOM_DENOMINATOR,
     W3_BRIDGE_DENOMINATOR,
@@ -208,16 +214,31 @@ class TestSmallestPositiveRoot:
         # The descent runs on the square-free part, so a repeated least root
         # costs no Taylor shift per bit asked for: descending the square
         # itself to the tolerance's scale made 95 shifts at 1e-12 and 2,499
-        # at 1e-300.
+        # at 1e-300.  A Descartes test runs the passes of a shift, so the
+        # tests and the child shifts are counted together.
         p = _product(*[W3_LOOP_POLYNOMIAL] * power)
         expected = smallest_positive_root(W3_LOOP_POLYNOMIAL, tol)
+        shifts = []
+        for name in ("_taylor_shift_1", "_descartes_test"):
+            kernel = getattr(analysis, name)
+            monkeypatch.setattr(
+                analysis, name, lambda cs, kernel=kernel: shifts.append(cs) or kernel(cs)
+            )
+        assert smallest_positive_root(p, tol) == expected
+        assert len(shifts) <= 30
+
+    def test_isolating_cell_costs_no_child_shift(self, monkeypatch):
+        # The degree-44 denominator isolates at k = 1 in the left child of
+        # (0, 1).  The Descartes tests of both cells run their passes in
+        # _descartes_test, and the right child's shift is never computed:
+        # a full shift per test and one per right child made 3 calls.
         shifts = []
         shift = analysis._taylor_shift_1
         monkeypatch.setattr(
             analysis, "_taylor_shift_1", lambda cs: shifts.append(cs) or shift(cs)
         )
-        assert smallest_positive_root(p, tol) == expected
-        assert len(shifts) <= 30
+        assert _isolate(_square_free_part(W4_LOOP_DENOMINATOR))[:3] == (1, 0, 1)
+        assert shifts == []
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-300])
     def test_repeated_least_root_of_high_degree(self, tol):
@@ -306,6 +327,22 @@ def _binomial_shift(cs):
 def test_taylor_shift_matches_binomial_expansion(cs):
     before = list(cs)
     assert _taylor_shift_1(cs) == _binomial_shift(cs)
+    assert cs == before
+
+
+def _sign_variations(cs):
+    signs = [c > 0 for c in cs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@given(st.lists(st.integers(-10**6, 10**6), max_size=16))
+@example([])
+@example([0, 0, 5])
+@example(list(W4_LOOP_DENOMINATOR.coefficients))
+@example(list(_square_free_part(W4_LOOP_DENOMINATOR).coefficients))
+def test_descartes_test_is_the_capped_variation_count(cs):
+    before = list(cs)
+    assert _descartes_test(cs) == min(2, _sign_variations(_taylor_shift_1(cs[::-1])))
     assert cs == before
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from stripwalks import (
     important_part_denominator,
     upper_atom_from_pipeline,
 )
+from stripwalks import genfunc
 from stripwalks.genfunc import (
     ADDED_STEPS,
     CORRECTION_POLYNOMIALS,
@@ -48,6 +50,25 @@ UNSHIFT_REFUSALS = {
 COEFFICIENT_REFUSALS = {
     "bool": (lambda: _poly(1, 2, 3).coefficient(True), TypeError, "power must be an int, got True"),
     "float": (lambda: _poly(1, 2, 3).coefficient(1.0), TypeError, "power must be an int, got 1.0"),
+}
+CONSTRUCTOR_REFUSALS = {
+    "float": (lambda: IntPolynomial((1, 2.5)), TypeError, "coefficient 1 must be an int, got 2.5"),
+    "bool": (lambda: IntPolynomial((1, True)), TypeError, "coefficient 1 must be an int, got True"),
+    "from_coefficients": (
+        lambda: IntPolynomial.from_coefficients([1.0]),
+        TypeError,
+        "coefficient 0 must be an int, got 1.0",
+    ),
+}
+WIDTH_REFUSALS = {
+    "float": (
+        lambda: compose_bridge_code(atoms_width3(), 3.0), TypeError, "width must be an int, got 3.0"
+    ),
+    "bool": (
+        lambda: important_part_denominator(atoms_width4_upper(), True),
+        TypeError,
+        "width must be an int, got True",
+    ),
 }
 SERIES_REFUSALS = {
     "negative": (lambda gf: gf.series(-1), ValueError, "n_max must be >= 0, got -1"),
@@ -82,6 +103,41 @@ sparse_polys = st.dictionaries(st.integers(0, 30), st.integers(-9, 9), max_size=
 unit_constant_polys = st.lists(st.integers(-9, 9), max_size=5).map(
     lambda cs: IntPolynomial.from_coefficients([1] + cs)
 )
+
+
+# Coefficients for the Kronecker kernels: zeros, small ones of either sign,
+# and large ones up to 2^300, on both sides of the size cutoff.
+kronecker_coefficients = st.one_of(
+    st.just(0), st.integers(-9, 9), st.integers(-(2**300), 2**300)
+)
+kronecker_polys = st.lists(
+    kronecker_coefficients, max_size=2 * genfunc._KRONECKER_MIN + 4
+).map(IntPolynomial.from_coefficients)
+nonzero_kronecker_polys = kronecker_polys.filter(lambda p: not p.is_zero)
+
+
+@contextmanager
+def _cutoff(size):
+    """Products and quotients with every side of at least ``size``
+    coefficients take the Kronecker path, inside the block."""
+    saved = genfunc._KRONECKER_MIN
+    genfunc._KRONECKER_MIN = size
+    try:
+        yield
+    finally:
+        genfunc._KRONECKER_MIN = saved
+
+
+def _on_both_paths(call):
+    """(schoolbook, Kronecker) results of call(), None for a ValueError."""
+    results = []
+    for size in (10**9, 1):
+        with _cutoff(size):
+            try:
+                results.append(call())
+            except ValueError:
+                results.append(None)
+    return tuple(results)
 
 
 def naive_horner(p: IntPolynomial, t) -> Fraction:
@@ -139,6 +195,12 @@ class TestIntPolynomial:
     @pytest.mark.parametrize("case", UNSHIFT_REFUSALS)
     def test_unshift_refuses_a_bad_k(self, case):
         call, error, message = UNSHIFT_REFUSALS[case]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("case", CONSTRUCTOR_REFUSALS)
+    def test_refuses_a_non_int_coefficient(self, case):
+        call, error, message = CONSTRUCTOR_REFUSALS[case]
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call()
 
@@ -365,6 +427,37 @@ class TestRationalGF:
         with pytest.raises(ValueError):
             _poly_exact_div(_poly(1), _poly(1, 1))
 
+    @given(kronecker_polys, kronecker_polys)
+    @example(_poly(*range(1, 17)), _poly(*[-(2**300)] * 16))
+    @example(_poly(*[0] * 15, 1), _poly(*[3, 0] * 12, 1))
+    def test_kronecker_product_matches_schoolbook(self, a, b):
+        schoolbook, kronecker = _on_both_paths(lambda: a * b)
+        assert kronecker == schoolbook == a * b
+        assert schoolbook == IntPolynomial.from_coefficients(
+            sum(a.coefficient(i) * b.coefficient(k - i) for i in range(k + 1))
+            for k in range(a.degree + b.degree + 1)
+        )
+
+    @given(
+        kronecker_polys,
+        nonzero_kronecker_polys,
+        st.integers(0, 80),
+        st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**300), 2**300)),
+    )
+    @example(_poly(*range(1, 17)), _poly(*range(-16, 0)), 0, 0)
+    @example(_poly(*range(1, 17)), _poly(*range(-16, 0)), 5, 1)
+    @example(_poly(*[2**300] * 20), _poly(1, *[0] * 16, -1), 30, -1)
+    def test_kronecker_quotient_matches_schoolbook(self, q, b, place, delta):
+        # An exact product, the same with delta added at one place, and a
+        # divisor longer than the dividend: the two paths give the same
+        # quotient or both refuse.
+        a = q * b
+        perturbed = a + IntPolynomial.from_coefficients([0] * place + [delta])
+        for dividend, divisor in ((a, b), (perturbed, b), (b, b * _poly(1, 1))):
+            schoolbook, kronecker = _on_both_paths(lambda: _poly_exact_div(dividend, divisor))
+            assert kronecker == schoolbook
+        assert _on_both_paths(lambda: _poly_exact_div(a, b)) == (q, q)
+
     @given(gfs, gfs)
     def test_series_additive(self, f, g):
         n = 8
@@ -451,6 +544,12 @@ class TestWidth3Composition:
             compose_bridge_code(atoms_width3(), 4)
         with pytest.raises(ValueError):
             compose_bridge_code(atoms_width3(), 5)
+
+    @pytest.mark.parametrize("case", WIDTH_REFUSALS)
+    def test_refuses_a_non_int_width(self, case):
+        call, error, message = WIDTH_REFUSALS[case]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestWidth4Lower:
