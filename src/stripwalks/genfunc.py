@@ -309,7 +309,8 @@ def _poly_gcd(
 
 
 def _poly_exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """a / b for an integer quotient; raises ValueError if it is not exact.
+    """a / b for an integer quotient; raises ValueError if it is not exact
+    or b is zero.
 
     Past the cutoff, one integer divmod of a(2^w) by b(2^w) decides it, with
     w and its proof as in the module docstring: m bounds the bits of an
@@ -317,6 +318,8 @@ def _poly_exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     quotient.
     """
     r, bs = a.coefficients, b.coefficients
+    if not bs:
+        raise ValueError("division by the zero polynomial")
     n = len(r) - len(bs) + 1
     shorter = min(n, len(bs))
     if shorter >= _KRONECKER_MIN:

@@ -18,7 +18,9 @@ from stripwalks import analysis
 from stripwalks.analysis import (
     _descartes_test,
     _dyadic_value,
+    _float_root,
     _isolate,
+    _proved_square_free,
     _square_free_part,
     _taylor_shift_1,
 )
@@ -61,6 +63,13 @@ def _truncated_atoms(atoms, length):
         t: RationalGF.from_polynomial(IntPolynomial.from_coefficients(gf.series(length)))
         for t, gf in atoms.items()
     }
+
+
+# The four-row compositions truncated at L = 30 and 60, degree 60 and 120.
+_W4_TRUNCATED = {
+    length: important_part_denominator(_truncated_atoms(atoms_width4_upper(), length), 4)
+    for length in (30, 60)
+}
 
 
 def _grid_width(tol):
@@ -240,6 +249,33 @@ class TestSmallestPositiveRoot:
         assert _isolate(_square_free_part(W4_LOOP_DENOMINATOR))[:3] == (1, 0, 1)
         assert shifts == []
 
+    @pytest.mark.parametrize(
+        "p, steps",
+        [
+            # The top cell shows one sign variation: neither runs.
+            (W3_LOOP_POLYNOMIAL, []),
+            (W4_LOWER_DENOMINATOR, []),
+            # It splits, and the value test proves p square-free, as for every
+            # truncated four-row composition the algebra benchmark isolates.
+            (W4_REDUCED_LOOP, ["test"]),
+            (_W4_TRUNCATED[30], ["test"]),
+            (_W4_TRUNCATED[60], ["test"]),
+            # It splits, and (1 - t - t^2)^2 divides p: the gcd runs, once.
+            (W4_LOOP_DENOMINATOR, ["test", "gcd"]),
+        ],
+        ids=["w3_loop", "w4_lower", "w4_reduced_loop", "w4_L30", "w4_L60", "w4_loop"],
+    )
+    def test_gcd_runs_only_when_the_top_cell_splits(self, monkeypatch, p, steps):
+        expected = smallest_positive_root(_square_free_part(p))
+        calls = []
+        for name, label in (("_proved_square_free", "test"), ("_square_free_part", "gcd")):
+            kernel = getattr(analysis, name)
+            monkeypatch.setattr(
+                analysis, name, lambda q, f=kernel, tag=label: calls.append(tag) or f(q)
+            )
+        assert smallest_positive_root(p) == expected
+        assert calls == steps
+
     @pytest.mark.parametrize("tol", [1e-12, 1e-300])
     def test_repeated_least_root_of_high_degree(self, tol):
         # The square of the four-row denominator truncated at L = 60, degree
@@ -288,14 +324,19 @@ class TestSmallestPositiveRoot:
     def test_exact_grid_roots_at_fine_tolerance(self, p, root, tol):
         assert smallest_positive_root(p, tol).bracket == (root, root)
 
-    @pytest.mark.parametrize("tol, most", [(1e-12, 25), (1e-300, 40)])
+    @pytest.mark.parametrize("tol, most", [(1e-12, 2), (1e-13, 4), (1e-14, 4), (1e-300, 12)])
     def test_refinement_converges_quadratically(self, monkeypatch, tol, most):
         # Bisection makes one exact evaluation per bit: 39 at 1e-12 and 996
-        # at 1e-300 on the degree-44 denominator.  The isolating cell's end
-        # values come from the descent, so every point evaluated lies inside
-        # the cell.  The refinement runs on the square-free part p, of degree
-        # 39.  Each call evaluates 2^(kd) p(t / 2^k) at an integer t = x;
-        # its constant term 2^(kd) gives k, so x / 2^k is the point.
+        # at 1e-300 on the degree-44 denominator, and secant steps from the
+        # isolating cell made 17 and 27.  The float guess's error estimate,
+        # about 1.2e-14, puts its probe at scale 42: at 1e-12 (scale 40) two
+        # evaluations check its cell on the grid, at 1e-13 and 1e-14 one
+        # secant step follows, and at 1e-300 five, each of two evaluations.
+        # The isolating cell's end values come from the descent, so every
+        # point evaluated lies inside the cell.  The refinement runs on the
+        # square-free part p, of degree 39.  Each call evaluates
+        # 2^(kd) p(t / 2^k) at an integer t = x; its constant term 2^(kd)
+        # gives k, so x / 2^k is the point.
         p = _square_free_part(W4_LOOP_DENOMINATOR)
         d = p.degree
         k, lo, hi = _isolate(p)[:3]
@@ -305,7 +346,7 @@ class TestSmallestPositiveRoot:
             IntPolynomial, "__call__", lambda q, t: calls.append((q, t)) or evaluate(q, t)
         )
         smallest_positive_root(W4_LOOP_DENOMINATOR, tol)
-        assert 0 < len(calls) <= most
+        assert len(calls) == most
         points = []
         for q, x in calls:
             j, rest = divmod(q.constant_term.bit_length() - 1, d)
@@ -313,6 +354,26 @@ class TestSmallestPositiveRoot:
             assert q.coefficients == tuple(c << j * (d - i) for i, c in enumerate(p.coefficients))
             points.append(Fraction(x, 1 << j))
         assert all(Fraction(lo, 1 << k) < x < Fraction(hi, 1 << k) for x in points)
+
+    @pytest.mark.parametrize("cells", [-1000, -9, -1, 1, 2, 9, 1000])
+    @pytest.mark.parametrize("p", [W3_LOOP_POLYNOMIAL, W4_LOOP_DENOMINATOR], ids=["w3", "w4"])
+    def test_missed_float_guess_costs_one_more_step(self, monkeypatch, p, cells):
+        # A float guess that claims 2^-60 accuracy but lies `cells` grid
+        # cells off the root at 1e-14 (scale 47): the exact signs at the
+        # guessed cell's ends show the miss, and the line through those two
+        # values, which lie within 1000 cells of the root, finds its cell at
+        # once.  The bracket is the one the true guess gives.
+        expected = smallest_positive_root(p, 1e-14)
+        monkeypatch.setattr(
+            analysis, "_float_root", lambda q, lo, hi: (expected.root + cells * 2.0**-47, 2.0**-60)
+        )
+        calls = []
+        evaluate = IntPolynomial.__call__
+        monkeypatch.setattr(
+            IntPolynomial, "__call__", lambda q, t: calls.append(t) or evaluate(q, t)
+        )
+        assert smallest_positive_root(p, 1e-14) == expected
+        assert len(calls) == 4
 
 
 def _binomial_shift(cs):
@@ -364,6 +425,41 @@ def test_dyadic_value_is_the_scaled_value(p, x, k):
     v = _dyadic_value(p, x, k)
     assert type(v) is int
     assert v == 2 ** (k * p.degree) * p(Fraction(x, 2**k))
+
+
+@pytest.mark.parametrize("k", [0, 1, 12])
+def test_dyadic_value_makes_one_exact_evaluation(monkeypatch, k):
+    # The bench tracer counts exact evaluations as IntPolynomial calls.
+    expected = 2 ** (44 * k) * W4_LOOP_DENOMINATOR(Fraction(3, 2**k))
+    calls = []
+    evaluate = IntPolynomial.__call__
+    monkeypatch.setattr(IntPolynomial, "__call__", lambda q, t: calls.append(t) or evaluate(q, t))
+    assert _dyadic_value(W4_LOOP_DENOMINATOR, 3, k) == expected
+    assert calls == [3]
+
+
+@given(
+    p=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=11)
+    .filter(lambda cs: cs[-1])
+    .map(lambda cs: IntPolynomial.from_coefficients([1] + cs)),
+    g=st.lists(st.integers(-4, 4), min_size=2, max_size=5)
+    .filter(lambda cs: cs[-1])
+    .map(IntPolynomial.from_coefficients),
+)
+@example(p=W4_LOWER_DENOMINATOR, g=_poly(1, -1, -1))
+def test_square_free_proof_is_sound(p, g):
+    # A proof is never given for p g^2 with g of degree >= 1, and a proof
+    # for p means p / gcd(p, p') keeps its degree.  p(0) = 1, as for every
+    # polynomial smallest_positive_root takes.
+    assert not _proved_square_free(p * g * g)
+    if _proved_square_free(p):
+        assert _square_free_part(p).degree == p.degree
+
+
+def test_float_guess_gives_up_past_the_float_range():
+    assert _float_root(_OVERFLOWING, 0.0, 0.5) is None
+    t, e = _float_root(W3_LOOP_POLYNOMIAL, 0.0, 1.0)
+    assert abs(t - smallest_positive_root(W3_LOOP_POLYNOMIAL, 1e-300).root) <= e
 
 
 def test_runtime_denominators_have_nonnegative_reciprocal_series():
@@ -426,13 +522,13 @@ def test_bracket_is_certified_against_sympy(p, tol):
     assert poly.count_roots(lo_q, hi_q) >= 1
 
 
-def _bisection_reference(q, tol):
-    """The RootResult of plain bisection of (0, 1] on q, which must have one
-    simple root there and q(0) > 0: halve to the grid 2^-s of
+def _bisection_reference(q, tol, depth=0):
+    """The RootResult of plain bisection of (0, 2^-depth] on q, which must
+    have one simple root there and q(0) > 0: halve to the grid 2^-s of
     smallest_positive_root, or stop at a midpoint that is the root."""
     scale = 1 - math.frexp(_grid_width(tol))[1]
-    k, lo, hi = 0, 1, 1
-    if q(1) != 0:
+    k, lo, hi = depth, 1, 1
+    if q(Fraction(1, 1 << depth)) != 0:
         lo = 0
         while k < scale and lo != hi:
             k, mid = k + 1, 2 * lo + 1
@@ -442,18 +538,50 @@ def _bisection_reference(q, tol):
     return RootResult(root, 1.0 / root, tol, (lo / (1 << k), hi / (1 << k)))
 
 
+_GOLDEN = _poly(1, -1, -1)  # root 0.618..., squared in the loop denominator's cofactor
+_THIRD = _poly(1, -3)
+# Roots the float guess makes badly or not at all: alternating binomial
+# coefficients that cancel at 1/3 far past float precision (n = 60, 120),
+# and a coefficient past the float range.
+_CANCELLING = {
+    n: _THIRD * IntPolynomial.from_coefficients(
+        [(-1) ** i * math.comb(n, i) for i in range(n + 1)] + [1]
+    )
+    for n in (60, 120)
+}
+_OVERFLOWING = _THIRD * _poly(1, 0, 0, 0, 0, 1 << 1100)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    pq=st.one_of(_one_minus_f().map(lambda p: (p, p)), _linear_powers()),
+    pq=st.one_of(
+        _one_minus_f().map(lambda p: (p, [(p, 0)])),
+        _linear_powers().map(lambda pq: (pq[0], [(pq[1], 0)])),
+        _one_minus_f().map(lambda p: (p * _GOLDEN * _GOLDEN, [(p, 0), (_GOLDEN, 0)])),
+    ),
     tol=st.sampled_from([1e-2, 1e-6, 1e-12, 1e-40, 5e-324]),
 )
+@example(pq=(W4_LOOP_DENOMINATOR, [(W4_LOOP_DENOMINATOR, 1)]), tol=1e-13)
+@example(pq=(W4_LOOP_DENOMINATOR, [(W4_LOOP_DENOMINATOR, 1)]), tol=1e-14)
+@example(pq=(_W4_TRUNCATED[30], [(_W4_TRUNCATED[30], 1)]), tol=1e-12)
+@example(pq=(_W4_TRUNCATED[60], [(_W4_TRUNCATED[60], 1)]), tol=1e-13)
+@example(pq=(_W4_TRUNCATED[60], [(_W4_TRUNCATED[60], 1)]), tol=1e-40)
+@example(pq=(_CANCELLING[60], [(_THIRD, 0)]), tol=1e-14)
+@example(pq=(_CANCELLING[120], [(_THIRD, 0)]), tol=1e-300)
+@example(pq=(_OVERFLOWING, [(_THIRD, 0)]), tol=1e-12)
 def test_refinement_matches_bisection(pq, tol):
     # Quadratic refinement returns the same cell, or the same exact root, as
-    # halving (0, 1] one bit per evaluation on a q whose one root there is
-    # the least root of p.  1 - f has one sign variation, so its positive
-    # root is unique and simple, and q = p.
-    p, q = pq
-    assert smallest_positive_root(p, tol) == _bisection_reference(q, tol)
+    # halving (0, 2^-depth] one bit per evaluation on each q whose one root
+    # there is a root of p; the least of them is the least root of p.  1 - f
+    # has one sign variation, so its positive root is unique and simple.
+    # Times (1 - t - t^2)^2, the top cell shows two variations and the
+    # square-free part is taken.  The degree-44 denominator and the
+    # truncated four-row compositions are bisected on (0, 1/2], which holds
+    # their least root and no other.  The last three examples are roots the
+    # float guess makes badly or not at all.
+    p, qs = pq
+    references = [_bisection_reference(q, tol, depth) for q, depth in qs]
+    assert smallest_positive_root(p, tol) == min(references, key=lambda r: r.root)
 
 
 class TestConnectiveConstants:

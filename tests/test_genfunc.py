@@ -427,6 +427,11 @@ class TestRationalGF:
         with pytest.raises(ValueError):
             _poly_exact_div(_poly(1), _poly(1, 1))
 
+    @pytest.mark.parametrize("dividend", [_poly(1, 2), IntPolynomial.zero(), _poly(*range(1, 40))])
+    def test_exact_division_refuses_a_zero_divisor(self, dividend):
+        with pytest.raises(ValueError, match="^division by the zero polynomial$"):
+            _poly_exact_div(dividend, IntPolynomial.zero())
+
     @given(kronecker_polys, kronecker_polys)
     @example(_poly(*range(1, 17)), _poly(*[-(2**300)] * 16))
     @example(_poly(*[0] * 15, 1), _poly(*[3, 0] * 12, 1))

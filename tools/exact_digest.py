@@ -6,17 +6,23 @@ One line per output:
 * for the atoms of each width (the three-row atoms and the four-row upper
   atoms) cut after t^L, L in {10, 20, ..., 60, 120}: the denominator
   ``important_part_denominator`` gives, and the ``RootResult`` of its least
-  root at tol 1e-12 and 1e-300;
+  root at each tolerance;
 * for the composed three-row, four-row lower and four-row upper bridge
   generating functions: the unreduced and the reduced quotient, and the
   first 1,520 series terms, as the first twelve and the SHA-256 of all;
 * the degree-44 loop denominator as the four-row upper atoms compose it;
-* ``connective_constant_width3`` and ``mu_bounds_width4`` at tol 1e-12 and
-  1e-300.
+* ``connective_constant_width3`` and ``mu_bounds_width4`` at each
+  tolerance.
+
+The tolerances are 1e-12 and 1e-13, the band the ``algebra`` benchmark
+draws from; 1e-14, which the CLI session's ``mu width3 --tol 1e-14`` asks
+for; and 1e-300, far past float precision.  At 1e-13 and 1e-14 the float
+guess that starts the root refinement is coarser than the grid on the
+degree-44 denominator, so a secant step follows it.
 
 Polynomials print as their coefficient tuples, lowest degree first, and
 ``RootResult`` as its repr, whose floats round-trip.  The script takes
-about a second (2-core Xeon, Python 3.11).
+under a second (2-core Xeon, Python 3.11).
 
 The output is a digest of the exact layer: run it in two checkouts and diff,
 
@@ -39,7 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from stripwalks import analysis, genfunc  # noqa: E402
 
 LENGTHS = (10, 20, 30, 40, 50, 60, 120)
-TOLERANCES = (1e-12, 1e-300)
+TOLERANCES = (1e-12, 1e-13, 1e-14, 1e-300)
 SERIES_TERMS = 1520
 ATOMS = {
     "w3": (genfunc.atoms_width3, 3),
