@@ -8,18 +8,26 @@ strings because counts outgrow the 53-bit float mantissa, and floats are
 rounded half-even to 6 decimals so identical inputs give identical output.
 The process exits non-zero when a verify suite fails.  A command refuses, as
 an input error, any optional flag that its target does not read.
+
+One table, ``_COMMANDS``, holds the grammar: each command's positional and
+its choices, and each flag's converter, default and choices.  ``_parse``
+reads ``argv`` against it in one loop.  It takes ``--flag value`` and
+``--flag=value``, a unique prefix of a flag, values that start with a minus
+sign (``--strip -1,1``), the positional anywhere among the flags, and the
+last of a repeated flag; ``-h`` prints help.  An input error prints the
+usage line and one error line, worded as argparse words it, and exits 2.
+``_json`` writes a report in the layout of ``json.dumps(..., indent=2)``,
+in one pass.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
-import json
 import math
 import os
 import sys
 import time
-from typing import Any, Callable, NamedTuple
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, NamedTuple, NoReturn
 
 from . import analysis, bounds, enumeration, genfunc
 from .lattice import BRIDGE_TYPES, StripGeometry
@@ -42,43 +50,62 @@ MAX_STRIP_WIDTH = 10
 
 def _parse_strip(text: str) -> StripGeometry:
     try:
-        y_min, y_max = (int(p) for p in text.split(","))
+        y_min, y_max = map(int, text.split(","))
+    except ValueError:
+        raise ValueError(f"bad strip {text!r}: expected two integers A,B") from None
+    try:
         return StripGeometry(y_min, y_max)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad strip {text!r}: {exc}") from None
+        raise ValueError(f"bad strip {text!r}: {exc}") from None
 
 
-def _jsonable(value: Any) -> Any:
-    """Make a report JSON-ready: exact ints as strings, floats rounded."""
-    if isinstance(value, bool):
-        return value
+def _json(value: Any, indent: str = "\n") -> str:
+    """A report as JSON text, in the layout of ``json.dumps(..., indent=2)``
+    at the depth that ``indent`` (a newline and the enclosing spaces) gives.
+
+    Exact ints are written as strings, floats rounded, and tuples as lists.
+    """
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     if isinstance(value, int):
-        return str(value)
+        return f'"{value}"'
     if isinstance(value, float):
         # Strict JSON has no Infinity: a bound beyond the float range is null.
         if math.isinf(value):
-            return None
+            return "null"
         # 6-decimal half-even rounding for display-scale values; tolerances
         # and other tiny magnitudes keep 6 significant digits instead.
         if value == 0.0 or abs(value) >= 1e-6:
-            return round(value, 6)
-        return float(f"{value:.6e}")
+            value = round(value, 6)
+        else:
+            value = float(f"{value:.6e}")
+        return "NaN" if value != value else repr(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+        opening, closing = "{", "}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return opening + closing
+    return opening + inner + ("," + inner).join(items) + indent + closing
 
 
 def _emit(command: str, parameters: dict, results: Any, passed: bool, t0: float) -> int:
-    envelope = {
-        "command": command,
-        "parameters": _jsonable(parameters),
-        "results": _jsonable(results),
-        "pass": passed,
-        "runtime_ms": int((time.perf_counter() - t0) * 1000),
-    }
-    print(json.dumps(envelope, indent=2))
+    envelope = _json({"command": command, "parameters": parameters, "results": results,
+                      "pass": passed})
+    runtime_ms = int((time.perf_counter() - t0) * 1000)
+    # The runtime closes the envelope as a bare number, not a quoted int.
+    print(f'{envelope[:-2]},\n  "runtime_ms": {runtime_ms}\n}}')
     return 0 if passed else 1
 
 
@@ -115,26 +142,26 @@ _COUNTS = {
 }
 
 
-def _cmd_count(args: argparse.Namespace, t0: float) -> int:
-    strip = args.strip
-    bridge_type = args.type or "OO"
-    if args.klass in _COUNTS:
-        if (args.type, args.start_line) != (None, None):
-            build_parser().error(f"count --class {args.klass} takes no --type or --start-line")
-        table = _COUNTS[args.klass](strip, args.n)
+def _cmd_count(args: dict[str, Any], t0: float) -> int:
+    strip = args["strip"]
+    bridge_type = args["type"] or "OO"
+    if args["class"] in _COUNTS:
+        if (args["type"], args["start_line"]) != (None, None):
+            _fail(f"count --class {args['class']} takes no --type or --start-line")
+        table = _COUNTS[args["class"]](strip, args["n"])
     else:
         try:
-            start = args.start_line
+            start = args["start_line"]
             if start is None:
                 start = _default_start(strip, bridge_type)
-            table = enumeration.count_irreducible(strip, bridge_type, args.n, start)
+            table = enumeration.count_irreducible(strip, bridge_type, args["n"], start)
         except ValueError as exc:
-            build_parser().error(str(exc))
-    if args.format == "csv":
+            _fail(str(exc))
+    if args["format"] == "csv":
         sys.stdout.write(table.to_csv())
         return 0
-    params = {"strip": [strip.y_min, strip.y_max], "class": args.klass, "n": args.n}
-    if args.klass == "irreducible":
+    params = {"strip": [strip.y_min, strip.y_max], "class": args["class"], "n": args["n"]}
+    if args["class"] == "irreducible":
         params["type"] = bridge_type
     return _emit("count", params, {"counts": table.counts}, True, t0)
 
@@ -149,40 +176,40 @@ _GF_BUILDERS = {
 }
 
 
-def _cmd_gf(args: argparse.Namespace, t0: float) -> int:
-    terms = DEFAULT_SERIES if args.series is None else args.series
+def _cmd_gf(args: dict[str, Any], t0: float) -> int:
+    terms = DEFAULT_SERIES if args["series"] is None else args["series"]
     results: dict[str, Any] = {}
-    if args.name == "upper4":
-        if args.series is not None:
-            build_parser().error("gf upper4 prints a denominator and takes no --series")
+    if args["name"] == "upper4":
+        if args["series"] is not None:
+            _fail("gf upper4 prints a denominator and takes no --series")
         d44 = genfunc.important_part_denominator(genfunc.atoms_width4_upper(), 4)
         results["denominator"] = d44.pretty()
         results["denominator_coefficients"] = list(d44.coefficients)
     else:
-        for label, gf in _GF_BUILDERS[args.name]().items():
+        for label, gf in _GF_BUILDERS[args["name"]]().items():
             results[label] = {"function": gf.pretty(), "series": list(gf.series(terms))}
-    return _emit("gf", {"name": args.name, "series": terms}, results, True, t0)
+    return _emit("gf", {"name": args["name"], "series": terms}, results, True, t0)
 
 
-def _cmd_mu(args: argparse.Namespace, t0: float) -> int:
-    if args.target == "width3":
-        res = analysis.connective_constant_width3(args.tol)
+def _cmd_mu(args: dict[str, Any], t0: float) -> int:
+    if args["target"] == "width3":
+        res = analysis.connective_constant_width3(args["tol"])
         results = {"width3": _root_report(genfunc.W3_LOOP_POLYNOMIAL.pretty(), res)}
     else:
-        lower, upper = analysis.mu_bounds_width4(args.tol)
+        lower, upper = analysis.mu_bounds_width4(args["tol"])
         results = {
             "lower": _root_report(genfunc.W4_LOWER_DENOMINATOR.pretty(), lower),
             "upper": _root_report("degree-44 loop denominator", upper),
             "bracket_mu": [lower.mu, upper.mu],
         }
-    return _emit("mu", {"target": args.target, "tol": args.tol}, results, True, t0)
+    return _emit("mu", {"target": args["target"], "tol": args["tol"]}, results, True, t0)
 
 
-def _verify_zeilberger(strip: None, args: argparse.Namespace) -> tuple[dict, bool]:
-    table = enumeration.count_saws(StripGeometry(0, 1), args.n)
+def _verify_zeilberger(strip: None, args: dict[str, Any]) -> tuple[dict, bool]:
+    table = enumeration.count_saws(StripGeometry(0, 1), args["n"])
     rows = []
     ok = True
-    for n in range(2, args.n + 1):
+    for n in range(2, args["n"] + 1):
         formula = bounds.zeilberger_count(n)
         match = formula == table[n]
         ok &= match
@@ -202,12 +229,12 @@ def _growth_constants(strip: StripGeometry, mu: float | None) -> tuple[float, fl
     if strip.width == 4:
         lower, upper = analysis.mu_bounds_width4()
         return lower.mu, upper.mu
-    build_parser().error(f"--mu is needed on {strip.width} rows; the constant is known on 3 and 4")
+    _fail(f"--mu is needed on {strip.width} rows; the constant is known on 3 and 4")
 
 
-def _verify_sandwich(strip: StripGeometry, args: argparse.Namespace) -> tuple[dict, bool]:
-    mu_lo, mu_hi = _growth_constants(strip, args.mu)
-    counts = enumeration.count_saws(strip, args.n)
+def _verify_sandwich(strip: StripGeometry, args: dict[str, Any]) -> tuple[dict, bool]:
+    mu_lo, mu_hi = _growth_constants(strip, args["mu"])
+    counts = enumeration.count_saws(strip, args["n"])
     report = bounds.verify_sandwich(strip, counts, mu_lo, mu_hi)
     rows = [
         {
@@ -226,8 +253,8 @@ def _inequalities(report: bounds.InequalityReport) -> tuple[dict, bool]:
     return {"checked": report.checked, "failures": list(report.failures)}, report.passed
 
 
-def _verify_tables(strip: None, args: argparse.Namespace) -> tuple[dict, bool]:
-    n = min(args.n, 12)
+def _verify_tables(strip: None, args: dict[str, Any]) -> tuple[dict, bool]:
+    n = min(args["n"], 12)
     failures: list[str] = []
     w3 = StripGeometry(-1, 1)
     w4 = StripGeometry(-1, 2)
@@ -266,7 +293,7 @@ def _verify_tables(strip: None, args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 class _Suite(NamedTuple):
-    run: Callable[[Any, argparse.Namespace], tuple[Any, bool]]  # (strip, args) -> (payload, passed)
+    run: Callable[[Any, dict[str, Any]], tuple[Any, bool]]  # (strip, args) -> (payload, passed)
     per_strip: bool  # runs once per --strip; else on fixed strips of its own, given strip None
     reads_mu: bool
 
@@ -278,14 +305,14 @@ _SUITES = {
     "halfspace": _Suite(
         lambda strip, args: _inequalities(bounds.verify_halfspace_proposition(
             strip,
-            enumeration.count_half_space(strip, args.n),
-            enumeration.count_bridges(strip, args.n),
+            enumeration.count_half_space(strip, args["n"]),
+            enumeration.count_bridges(strip, args["n"]),
         )),
         per_strip=True, reads_mu=False,
     ),
     "multiplicativity": _Suite(
         lambda strip, args: _inequalities(bounds.verify_multiplicativity(
-            enumeration.count_saws(strip, args.n), enumeration.count_bridges(strip, args.n)
+            enumeration.count_saws(strip, args["n"]), enumeration.count_bridges(strip, args["n"])
         )),
         per_strip=True, reads_mu=False,
     ),
@@ -293,13 +320,13 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args: argparse.Namespace, t0: float) -> int:
-    suites = _SUITES if args.suite == "all" else {args.suite: _SUITES[args.suite]}
-    if args.strip and not any(s.per_strip for s in suites.values()):
-        build_parser().error(f"verify {args.suite} takes no --strip")
-    if args.mu is not None and not any(s.reads_mu for s in suites.values()):
-        build_parser().error(f"verify {args.suite} takes no --mu")
-    strips = [args.strip] if args.strip else [StripGeometry(-1, 1), StripGeometry(-1, 2)]
+def _cmd_verify(args: dict[str, Any], t0: float) -> int:
+    suites = _SUITES if args["suite"] == "all" else {args["suite"]: _SUITES[args["suite"]]}
+    if args["strip"] and not any(s.per_strip for s in suites.values()):
+        _fail(f"verify {args['suite']} takes no --strip")
+    if args["mu"] is not None and not any(s.reads_mu for s in suites.values()):
+        _fail(f"verify {args['suite']} takes no --mu")
+    strips = [args["strip"]] if args["strip"] else [StripGeometry(-1, 1), StripGeometry(-1, 2)]
     results: dict[str, Any] = {}
     passed = True
     for name, suite in suites.items():
@@ -312,11 +339,11 @@ def _cmd_verify(args: argparse.Namespace, t0: float) -> int:
             results[name], ok = suite.run(None, args)
             passed &= ok
 
-    params = {"suite": args.suite, "n": args.n}
-    if args.strip:
-        params["strip"] = [args.strip.y_min, args.strip.y_max]
-    if args.mu is not None:
-        params["mu"] = args.mu
+    params = {"suite": args["suite"], "n": args["n"]}
+    if args["strip"]:
+        params["strip"] = [args["strip"].y_min, args["strip"].y_max]
+    if args["mu"] is not None:
+        params["mu"] = args["mu"]
     return _emit("verify", params, results, passed, t0)
 
 
@@ -325,86 +352,206 @@ def _cmd_verify(args: argparse.Namespace, t0: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The process's one parser, built at its first use rather than at
-    import, so importing the module stays cheap."""
-    parser = argparse.ArgumentParser(
-        prog="stripwalks",
-        description="Exact strip-walk enumeration, generating functions, and bounds.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Arg(NamedTuple):
+    """One flag or positional of a command: how its text becomes a value."""
 
-    p_count = sub.add_parser("count", help="enumerate walks on a strip")
-    p_count.add_argument("--strip", type=_parse_strip, default=StripGeometry(-1, 1))
-    p_count.add_argument("--class", dest="klass", choices=[*_COUNTS, "irreducible"], default="saw")
-    p_count.add_argument("--type", choices=list(BRIDGE_TYPES), default=None)
-    p_count.add_argument("--start-line", type=int, default=None)
-    p_count.add_argument("--n", type=int, default=DEFAULT_COUNT_N)
-    p_count.add_argument("--format", choices=["json", "csv"], default="json")
-    p_count.set_defaults(func=_cmd_count)
-
-    p_gf = sub.add_parser("gf", help="print generating functions and series")
-    p_gf.add_argument("name", choices=["table1", "bridge3", "lower4", "upper4", "table4"])
-    p_gf.add_argument("--series", type=int, default=None)
-    p_gf.set_defaults(func=_cmd_gf)
-
-    p_mu = sub.add_parser("mu", help="connective-constant roots")
-    p_mu.add_argument("target", choices=["width3", "width4"])
-    p_mu.add_argument("--tol", type=float, default=analysis.DEFAULT_TOL)
-    p_mu.set_defaults(func=_cmd_mu)
-
-    p_verify = sub.add_parser("verify", help="run inequality suites")
-    p_verify.add_argument("suite", choices=["all", *_SUITES])
-    p_verify.add_argument("--n", type=int, default=DEFAULT_VERIFY_N)
-    p_verify.add_argument("--strip", type=_parse_strip, default=None)
-    p_verify.add_argument("--mu", type=float, default=None)
-    p_verify.set_defaults(func=_cmd_verify)
-    return parser
+    help: str
+    convert: Callable[[str], Any] = str
+    default: Any = None
+    choices: tuple[str, ...] = ()
 
 
-def _merge_dash_values(argv: list[str]) -> list[str]:
-    """Turn ["--strip", "-1,1"] into ["--strip=-1,1"] so argparse accepts
-    strip bounds with a leading minus sign."""
-    out = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--strip" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"--strip={argv[i + 1]}")
-            i += 2
+class _Command(NamedTuple):
+    run: Callable[[dict[str, Any], float], int]  # (args, t0) -> exit code
+    help: str
+    # "--flag" keys are flags; the one other key, if any, is a required positional.
+    args: dict[str, _Arg]
+
+
+_STRIP_HELP = "rows A,B of the strip, which must contain row 0"
+_COMMANDS = {
+    "count": _Command(_cmd_count, "enumerate walks on a strip", {
+        "--strip": _Arg(f"{_STRIP_HELP} (default -1,1)", _parse_strip, StripGeometry(-1, 1)),
+        "--class": _Arg("what to count (default saw)", str, "saw", (*_COUNTS, "irreducible")),
+        "--type": _Arg("bridge type of --class irreducible (default OO)", choices=BRIDGE_TYPES),
+        "--start-line": _Arg("start line of --class irreducible (default: the top line for O "
+                             "types, the one below it for I types)", int),
+        "--n": _Arg(f"longest walk, at most {MAX_N} (default {DEFAULT_COUNT_N})", int,
+                    DEFAULT_COUNT_N),
+        "--format": _Arg("output format (default json)", str, "json", ("json", "csv")),
+    }),
+    "gf": _Command(_cmd_gf, "print generating functions and series", {
+        "name": _Arg("the functions to print",
+                     choices=("table1", "bridge3", "lower4", "upper4", "table4")),
+        "--series": _Arg(f"terms after t^0, at most {MAX_SERIES} (default {DEFAULT_SERIES}); "
+                         "not for upper4", int),
+    }),
+    "mu": _Command(_cmd_mu, "connective-constant roots", {
+        "target": _Arg("the three-row constant or the four-row bracket",
+                       choices=("width3", "width4")),
+        "--tol": _Arg(f"root bracket width (default {analysis.DEFAULT_TOL:g})", float,
+                      analysis.DEFAULT_TOL),
+    }),
+    "verify": _Command(_cmd_verify, "run inequality suites", {
+        "suite": _Arg("the suite to run, or all of them", choices=("all", *_SUITES)),
+        "--n": _Arg(f"longest length checked, at most {MAX_N} (default {DEFAULT_VERIFY_N})", int,
+                    DEFAULT_VERIFY_N),
+        "--strip": _Arg(f"{_STRIP_HELP} (default: -1,1 and -1,2)", _parse_strip),
+        "--mu": _Arg("growth constant of the sandwich (default: known on 3 and 4 rows)", float),
+    }),
+}
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: stripwalks [-h] {{{','.join(_COMMANDS)}}} ..."
+    words = [f"usage: stripwalks {command} [-h]"]
+    for key, arg in sorted(_COMMANDS[command].args.items(), key=lambda kv: kv[0][:2] != "--"):
+        words.append(f"[{key} {_metavar(key, arg)}]" if key[:2] == "--" else _metavar(key, arg))
+    return " ".join(words)
+
+
+def _metavar(key: str, arg: _Arg) -> str:
+    return f"{{{','.join(arg.choices)}}}" if arg.choices else _dest(key).upper()
+
+
+def _help(command: str | None) -> NoReturn:
+    """Print the usage and a line of help for each command or argument; exit 0."""
+    if command is None:
+        entries = [(name, c.help) for name, c in _COMMANDS.items()]
+        head = ["Exact strip-walk enumeration, generating functions, and bounds.", "",
+                "commands (stripwalks COMMAND -h lists a command's flags):"]
+    else:
+        entries = [(f"{key} {_metavar(key, arg)}", arg.help)
+                   for key, arg in _COMMANDS[command].args.items()]
+        head = [_COMMANDS[command].help, "", "arguments:"]
+    lines = [_usage(command), "", *head]
+    for name, text in [*entries, ("-h, --help", "print this help and exit")]:
+        lines += [f"  {name}", f"      {text}"]
+    print("\n".join(lines))
+    sys.exit(0)
+
+
+def _fail(message: str, command: str | None = None) -> NoReturn:
+    """Refuse the input: the usage line and one error line on stderr, exit 2.
+
+    Errors found while parsing a command's arguments name the command; the
+    checks that follow the parse do not."""
+    prog = "stripwalks" if command is None else f"stripwalks {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    sys.exit(2)
+
+
+def _dest(key: str) -> str:
+    """The name an argument's value goes under: --start-line -> start_line."""
+    return key.lstrip("-").replace("-", "_")
+
+
+def _is_flag(token: str) -> bool:
+    """Whether a token names a flag (--n, -h) rather than being a value, as
+    -1,1 and -0.5 are."""
+    return token[:2] == "--" != token or token[:1] == "-" and token[1:2].isalpha()
+
+
+def _match(token: str, flags: list[str], command: str | None) -> str | None:
+    """The flag that ``token`` names in full or as a unique prefix, if any."""
+    if token == "-h":
+        return "--help"
+    if token in flags:
+        return token
+    found = [flag for flag in flags if flag.startswith(token)]
+    if len(found) > 1:
+        _fail(f"ambiguous option: {token} could match {', '.join(found)}", command)
+    return found[0] if found else None
+
+
+def _convert(key: str, arg: _Arg, text: str, command: str) -> Any:
+    try:
+        value = arg.convert(text)
+    except ValueError as exc:
+        reason = exc.args[0] if arg.convert is _parse_strip else (
+            f"invalid {arg.convert.__name__} value: {text!r}")
+        _fail(f"argument {key}: {reason}", command)
+    if arg.choices and value not in arg.choices:
+        choices = ", ".join(map(repr, arg.choices))
+        _fail(f"argument {key}: invalid choice: {value!r} (choose from {choices})", command)
+    return value
+
+
+def _parse(argv: list[str]) -> tuple[_Command, dict[str, Any]]:
+    """The command that ``argv`` names and its arguments, each under its
+    ``_dest`` name, or exit: 0 after help, 2 on an input error."""
+    tokens = iter(argv)
+    unknown = []
+    for token in tokens:
+        if not _is_flag(token):
+            break
+        if _match(token.partition("=")[0], ["--help"], None):
+            _help(None)
+        unknown.append(token)
+    else:
+        _fail("the following arguments are required: command")
+    if token not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _fail(f"argument command: invalid choice: {token!r} (choose from {choices})")
+    name, command = token, _COMMANDS[token]
+    flags = ["--help", *(key for key in command.args if key[:2] == "--")]
+    pending = next((key for key in command.args if key[:2] != "--"), None)  # the positional
+    args = {_dest(key): arg.default for key, arg in command.args.items()}
+    flags_ended = False
+    for token in tokens:
+        if token == "--" and not flags_ended:
+            flags_ended = True
+        elif flags_ended or not _is_flag(token):
+            if pending is None:
+                unknown.append(token)
+            else:
+                args[pending] = _convert(pending, command.args[pending], token, name)
+                pending = None
         else:
-            out.append(argv[i])
-            i += 1
-    return out
+            flag, equals, text = token.partition("=")
+            key = _match(flag, flags, name)
+            if key == "--help":
+                _help(name)
+            if key is None:
+                unknown.append(token)
+                continue
+            if not equals:
+                text = next(tokens, None)
+                if text is None or _is_flag(text):
+                    _fail(f"argument {key}: expected one argument", name)
+            args[_dest(key)] = _convert(key, command.args[key], text, name)
+    if pending is not None:
+        _fail(f"the following arguments are required: {pending}", name)
+    if unknown:
+        _fail(f"unrecognized arguments: {' '.join(unknown)}")
+    return command, args
 
 
 def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_merge_dash_values(list(argv)))
+    command, args = _parse(sys.argv[1:] if argv is None else list(argv))
     for flag, ceiling, what in (
         ("n", MAX_N, "the enumeration ceiling"),
         ("series", MAX_SERIES, "the ceiling"),
     ):
-        value = getattr(args, flag, None)
+        value = args.get(flag)
         if value is not None and value < 0:
-            parser.error(f"--{flag} must be non-negative, got {value}")
+            _fail(f"--{flag} must be non-negative, got {value}")
         if value is not None and value > ceiling:
-            parser.error(f"--{flag} {value} exceeds {what} {ceiling}")
-    strip = getattr(args, "strip", None)
+            _fail(f"--{flag} {value} exceeds {what} {ceiling}")
+    strip = args.get("strip")
     if strip is not None and strip.width > MAX_STRIP_WIDTH:
-        parser.error(
+        _fail(
             f"--strip {strip.y_min},{strip.y_max} has {strip.width} rows, "
             f"more than the ceiling {MAX_STRIP_WIDTH}"
         )
     for flag in ("tol", "mu"):
-        value = getattr(args, flag, None)
+        value = args.get(flag)
         if value is not None and not 0 < value < math.inf:
-            parser.error(f"--{flag} must be positive and finite, got {value}")
+            _fail(f"--{flag} must be positive and finite, got {value}")
     try:
-        code = args.func(args, t0)
+        code = command.run(args, t0)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe early (e.g. `| head -1`).  Point stdout

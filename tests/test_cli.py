@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -339,26 +340,113 @@ def test_verify_suite_refuses_flags_it_does_not_read(capsys, suite):
             _assert_input_error(capsys, argv)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["count", "--strip", "1,2"],
-        ["count", "--strip", "1e3,2"],
-        ["count", "--class", "nonsense"],
-        ["count", "--n", "abc"],
-        ["mu", "width5"],
-    ],
-)
+# Each argv that fails while its command's arguments are parsed, with the
+# text after the "stripwalks <command>: error: " prefix.
+PARSE_ERRORS = {
+    ("count", "--strip", "1,2"):
+        "argument --strip: bad strip '1,2': strip [1, 2] must contain the origin row 0",
+    ("count", "--strip", "1e3,2"):
+        "argument --strip: bad strip '1e3,2': expected two integers A,B",
+    ("count", "--class", "nonsense"): "argument --class: invalid choice: 'nonsense' "
+        "(choose from 'saw', 'bridge', 'halfspace', 'irreducible')",
+    ("count", "--n", "abc"): "argument --n: invalid int value: 'abc'",
+    ("mu", "width5"): "argument target: invalid choice: 'width5' (choose from 'width3', 'width4')",
+    ("count", "--strip", "1"): "argument --strip: bad strip '1': expected two integers A,B",
+    ("count", "--strip", "-1,1,2"):
+        "argument --strip: bad strip '-1,1,2': expected two integers A,B",
+    ("count", "--strip", "a,b"): "argument --strip: bad strip 'a,b': expected two integers A,B",
+    ("count", "--n"): "argument --n: expected one argument",
+    ("count", "--n", "--strip", "0,1"): "argument --n: expected one argument",
+    ("mu", "width3", "--tol", "-h"): "argument --tol: expected one argument",
+    ("count", "--st", "0,1"): "ambiguous option: --st could match --strip, --start-line",
+    ("gf", "--series", "3"): "the following arguments are required: name",
+    ("mu", "--tol", "x", "width3"): "argument --tol: invalid float value: 'x'",
+}
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in PARSE_ERRORS])
 def test_parse_errors_exit_2_with_subcommand_prefix(capsys, argv):
-    # argparse reports its own errors under the subcommand's name, after the
-    # subcommand's usage.
+    # Errors found while parsing a command's arguments come under the
+    # command's name, after the command's usage.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if "error" in line]
-    assert len(errors) == 1 and errors[0].startswith(f"stripwalks {argv[0]}: error: ")
+    assert errors == [f"stripwalks {argv[0]}: error: {PARSE_ERRORS[tuple(argv)]}"]
+    assert err.startswith(f"usage: stripwalks {argv[0]} [-h] ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["--n", "3"], "argument command: invalid choice: '3' "
+                       "(choose from 'count', 'gf', 'mu', 'verify')"),
+        (["foo"], "argument command: invalid choice: 'foo' "
+                  "(choose from 'count', 'gf', 'mu', 'verify')"),
+        (["count", "--foo", "1"], "unrecognized arguments: --foo 1"),
+        (["mu", "width3", "width4"], "unrecognized arguments: width4"),
+        (["gf", "-x", "bridge3", "--series=2"], "unrecognized arguments: -x"),
+    ],
+)
+def test_top_level_parse_errors(capsys, argv, message):
+    assert _assert_input_error(capsys, argv) == f"stripwalks: error: {message}"
+
+
+@pytest.mark.parametrize(
+    "argv, same",
+    [
+        # --flag=value, unique prefixes, and the last of a repeated flag.
+        (["count", "--strip=-1,2", "--n=5", "--format", "csv"],
+         ["count", "--str", "-1,2", "--n", "3", "--fo", "csv", "--n", "5"]),
+        # The positional anywhere among the flags; `--` ends the flags.
+        (["gf", "bridge3", "--series", "8"], ["gf", "--series", "8", "bridge3"]),
+        (["gf", "bridge3", "--series", "8"], ["gf", "--series=8", "--", "bridge3"]),
+        # Values that start with a minus sign.
+        (["count", "--strip", "-1,1", "--class", "irreducible", "--start-line", "-1",
+          "--n", "6", "--format", "csv"],
+         ["count", "--class=irreducible", "--start-line=-1", "--n=6", "--format=csv"]),
+        (["mu", "width3", "--tol", "0.5"], ["mu", "--tol", ".5", "width3"]),
+    ],
+)
+def test_flag_syntax(capsys, argv, same):
+    outputs = []
+    for args in (argv, same):
+        code, out = run_cli(capsys, *args)
+        assert code == 0
+        outputs.append([line for line in out.splitlines() if "runtime_ms" not in line])
+    assert outputs[0] == outputs[1]
+
+
+def test_start_line_takes_a_negative_value(capsys):
+    argv = ["count", "--class", "irreducible", "--start-line", "-1", "--n", "6"]
+    code, env = run_json(capsys, *argv)
+    assert code == 0
+    expected = count_irreducible(StripGeometry(-1, 1), "OO", 6, -1).counts
+    assert env["results"]["counts"] == [str(c) for c in expected]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["--help"], *([c, "-h"] for c in ("count", "gf", "mu", "verify")),
+     ["count", "--n", "3", "--he"], ["gf", "bridge3", "-h"]],
+)
+def test_help_lists_commands_flags_and_choices(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    command = argv[0] if argv[0] in cli._COMMANDS else None
+    usage = "usage: stripwalks" + (f" {command}" if command else "")
+    assert out.startswith(usage + " [-h] ")
+    names = list(cli._COMMANDS) if command is None else [
+        name for key, arg in cli._COMMANDS[command].args.items() for name in (key, *arg.choices)
+    ]
+    words = set(re.findall(r"[\w-]+", out))
+    assert {*names, "-h", "--help"} <= words
 
 
 def test_sandwich_bound_beyond_float_range_is_null(capsys):
@@ -376,9 +464,9 @@ def test_sandwich_bound_beyond_float_range_is_null(capsys):
         assert [r["lower"] is None for r in rows[10:]] == [False, False, True, True]
 
 
-def test_jsonable_writes_big_integers_as_strings():
+def test_json_writes_big_integers_as_strings():
     # Counts outgrow the 53-bit float mantissa.
-    assert cli._jsonable((1, 10**30)) == ["1", str(10**30)]
+    assert cli._json((1, 10**30)) == f'[\n  "1",\n  "{10**30}"\n]'
 
 
 def _module_cli(*argv):

@@ -6,7 +6,8 @@ Each type compares and hashes field-wise, prints as
 ``copy``, ``deepcopy`` and ``pickle``.  The plain records, which have no
 ``__init__`` of their own, take exactly one value per field.  Importing the
 package does not load ``dataclasses`` or ``inspect``, nor ``fractions`` and
-what it imports.
+what it imports; neither that nor running a CLI command loads ``argparse``,
+``gettext`` or ``locale``.
 """
 
 import copy
@@ -223,14 +224,19 @@ def test_strip_rows_must_be_integers(rows):
 
 
 def test_import_loads_no_dataclasses_inspect_or_fractions():
-    # fractions would pull in decimal and numbers with it.
+    # fractions would pull in decimal and numbers with it; argparse pulls in
+    # gettext, which imports locale at its first message.  A CLI command runs
+    # too, because a parser built at the first call would load them only then.
     src = str(Path(stripwalks.__file__).resolve().parents[1])
     code = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "before = set(sys.modules)\n"
-        "import stripwalks, stripwalks.cli\n"
-        "forbidden = {'dataclasses', 'inspect', 'fractions', 'decimal', 'numbers'}\n"
+        "import contextlib, io, stripwalks, stripwalks.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    stripwalks.cli.main(['mu', 'width3'])\n"
+        "forbidden = {'dataclasses', 'inspect', 'fractions', 'decimal', 'numbers',\n"
+        "             'argparse', 'gettext', 'locale'}\n"
         "print(sorted(forbidden & (set(sys.modules) - before)))\n"
     )
     proc = subprocess.run(
