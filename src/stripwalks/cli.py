@@ -449,8 +449,15 @@ def _dest(key: str) -> str:
 
 def _is_flag(token: str) -> bool:
     """Whether a token names a flag (--n, -h) rather than being a value, as
-    -1,1 and -0.5 are."""
-    return token[:2] == "--" != token or token[:1] == "-" and token[1:2].isalpha()
+    -1,1 and -0.5 are; a token that ``float`` reads, such as -inf, is a value."""
+    if token[:2] == "--" != token:
+        return True  # float reads no token with two leading minus signs
+    if token[:1] == "-" and token[1:2].isalpha():
+        try:
+            float(token)
+        except ValueError:
+            return True
+    return False
 
 
 def _match(token: str, flags: list[str], command: str | None) -> str | None:

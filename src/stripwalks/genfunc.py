@@ -14,14 +14,14 @@ is the constant 1, that is the gcd by the function's own correctness
 argument, and it returns the operands as their quotients with no division;
 most gcds of the compositions are 1.
 
-Large products and exact quotients use Kronecker substitution (Harvey, J.
-Symbolic Comput. 44, 2009): a polynomial with coefficients below 2^(w - 1)
-in modulus is the integer a(2^w) in balanced base-2^w digits, so one
-big-integer product or ``divmod`` replaces the schoolbook loops.  Packing
-writes each coefficient plus 2^(w - 1) as one little-endian slot of whole
-bytes and takes the offsets off at once; unpacking adds them back and reads
-the slots, so both take linear time.  The slot widths are proved, not
-guessed:
+Large products and every exact quotient use Kronecker substitution
+(Harvey, J. Symbolic Comput. 44, 2009): a polynomial with coefficients
+below 2^(w - 1) in modulus is the integer a(2^w) in balanced base-2^w
+digits, so one big-integer product or ``divmod`` replaces the schoolbook
+loops.  Packing writes each coefficient plus 2^(w - 1) as one little-endian
+slot of whole bytes and takes the offsets off at once; unpacking adds them
+back and reads the slots, so both take linear time.  The slot widths are
+proved, not guessed:
 
 * a product a b has |c_k| <= min(len a, len b) max|a_i| max|b_j|, so
   w = bits(max|a_i|) + bits(max|b_j|) + bits(min(len a, len b)) + 1 holds it;
@@ -34,17 +34,19 @@ guessed:
   multiplication; any other outcome proves the division inexact.  A slot too
   narrow for a true quotient cannot happen, which matters beyond speed:
   :func:`_poly_gcd` reads a refusal as a wrong candidate and tries a larger
-  xi.
+  X.
 
-Below ``_KRONECKER_MIN`` coefficients on the shorter side the schoolbook
-loops stay faster, since packing costs a few microseconds whatever the size;
-the constant's comment gives the measurement.
+Products whose shorter factor has fewer than ``_KRONECKER_MIN``
+coefficients stay schoolbook, which is faster there, since packing costs a
+few microseconds whatever the size; the constant's comment gives the
+measurement.  Quotients have one path: they are few (a gcd of 1 divides
+nothing), so a second loop for small ones would save too little to keep.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from operator import mul
+from operator import lshift, mul
 from typing import Iterable, Mapping
 
 from .lattice import BRIDGE_TYPES, _check_int, _Frozen, _new_instance, _set_field
@@ -210,15 +212,13 @@ def _poly(*coeffs: int) -> IntPolynomial:
 
 # --- Kronecker substitution ------------------------------------------------
 
-# A product whose shorter factor has at least this many coefficients, and a
-# quotient whose quotient and divisor both have, is one big-integer product
-# or divmod; smaller ones stay schoolbook.  Square products and quotients
-# with 20-bit coefficients, schoolbook against packed (best of 9 x 400 runs,
-# 2-core Xeon, Python 3.11): at 8 coefficients 7.0 / 10.1 us and 8.2 / 11.7
-# us, at 12 about even (13.7 / 13.1, 16.1 / 15.8), at 16 23.5 / 16.8 and
-# 26.1 / 20.5; with 4-bit coefficients packing wins from 16 on.  The
-# algebra workload's products have shorter factors of 1-11 coefficients
-# and of 18-61.
+# A product whose shorter factor has at least this many coefficients is one
+# big-integer product; smaller ones stay schoolbook.  Square products with
+# 20-bit coefficients, schoolbook against packed (best of 9 x 400 runs,
+# 2-core Xeon, Python 3.11): at 8 coefficients 7.0 / 10.1 us, at 12 about
+# even (13.7 / 13.1), at 16 23.5 / 16.8; with 4-bit coefficients packing
+# wins from 16 on.  The algebra workload's products have shorter factors of
+# 1-11 coefficients and of 18-61.
 _KRONECKER_MIN = 16
 
 
@@ -248,16 +248,6 @@ def _unpacked(v: int, n: int, nb: int) -> list[int]:
 # --- gcd reduction by the heuristic integer gcd ----------------------------
 
 
-def _value_at(cs: tuple[int, ...], xi: int) -> int:
-    """The polynomial with coefficients cs at the integer xi, by Horner.  Not
-    IntPolynomial.__call__: the bench tracer counts those calls as root
-    refinement evaluations."""
-    acc = 0
-    for c in reversed(cs):
-        acc = acc * xi + c
-    return acc
-
-
 def _poly_gcd(
     a: IntPolynomial, b: IntPolynomial
 ) -> tuple[IntPolynomial, IntPolynomial, IntPolynomial]:
@@ -269,32 +259,38 @@ def _poly_gcd(
     so is that of the quotient.
 
     Heuristic integer gcd (Char, Geddes and Gonnet, J. Symbolic Comput. 7,
-    1989; Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 7.7):
-    with xi = 2 min(|a|, |b|) + 2 over the non-zero operands' largest
-    coefficients, the balanced base-xi digits of gcd(a(xi), b(xi)) are read
-    back as a polynomial, and its primitive part is the gcd if it divides
-    both a and b; otherwise xi grows and the step repeats.
+    1989; Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 7.7)
+    at X = 2^e, with e = bits(2 min(|a|, |b|) + 1) over the non-zero
+    operands' largest coefficients, so that X >= 2 min(|a|, |b|) + 2.  The
+    values a(X) and b(X) are sums of shifted coefficients; the balanced
+    base-X digits of their integer gcd, each in (-X / 2, X / 2], are read
+    back with masks and shifts as a polynomial, and its primitive part is
+    the gcd if it divides both a and b; otherwise e grows by 2 and the step
+    repeats.
 
     Correct: by Cauchy's bound every root of the smaller operand has modulus
-    below xi / 2, so each non-constant integer factor q of it has
-    |q(xi)| > xi / 2, more than the content of the digits, none of which
-    exceeds xi / 2.  If the primitive candidate c divides both operands,
-    their gcd is c q with q(xi) dividing that content, so q is constant and
+    below X / 2, so each non-constant integer factor q of it has
+    |q(X)| > X / 2, more than the content of the digits, none of which
+    exceeds X / 2.  If the primitive candidate c divides both operands,
+    their gcd is c q with q(X) dividing that content, so q is constant and
     c is the gcd.
-    Terminates: with a = g A and b = g B, gcd(a(xi), b(xi)) is |g(xi)| times
-    a divisor of a bound that does not depend on xi -- the resultant of the
-    cofactors A and B, or a constant cofactor -- so a large enough xi reads
+    Terminates: with a = g A and b = g B, gcd(a(X), b(X)) is |g(X)| times
+    a divisor of a bound that does not depend on X -- the resultant of the
+    cofactors A and B, or a constant cofactor -- so a large enough X reads
     g back exactly.
     """
     fa, fb = a.coefficients, b.coefficients
-    xi = 2 * min(max(map(abs, f)) for f in (fa, fb) if f) + 2
+    e = (2 * min(max(map(abs, f)) for f in (fa, fb) if f) + 1).bit_length()
     while True:
-        g = gcd(_value_at(fa, xi), _value_at(fb, xi))
+        shifts = range(0, e * max(len(fa), len(fb)), e)
+        g = gcd(sum(map(lshift, fa, shifts)), sum(map(lshift, fb, shifts)))
+        x = 1 << e
         digits = []
         while g:
-            g, d = divmod(g, xi)
-            if 2 * d > xi:
-                g, d = g + 1, d - xi
+            d = g & (x - 1)
+            g >>= e
+            if 2 * d > x:
+                d, g = d - x, g + 1
             digits.append(d)
         content = -gcd(*digits) if digits[0] < 0 else gcd(*digits)
         candidate = _trusted_poly([c // content for c in digits])
@@ -305,49 +301,39 @@ def _poly_gcd(
         try:
             return candidate, _poly_exact_div(a, candidate), _poly_exact_div(b, candidate)
         except ValueError:
-            xi = xi * 73794 // 27011  # the growth rule of Char, Geddes and Gonnet
+            e += 2
 
 
 def _poly_exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """a / b for an integer quotient; raises ValueError if it is not exact
     or b is zero.
 
-    Past the cutoff, one integer divmod of a(2^w) by b(2^w) decides it, with
-    w and its proof as in the module docstring: m bounds the bits of an
-    exact quotient's coefficients, and w leaves room for b times such a
-    quotient.
+    One integer divmod of a(2^w) by b(2^w) decides it, with w and its proof
+    as in the module docstring: m bounds the bits of an exact quotient's
+    coefficients, and w leaves room for b times such a quotient.  A divisor
+    longer than the dividend divides only the zero polynomial.
     """
     r, bs = a.coefficients, b.coefficients
     if not bs:
         raise ValueError("division by the zero polynomial")
     n = len(r) - len(bs) + 1
-    shorter = min(n, len(bs))
-    if shorter >= _KRONECKER_MIN:
-        m = sum(map(abs, r)).bit_length() + n - 1
-        bits = m + max(map(abs, bs)).bit_length() + shorter.bit_length() + 1
-        nb = (bits + 7) // 8
-        value, rem = divmod(_packed(r, nb), _packed(bs, nb))
-        if not rem:
-            try:
-                q = _unpacked(value, n, nb)
-            except OverflowError:
-                pass
-            else:
-                if max(map(abs, q)).bit_length() <= m:
-                    return _trusted_poly(q)
-        raise ValueError("polynomial division is not exact")
-    r = list(r)
-    q = [0] * max(n, 0)
-    for deg in reversed(range(len(q))):
-        coef, rem = divmod(r[deg + len(bs) - 1], bs[-1])
-        if rem:
+    if n < 1:
+        if r:
             raise ValueError("polynomial division is not exact")
-        q[deg] = coef
-        for i, cb in enumerate(bs):
-            r[deg + i] -= coef * cb
-    if any(r):
-        raise ValueError("polynomial division is not exact")
-    return _trusted_poly(q)
+        return a
+    m = sum(map(abs, r)).bit_length() + n - 1
+    bits = m + max(map(abs, bs)).bit_length() + min(n, len(bs)).bit_length() + 1
+    nb = (bits + 7) // 8
+    value, rem = divmod(_packed(r, nb), _packed(bs, nb))
+    if not rem:
+        try:
+            q = _unpacked(value, n, nb)
+        except OverflowError:
+            pass
+        else:
+            if max(map(abs, q)).bit_length() <= m:
+                return _trusted_poly(q)
+    raise ValueError("polynomial division is not exact")
 
 
 class RationalGF(_Frozen):

@@ -396,6 +396,20 @@ def test_top_level_parse_errors(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "sandwich", "--mu", "-inf"], "--mu must be positive and finite, got -inf"),
+        (["mu", "width3", "--tol", "-nan"], "--tol must be positive and finite, got nan"),
+        (["mu", "width3", "--tol", "-Infinity"], "--tol must be positive and finite, got -inf"),
+    ],
+)
+def test_signed_non_finite_values_reach_range_errors(capsys, argv, message):
+    # A token that float() reads is a value, even with a minus sign and a
+    # letter; -x is still an unknown flag (test_top_level_parse_errors).
+    assert _assert_input_error(capsys, argv) == f"stripwalks: error: {message}"
+
+
+@pytest.mark.parametrize(
     "argv, same",
     [
         # --flag=value, unique prefixes, and the last of a repeated flag.

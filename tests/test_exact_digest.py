@@ -31,11 +31,11 @@ def exact_digest():
 
 
 def test_lines_cover_every_input(exact_digest):
-    # Two truncated alphabets at 7 lengths, a denominator and four roots
-    # each; three compositions, three lines each; the degree-44
-    # denominator; two constants at four tolerances.
+    # Two truncated alphabets at 7 lengths, a denominator, four roots and a
+    # reduced quotient each; three compositions, three lines each; the
+    # degree-44 denominator; two constants at four tolerances.
     lines = list(exact_digest.lines())
-    assert len(lines) == 2 * 7 * 5 + 3 * 3 + 1 + 2 * 4
+    assert len(lines) == 2 * 7 * 6 + 3 * 3 + 1 + 2 * 4
     assert f"w4 loop denominator: {W4_LOOP_DENOMINATOR.coefficients}" in lines
     assert lines[-1].startswith("mu_bounds_width4 1e-300: (RootResult(root=0.48764507")
 

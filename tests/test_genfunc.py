@@ -115,11 +115,22 @@ kronecker_polys = st.lists(
 ).map(IntPolynomial.from_coefficients)
 nonzero_kronecker_polys = kronecker_polys.filter(lambda p: not p.is_zero)
 
+# A 35-term prefix of the four-row upper bridge series: times the atoms'
+# 6-coefficient denominator, a 40-over-6 quotient like those root isolation
+# divides in the algebra workload.
+SERIES_35 = IntPolynomial.from_coefficients(
+    compose_bridge_code(atoms_width4_upper(), 4).series(34)
+)
+
+# (f, g, h, content, power) for test_gcd_matches_sympy whose first gcd
+# candidate is wrong, found by counting the refused divisions of random draws.
+RETRY_EXAMPLE = (_poly(3, 9), _poly(1, 3), _poly(1, 2), 4, 1)
+
 
 @contextmanager
 def _cutoff(size):
-    """Products and quotients with every side of at least ``size``
-    coefficients take the Kronecker path, inside the block."""
+    """Products whose shorter factor has at least ``size`` coefficients take
+    the Kronecker path, inside the block."""
     saved = genfunc._KRONECKER_MIN
     genfunc._KRONECKER_MIN = size
     try:
@@ -138,6 +149,29 @@ def _on_both_paths(call):
             except ValueError:
                 results.append(None)
     return tuple(results)
+
+
+def schoolbook_div(a, b):
+    """a / b by long division from the top coefficient, None if it is not
+    exact: the reference that the Kronecker ``divmod`` of ``_poly_exact_div``
+    is checked against."""
+    r, bs = list(a.coefficients), b.coefficients
+    q = [0] * max(len(r) - len(bs) + 1, 0)
+    for deg in reversed(range(len(q))):
+        coef, rem = divmod(r[deg + len(bs) - 1], bs[-1])
+        if rem:
+            return None
+        q[deg] = coef
+        for i, cb in enumerate(bs):
+            r[deg + i] -= coef * cb
+    return None if any(r) else IntPolynomial.from_coefficients(q)
+
+
+def _exact_div_or_none(a, b):
+    try:
+        return _poly_exact_div(a, b)
+    except ValueError:
+        return None
 
 
 def naive_horner(p: IntPolynomial, t) -> Fraction:
@@ -395,11 +429,13 @@ class TestRationalGF:
     @example(IntPolynomial.zero(), _poly(1, -1), _poly(1, 2, 3), 5, 2)
     @example(_poly(7), _poly(1), _poly(1), 3, 1)
     @example(W4_LOOP_DENOMINATOR, W4_LOOP_DENOMINATOR, W3_LOOP_POLYNOMIAL, 6, 4)
+    @example(*RETRY_EXAMPLE)
     def test_gcd_matches_sympy(self, f, g, h, content, power):
         # a = content * f * g^power and b = h * g^power, where b has constant
         # term 1 as every caller's operand does: a planted, possibly
         # repeated factor, a content above 1 on a, and a zero or constant a.
-        # The last example has degree 220.
+        # The fourth example has degree 220; the last one's first candidate
+        # is wrong (test_gcd_retries_a_wrong_first_candidate).
         sympy = pytest.importorskip("sympy")
         planted = IntPolynomial.one()
         for _ in range(power):
@@ -417,6 +453,41 @@ class TestRationalGF:
             gcd, u_over, v_over = _poly_gcd(u, v)
             assert gcd == expected
             assert gcd * u_over == u and gcd * v_over == v
+
+    def test_gcd_retries_a_wrong_first_candidate(self, monkeypatch):
+        # a = 4 (3 + 9t)(1 + 3t) = 12 (1 + 3t)^2 and b = (1 + 2t)(1 + 3t).
+        # At X = 16 the values' gcd 147 has the balanced digits 3 - 7t + t^2,
+        # which divides neither; at X = 64 the gcd 579 has the digits 3 + 9t,
+        # whose primitive part 1 + 3t is the gcd.
+        f, g, h, content, _ = RETRY_EXAMPLE
+        a, b = _poly(content) * f * g, h * g
+        refused = []
+
+        def counted(u, v):
+            try:
+                return _poly_exact_div(u, v)
+            except ValueError:
+                refused.append(v)
+                raise
+
+        monkeypatch.setattr(genfunc, "_poly_exact_div", counted)
+        for u, v in ((a, b), (b, a)):
+            refused.clear()
+            assert _poly_gcd(u, v)[0] == g
+            assert len(refused) == 1 and refused[0] != g
+
+    def test_coprime_operands_make_no_division(self, monkeypatch):
+        # The candidate 1 is the gcd by the correctness argument alone.
+        def refuse(u, v):
+            raise AssertionError("no exact division by a gcd of 1")
+
+        monkeypatch.setattr(genfunc, "_poly_exact_div", refuse)
+        for u, v in (
+            (W4_LOWER_NUMERATOR, W4_LOWER_DENOMINATOR),
+            (W4_LOWER_DENOMINATOR, W4_LOWER_NUMERATOR),
+            (IntPolynomial.zero(), IntPolynomial.one()),
+        ):
+            assert _poly_gcd(u, v) == (IntPolynomial.one(), u, v)
 
     def test_exact_division_rejects_remainders(self):
         assert _poly_exact_div(_poly(-2, 0, 2), _poly(1, 1)) == _poly(-2, 2)
@@ -454,14 +525,46 @@ class TestRationalGF:
     @example(_poly(*[2**300] * 20), _poly(1, *[0] * 16, -1), 30, -1)
     def test_kronecker_quotient_matches_schoolbook(self, q, b, place, delta):
         # An exact product, the same with delta added at one place, and a
-        # divisor longer than the dividend: the two paths give the same
-        # quotient or both refuse.
+        # divisor longer than the dividend: the Kronecker divmod gives the
+        # schoolbook quotient or refuses where it does.
         a = q * b
         perturbed = a + IntPolynomial.from_coefficients([0] * place + [delta])
         for dividend, divisor in ((a, b), (perturbed, b), (b, b * _poly(1, 1))):
-            schoolbook, kronecker = _on_both_paths(lambda: _poly_exact_div(dividend, divisor))
-            assert kronecker == schoolbook
-        assert _on_both_paths(lambda: _poly_exact_div(a, b)) == (q, q)
+            assert _exact_div_or_none(dividend, divisor) == schoolbook_div(dividend, divisor)
+        assert _poly_exact_div(a, b) == schoolbook_div(a, b) == q
+
+    @pytest.mark.parametrize(
+        "dividend, divisor, quotient",
+        [
+            (IntPolynomial.zero(), _poly(1, -2, 1), IntPolynomial.zero()),
+            (_poly(1, 1), _poly(1, -2, 1), None),
+            (_poly(6, -9, 3), _poly(3), _poly(2, -3, 1)),
+            (_poly(6, -9, 4), _poly(3), None),
+            (_poly(0, 1), _poly(2), None),
+            (_poly(0, 2), _poly(2), _poly(0, 1)),
+            (SERIES_35 * UPPER_ATOM_DENOMINATOR, UPPER_ATOM_DENOMINATOR, SERIES_35),
+            (SERIES_35 * UPPER_ATOM_DENOMINATOR + _poly(0, 1), UPPER_ATOM_DENOMINATOR, None),
+        ],
+        ids=[
+            "longer-divisor-zero",
+            "longer-divisor-nonzero",
+            "constant-exact",
+            "constant-inexact",
+            "t-over-2",
+            "2t-over-2",
+            "40-over-6",
+            "40-over-6-inexact",
+        ],
+    )
+    def test_exact_division_cases(self, dividend, divisor, quotient):
+        # t / 2: t(2^w) = 2^w is divisible by 2, but the quotient digits
+        # 2^(w - 1) break the proved bound, so it is refused.
+        assert schoolbook_div(dividend, divisor) == quotient
+        if quotient is None:
+            with pytest.raises(ValueError, match="^polynomial division is not exact$"):
+                _poly_exact_div(dividend, divisor)
+        else:
+            assert _poly_exact_div(dividend, divisor) == quotient
 
     @given(gfs, gfs)
     def test_series_additive(self, f, g):

@@ -5,8 +5,9 @@ One line per output:
 
 * for the atoms of each width (the three-row atoms and the four-row upper
   atoms) cut after t^L, L in {10, 20, ..., 60, 120}: the denominator
-  ``important_part_denominator`` gives, and the ``RootResult`` of its least
-  root at each tolerance;
+  ``important_part_denominator`` gives, the ``RootResult`` of its least
+  root at each tolerance, and the reduced quotient of the composed bridge
+  generating function, up to 242 coefficients a side;
 * for the composed three-row, four-row lower and four-row upper bridge
   generating functions: the unreduced and the reduced quotient, and the
   first 1,520 series terms, as the first twelve and the SHA-256 of all;
@@ -74,11 +75,14 @@ def lines():
     for name in TRUNCATED:
         width = ATOMS[name][1]
         for length in LENGTHS:
-            den = genfunc.important_part_denominator(truncated_atoms(name, length), width)
+            truncated = truncated_atoms(name, length)
+            den = genfunc.important_part_denominator(truncated, width)
             yield f"{name} L={length} denominator: {den.coefficients}"
             for tol in TOLERANCES:
                 root = analysis.smallest_positive_root(den, tol)
                 yield f"{name} L={length} root {tol}: {root!r}"
+            reduced = genfunc.compose_bridge_code(truncated, width).reduced()
+            yield f"{name} L={length} reduced: {quotient(reduced)}"
     for name, (atoms, width) in ATOMS.items():
         gf = genfunc.compose_bridge_code(atoms(), width)
         series = gf.series(SERIES_TERMS)
